@@ -129,11 +129,17 @@ def _int_list(text: str):
     return [int(tok) for tok in str(text).split(",") if tok != ""]
 
 
-def cmd_concentrate(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    out_dir = _resolve(args, config, "out", ".")
-    os.makedirs(out_dir, exist_ok=True)
+def _local_dim(rho: DensityMatrix) -> int:
+    """Local dimension d of a joint state of two d-dimensional systems."""
+    local_dim = math.isqrt(rho.dim)
+    if local_dim * local_dim != rho.dim:
+        raise UnsupportedParameterError(
+            f"state dimension {rho.dim} is not the square of a local dimension"
+        )
+    return local_dim
+
+
+def cmd_concentrate(args, config: dict, seed: int, out_dir: str) -> tuple:
     state_path = _resolve(args, config, "state", None)
     if state_path is None:
         raise UnsupportedParameterError("concentrate requires --state")
@@ -148,18 +154,11 @@ def cmd_concentrate(args) -> int:
         "bipartite": bipartite,
         "restarts": restarts,
         "iters": iters,
-        "seed": seed,
-        "out": out_dir,
     }
     report: dict = {"input_dim": rho.dim, "j": j}
 
     if bipartite:
-        local_dim = math.isqrt(rho.dim)
-        if local_dim * local_dim != rho.dim:
-            raise UnsupportedParameterError(
-                f"state dimension {rho.dim} is not the square of a local dimension"
-            )
-        gen = BipartiteGenerator(NumberOperator(local_dim))
+        gen = BipartiteGenerator(NumberOperator(_local_dim(rho)))
         verdict = nogo_check(rho, gen)
         report["nogo_verdict"] = verdict
         report["modes_present"] = sorted(bipartite_mode_set(rho, gen))
@@ -192,17 +191,11 @@ def cmd_concentrate(args) -> int:
             print(f"closed-form delta_m: {result.delta_m:.6e}  theta_opt: {result.theta_opt:.6f}")
             print(f"simulated delta_m: {simulated:.6e}")
 
-    report_path = os.path.join(out_dir, "concentrate_report.json")
-    _write_json(report_path, report)
-    _write_manifest(out_dir, "concentrate", params, [os.path.basename(report_path)])
-    return EXIT_OK
+    _write_json(os.path.join(out_dir, "concentrate_report.json"), report)
+    return params, ["concentrate_report.json"]
 
 
-def cmd_concat(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    out_dir = _resolve(args, config, "out", ".")
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_concat(args, config: dict, seed: int, out_dir: str) -> tuple:
     nx_values = _float_list(_resolve(args, config, "nx", "0.1"))
     nz_values = _float_list(_resolve(args, config, "nz", "0.7"))
     steps = int(_resolve(args, config, "steps", 1_000_000))
@@ -212,8 +205,6 @@ def cmd_concat(args) -> int:
         "nz": ",".join(str(v) for v in nz_values),
         "steps": steps,
         "eps": eps,
-        "seed": seed,
-        "out": out_dir,
     }
     outputs = []
     summary = []
@@ -223,13 +214,15 @@ def cmd_concat(args) -> int:
             trace = run_concatenation(start, max_steps=steps, convergence_eps=eps)
             ceiling = purity_ceiling(bloch_to_density(trace.steps[0]))
             name = f"concat_nx{nx:g}_nz{nz:g}.csv"
+            # step m consumes 2^m copies; the exponent is written, since past
+            # step 14,284 the integer 2^m exceeds Python's int-to-str digit limit
             rows = [
-                (m, state.nx, state.nz, copies, abs(state.nx), ceiling)
-                for m, (state, copies) in enumerate(zip(trace.steps, trace.copies_consumed))
+                (m, state.nx, state.nz, m, abs(state.nx), ceiling)
+                for m, state in enumerate(trace.steps)
             ]
             _write_csv(
                 os.path.join(out_dir, name),
-                ("step", "n_x", "n_z", "copies_consumed", "m1", "purity_ceiling"),
+                ("step", "n_x", "n_z", "log2_copies", "m1", "purity_ceiling"),
                 rows,
             )
             outputs.append(name)
@@ -248,39 +241,25 @@ def cmd_concat(args) -> int:
                     "purity_ceiling": ceiling,
                 }
             )
-    summary_path = os.path.join(out_dir, "concat_summary.json")
-    _write_json(summary_path, summary)
-    outputs.append(os.path.basename(summary_path))
-    _write_manifest(out_dir, "concat", params, outputs)
-    return EXIT_OK
+    _write_json(os.path.join(out_dir, "concat_summary.json"), summary)
+    return params, outputs + ["concat_summary.json"]
 
 
-def cmd_field(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    out_dir = _resolve(args, config, "out", ".")
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_field(args, config: dict, seed: int, out_dir: str) -> tuple:
     grid = str(_resolve(args, config, "grid", "20x20"))
     if "x" in grid:
         radial, angular = (int(tok) for tok in grid.split("x"))
     else:
         radial = angular = int(grid)
-    params = {"grid": grid, "seed": seed, "out": out_dir}
     rows = [
         (state.nx, state.nz, delta[0], delta[1])
         for state, delta in vector_field(radial, angular)
     ]
-    path = os.path.join(out_dir, "vector_field.csv")
-    _write_csv(path, ("n_x", "n_z", "dn_x", "dn_z"), rows)
-    _write_manifest(out_dir, "field", params, [os.path.basename(path)])
-    return EXIT_OK
+    _write_csv(os.path.join(out_dir, "vector_field.csv"), ("n_x", "n_z", "dn_x", "dn_z"), rows)
+    return {"grid": grid}, ["vector_field.csv"]
 
 
-def cmd_bound_compare(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    out_dir = _resolve(args, config, "out", ".")
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_bound_compare(args, config: dict, seed: int, out_dir: str) -> tuple:
     dim = int(_resolve(args, config, "dim", 3))
     if dim not in (3, 4):
         raise UnsupportedParameterError(f"bound-compare supports dimension 3 or 4, got {dim}")
@@ -299,8 +278,6 @@ def cmd_bound_compare(args) -> int:
         "with_achieved": with_achieved,
         "restarts": restarts,
         "iters": iters,
-        "seed": seed,
-        "out": out_dir,
     }
     op = NumberOperator(dim)
     rows = []
@@ -325,33 +302,24 @@ def cmd_bound_compare(args) -> int:
                 key = (rank, j)
                 tally = wins.setdefault(key, {"bound1": 0, "bound2": 0, "tie": 0})
                 tally[rep.tighter] += 1
-    csv_path = os.path.join(out_dir, "bound_compare.csv")
     _write_csv(
-        csv_path,
+        os.path.join(out_dir, "bound_compare.csv"),
         ("seed", "rank", "j", "bound1", "bound2", "achieved", "tighter"),
         rows,
     )
     summary = [
         {"rank": rank, "j": j, **tally} for (rank, j), tally in sorted(wins.items())
     ]
-    summary_path = os.path.join(out_dir, "bound_compare_summary.json")
-    _write_json(summary_path, summary)
+    _write_json(os.path.join(out_dir, "bound_compare_summary.json"), summary)
     for entry in summary:
         print(
             f"rank {entry['rank']} j {entry['j']}: "
             f"bound1 wins {entry['bound1']}, bound2 wins {entry['bound2']}, ties {entry['tie']}"
         )
-    _write_manifest(
-        out_dir, "bound-compare", params, [os.path.basename(csv_path), os.path.basename(summary_path)]
-    )
-    return EXIT_OK
+    return params, ["bound_compare.csv", "bound_compare_summary.json"]
 
 
-def cmd_nogo(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    out_dir = _resolve(args, config, "out", ".")
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_nogo(args, config: dict, seed: int, out_dir: str) -> tuple:
     state_path = _resolve(args, config, "state", None)
     p = _resolve(args, config, "p", None)
     samples = int(_resolve(args, config, "samples", 500))
@@ -363,12 +331,7 @@ def cmd_nogo(args) -> int:
     else:
         rho = isotropic_state(float(p))
         source = f"isotropic(p={float(p)})"
-    local_dim = math.isqrt(rho.dim)
-    if local_dim * local_dim != rho.dim:
-        raise UnsupportedParameterError(
-            f"state dimension {rho.dim} is not the square of a local dimension"
-        )
-    params = {"state": state_path, "p": p, "samples": samples, "seed": seed, "out": out_dir}
+    local_dim = _local_dim(rho)
     gen = BipartiteGenerator(NumberOperator(local_dim))
     verdict = nogo_check(rho, gen)
     local_op = NumberOperator(local_dim)
@@ -396,21 +359,14 @@ def cmd_nogo(args) -> int:
         "marginal_product_distance": marginal_product_distance(rho, gen),
         "note": "dynamical check samples covariant unitaries only; the verdict itself covers all covariant operations",
     }
-    report_path = os.path.join(out_dir, "nogo_report.json")
-    _write_json(report_path, report)
+    _write_json(os.path.join(out_dir, "nogo_report.json"), report)
     print(f"verdict: {verdict}  max local m1 gain over {samples} unitaries: {max_gain:.3e}")
-    _write_manifest(out_dir, "nogo", params, [os.path.basename(report_path)])
-    return EXIT_OK
+    return {"state": state_path, "p": p, "samples": samples}, ["nogo_report.json"]
 
 
-def cmd_amplify(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    out_dir = _resolve(args, config, "out", ".")
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_amplify(args, config: dict, seed: int, out_dir: str) -> tuple:
     layers = int(_resolve(args, config, "steps", 10))
     eps = float(_resolve(args, config, "eps", 0.1))
-    params = {"steps": layers, "eps": eps, "seed": seed, "out": out_dir}
     start = amplification_state(layers, eps)
     trace = run_concatenation(start, max_steps=layers, convergence_eps=0.0)
     initial = abs(start.nx)
@@ -418,11 +374,8 @@ def cmd_amplify(args) -> int:
     ratio = final / initial
     threshold = 2.0 ** (-eps) * math.sqrt(2.0**layers)
     name = f"amplify_N{layers}.csv"
-    rows = [
-        (m, state.nx, state.nz, copies, abs(state.nx))
-        for m, (state, copies) in enumerate(zip(trace.steps, trace.copies_consumed))
-    ]
-    _write_csv(os.path.join(out_dir, name), ("step", "n_x", "n_z", "copies_consumed", "m1"), rows)
+    rows = [(m, state.nx, state.nz, m, abs(state.nx)) for m, state in enumerate(trace.steps)]
+    _write_csv(os.path.join(out_dir, name), ("step", "n_x", "n_z", "log2_copies", "m1"), rows)
     summary = {
         "layers": layers,
         "eps": eps,
@@ -435,11 +388,9 @@ def cmd_amplify(args) -> int:
         "exceeds_threshold": ratio > threshold,
         "initial_m1_below_2^-N": initial < 2.0 ** (-layers),
     }
-    summary_path = os.path.join(out_dir, "amplify_summary.json")
-    _write_json(summary_path, summary)
+    _write_json(os.path.join(out_dir, "amplify_summary.json"), summary)
     print(f"ratio after {layers} layers: {ratio:.4f}  threshold: {threshold:.4f}")
-    _write_manifest(out_dir, "amplify", params, [name, os.path.basename(summary_path)])
-    return EXIT_OK
+    return {"steps": layers, "eps": eps}, [name, "amplify_summary.json"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,10 +457,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: resolve the shared settings, run it, and write its manifest.
+
+    Each ``cmd_*`` resolves its own parameters, writes its outputs into the
+    output directory, and returns those parameters with its output file names.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args.config)
+        seed = _resolve_seed(args, config)
+        out_dir = _resolve(args, config, "out", ".")
+        os.makedirs(out_dir, exist_ok=True)
+        params, outputs = args.func(args, config, seed, out_dir)
+        _write_manifest(out_dir, args.command, {**params, "seed": seed, "out": out_dir}, outputs)
+        return EXIT_OK
     except UnsupportedParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

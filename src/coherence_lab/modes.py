@@ -65,24 +65,9 @@ class ModeOperator:
         return self.op.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class LrdOperator:
-    """Restriction of a bipartite mode to one ordered pair of degenerate eigenspaces.
-
-    Rows live in the eigenspace with eigenvalue c + index, columns in the one
-    with eigenvalue c. Under a block-diagonal unitary each such restriction
-    transforms on its own as V_{c+index} (block) V_c^dagger.
-    """
-
-    index: int
-    c: int
-    op: np.ndarray
-
-
 class VinProjector(NamedTuple):
-    """Basis positions of a bipartite mode that survive the trace over the second system."""
+    """Count of the basis positions of a bipartite mode that survive the trace over the second system."""
 
-    pairs: tuple
     dim: int
 
 
@@ -169,35 +154,35 @@ def local_mode_of_global(global_mode: ModeOperator, dims: tuple) -> ModeOperator
 
 
 def vin_projector(gen: BipartiteGenerator, index: int) -> VinProjector:
-    """Positions (|n+index, m>, |n, m>) whose coefficients feed the local mode, and their count."""
+    """Number of positions (|n+index, m>, |n, m>) whose coefficients feed the local mode.
+
+    n runs over [0, d-1-index] and m over [0, d-1], so there are (d-index)*d.
+    """
     d = gen.dim
     if not 0 < index <= d - 1:
         raise UnsupportedParameterError(
             f"mode index {index} outside the local range [1, {d - 1}]"
         )
-    pairs = []
-    for n in range(d - index):
-        for m in range(d):
-            pairs.append(((n + index) * d + m, n * d + m))
-    return VinProjector(tuple(pairs), len(pairs))
+    return VinProjector((d - index) * d)
 
 
 def vin_block_dim(gen: BipartiteGenerator, index: int, c: int) -> int:
-    """Number of surviving positions whose column ket |n, m> has n + m = c."""
+    """Number of surviving positions whose column ket |n, m> has n + m = c.
+
+    These are the n in [max(0, c-d+1), min(d-1-index, c)], where m = c - n stays in range.
+    """
     d = gen.dim
-    count = 0
-    for n in range(d - index):
-        m = c - n
-        if 0 <= m <= d - 1:
-            count += 1
-    return count
+    return max(0, min(d - index - 1, c) - max(0, c - d + 1) + 1)
 
 
 def lrd_decompose(mode: ModeOperator, gen: BipartiteGenerator) -> list:
-    """Split a bipartite mode into its eigenspace-pair restrictions.
+    """Split a bipartite mode into its eigenspace-pair restrictions, as (c, block) pairs.
 
-    The blocks cover every entry of the mode exactly once; stacking them back
-    into their row/column positions reassembles the mode.
+    Rows of a block live in the eigenspace with eigenvalue c + index, columns
+    in the one with eigenvalue c; under a block-diagonal unitary each block
+    transforms on its own as V_{c+index} (block) V_c^dagger. The blocks cover
+    every entry of the mode exactly once; stacking them back into their
+    row/column positions reassembles the mode.
     """
     if mode.dim != gen.total_dim:
         raise ValueError(
@@ -209,15 +194,15 @@ def lrd_decompose(mode: ModeOperator, gen: BipartiteGenerator) -> list:
             continue
         rows = gen.block_indices(c + mode.index)
         cols = gen.block_indices(c)
-        blocks.append(LrdOperator(mode.index, c, mode.op[np.ix_(rows, cols)]))
+        blocks.append((c, mode.op[np.ix_(rows, cols)]))
     return blocks
 
 
 def reassemble_lrd(blocks: list, gen: BipartiteGenerator, index: int) -> np.ndarray:
-    """Place eigenspace-pair blocks back at their global positions."""
+    """Place the (c, block) pairs of ``lrd_decompose`` back at their global positions."""
     out = np.zeros((gen.total_dim, gen.total_dim), dtype=complex)
-    for block in blocks:
-        rows = gen.block_indices(block.c + index)
-        cols = gen.block_indices(block.c)
-        out[np.ix_(rows, cols)] = block.op
+    for c, block in blocks:
+        rows = gen.block_indices(c + index)
+        cols = gen.block_indices(c)
+        out[np.ix_(rows, cols)] = block
     return out

@@ -101,13 +101,18 @@ class NumberOperator:
 
 @dataclass(frozen=True)
 class BlochState:
-    """Qubit state written as a Bloch vector (nx, ny, nz) with 2-norm at most 1."""
+    """Qubit state written as a Bloch vector (nx, ny, nz): finite components, 2-norm at most 1."""
 
     nx: float
     ny: float
     nz: float
 
     def __post_init__(self) -> None:
+        # NaN compares false against the norm bound, so it must be rejected on its own
+        if not (math.isfinite(self.nx) and math.isfinite(self.ny) and math.isfinite(self.nz)):
+            raise StateValidationError(
+                f"Bloch vector ({self.nx}, {self.ny}, {self.nz}) has a non-finite component"
+            )
         norm = math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
         if norm > 1.0 + BLOCH_NORM_ATOL:
             raise StateValidationError(
@@ -241,11 +246,6 @@ class AllowedUnitary:
             idx = gen.block_indices(c)
             out[np.ix_(idx, idx)] = block
         return out
-
-
-def assemble_allowed_unitary(u: AllowedUnitary) -> np.ndarray:
-    """Full matrix of a block-diagonal unitary over the generator's eigenspaces."""
-    return u.matrix
 
 
 def bloch_to_density(b: BlochState) -> DensityMatrix:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from coherence_lab import linalg
 from coherence_lab.bounds import (
+    NO_GO,
     BoundReport,
     bound_kyfan_global,
     bound_kyfan_lrd,
     bound_report,
-    correlation_witness,
     kyfan_diagonal_lemma_check,
     marginal_product_distance,
     nogo_check,
@@ -99,6 +100,61 @@ class TestBlockKyFanBound:
                 assert bound_kyfan_global(rho, QUTRIT, j) >= achieved - 1e-8
 
 
+class TestFirstPrinciplesReference:
+    """Both bounds against loop-built references: bound 1 from the spectrum of the whole
+    two-copy mode, so without the union-of-block-spectra identity, and bound 2 per block."""
+
+    @staticmethod
+    def _singular_values(m: np.ndarray) -> np.ndarray:
+        # Jacobi eigenvalues of the Hermitian dilation [[0, m], [m^dagger, 0]] are
+        # +-sigma_i and zeros; unlike sqrt(eig(m^dagger m)), zero singular values of
+        # a rank-deficient mode come out accurate to roundoff, not its square root
+        r, c = m.shape
+        dilation = np.zeros((r + c, r + c), dtype=complex)
+        dilation[:r, r:] = m
+        dilation[r:, :r] = m.conj().T
+        return oracles.jacobi_eigvalsh(dilation)[::-1][: min(r, c)]
+
+    def _reference(self, rho: DensityMatrix, d: int, j: int) -> tuple:
+        m = rho.matrix
+        pair = oracles.kron_loops(m, m)
+        total = [n + k for n in range(d) for k in range(d)]
+        mode = np.zeros_like(pair)
+        for r in range(d * d):
+            for c in range(d * d):
+                if total[r] - total[c] == j:
+                    mode[r, c] = pair[r, c]
+        local = np.zeros((d, d), dtype=complex)
+        for n in range(d - j):
+            local[n + j, n] = m[n + j, n]
+        baseline = float(self._singular_values(local).sum())
+        bound1 = float(self._singular_values(mode)[: (d - j) * d].sum()) - baseline
+        # block c: rows with total c + j, columns with total c; its quota counts
+        # the columns |n, c-n> with n + j <= d - 1
+        bound2 = -baseline
+        for c in range(2 * d - 1 - j):
+            rows = [r for r in range(d * d) if total[r] == c + j]
+            cols = [k for k in range(d * d) if total[k] == c]
+            quota = sum(1 for k in cols if k // d + j <= d - 1)
+            values = self._singular_values(mode[np.ix_(rows, cols)])
+            bound2 += float(values[:quota].sum())
+        return bound1, bound2
+
+    def test_bounds_match_reference_on_qutrits_and_ququarts(self):
+        rng = np.random.default_rng(31)
+        for d in (3, 4):
+            op = NumberOperator(d)
+            for rank in range(1, d + 1):
+                rho = random_density_matrix(d, rank, rng)
+                for j in range(1, d):
+                    ref1, ref2 = self._reference(rho, d, j)
+                    report = bound_report(rho, op, j)
+                    assert report.bound1 == pytest.approx(ref1, abs=1e-10)
+                    assert report.bound2 == pytest.approx(ref2, abs=1e-10)
+                    assert bound_kyfan_global(rho, op, j) == report.bound1
+                    assert bound_kyfan_lrd(rho, op, j) == report.bound2
+
+
 class TestDiagonalLemma:
     def test_main_diagonal_of_diagonal_matrix_is_tight(self):
         m = np.diag([3.0, 2.0, 1.0])
@@ -148,12 +204,12 @@ class TestNogo:
 
 class TestCorrelationWitness:
     def test_maximally_entangled_state(self):
-        assert correlation_witness(isotropic_state(1.0), GEN2)
+        assert nogo_check(isotropic_state(1.0), GEN2) == NO_GO
         assert marginal_product_distance(isotropic_state(1.0), GEN2) > 1e-8
 
     def test_weakly_mixed_isotropic_state(self):
         iso = isotropic_state(0.3)
-        assert correlation_witness(iso, GEN2)
+        assert nogo_check(iso, GEN2) == NO_GO
         assert marginal_product_distance(iso, GEN2) > 1e-8
 
     def test_product_states_never_fire(self):
@@ -161,7 +217,7 @@ class TestCorrelationWitness:
         for _ in range(20):
             rho = bloch_to_density(random_bloch(rng))
             pair = rho.tensor(rho)
-            assert not correlation_witness(pair, GEN2)
+            assert nogo_check(pair, GEN2) != NO_GO
             assert marginal_product_distance(pair, GEN2) <= 1e-8
 
 

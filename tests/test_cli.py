@@ -95,7 +95,7 @@ class TestConcat:
         out = tmp_path / "out"
         assert main(["concat", "--nx", "0.4", "--nz", "0", "--out", str(out)]) == 0
         header, rows = _read_csv(out / "concat_nx0.4_nz0.csv")
-        assert header == ["step", "n_x", "n_z", "copies_consumed", "m1", "purity_ceiling"]
+        assert header == ["step", "n_x", "n_z", "log2_copies", "m1", "purity_ceiling"]
         assert len(rows) == 1
         summary = json.load(open(out / "concat_summary.json"))
         assert summary[0]["status"] == "converged"
@@ -121,7 +121,20 @@ class TestConcat:
         state = recurrence_step(state)
         assert float(rows[1][1]) == pytest.approx(state.nx, abs=1e-15)
         assert float(rows[1][2]) == pytest.approx(state.nz, abs=1e-15)
-        assert int(rows[2][3]) == 4
+        assert int(rows[2][3]) == 2
+
+    def test_trajectory_past_the_int_to_str_digit_limit(self, tmp_path):
+        # 2^m as an exact integer stops converting to text after step 14,284
+        out = tmp_path / "out"
+        assert main(["concat", "--nx", "0.003", "--nz", "0.01", "--out", str(out)]) == 0
+        _, rows = _read_csv(out / "concat_nx0.003_nz0.01.csv")
+        assert len(rows) > 14_285
+        assert rows[-1][3] == rows[-1][0] == str(len(rows) - 1)
+
+    def test_nan_start_is_rejected_before_running(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["concat", "--nx", "nan", "--nz", "0.5", "--out", str(out)]) == 1
+        assert not [f for f in os.listdir(out) if f.endswith(".csv")]
 
     def test_cap_reached_warns_but_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -12,7 +12,6 @@ from coherence_lab.states import (
     BlochState,
     DensityMatrix,
     NumberOperator,
-    assemble_allowed_unitary,
     bell_phi_plus,
     bloch_from_json,
     bloch_to_density,
@@ -74,6 +73,11 @@ class TestBloch:
         with pytest.raises(StateValidationError, match="exceeds 1"):
             BlochState(0.8, 0.0, 0.8)
 
+    def test_non_finite_components_rejected(self):
+        for components in ((math.nan, 0.0, 0.5), (0.0, math.inf, 0.0), (0.1, 0.0, -math.inf)):
+            with pytest.raises(StateValidationError, match="non-finite"):
+                BlochState(*components)
+
     def test_density_to_bloch_requires_qubit(self):
         with pytest.raises(UnsupportedParameterError, match="qubit"):
             density_to_bloch(DensityMatrix(np.eye(3) / 3))
@@ -118,7 +122,7 @@ class TestAllowedUnitary:
     def test_identity_blocks_assemble_to_identity(self):
         gen = BipartiteGenerator(NumberOperator(3))
         blocks = tuple(np.eye(gen.block_dim(c)) for c in range(gen.n_eigenvalues))
-        np.testing.assert_array_equal(assemble_allowed_unitary(AllowedUnitary(gen, blocks)), np.eye(9))
+        np.testing.assert_array_equal(AllowedUnitary(gen, blocks).matrix, np.eye(9))
 
     def test_middle_block_rotation_matches_documented_matrix(self):
         gen = BipartiteGenerator(NumberOperator(2))
