@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import UnsupportedParameterError
 from .modes import (
+    _check_local_index,
     _component,
+    _local_gap_measure,
     bipartite_mode_set,
     lrd_decompose,
-    mode_measure,
     vin_block_dim,
     vin_projector,
 )
@@ -70,15 +70,6 @@ class BoundReport:
         }
 
 
-def _check_mode_range(rho: DensityMatrix, op: NumberOperator, index: int) -> None:
-    if rho.dim != op.dim:
-        raise ValueError(f"state dimension {rho.dim} does not match operator dimension {op.dim}")
-    if not 0 < index <= op.dim - 1:
-        raise UnsupportedParameterError(
-            f"mode index {index} outside the local range [1, {op.dim - 1}]"
-        )
-
-
 def _block_spectra(rho: DensityMatrix, op: NumberOperator, index: int) -> tuple:
     """Both bounds and the baseline from one singular-value pass over the two-copy mode.
 
@@ -88,7 +79,7 @@ def _block_spectra(rho: DensityMatrix, op: NumberOperator, index: int) -> tuple:
     that union; bound 2 sums each block's top values up to the block's own
     count of surviving positions. Returns (bound1, bound2, baseline).
     """
-    _check_mode_range(rho, op, index)
+    _check_local_index(op, index, rho)
     gen = BipartiteGenerator(op)
     # the product of two validated states is a valid state; no re-validation
     pair_mode = _component(np.kron(rho.matrix, rho.matrix), gen.index_eigenvalues, index)
@@ -100,7 +91,7 @@ def _block_spectra(rho: DensityMatrix, op: NumberOperator, index: int) -> tuple:
         quota_total += float(values[: vin_block_dim(gen, index, c)].sum())
     order = vin_projector(gen, index).dim
     global_total = float(np.sort(np.concatenate(spectra))[::-1][:order].sum())
-    baseline = mode_measure(rho, op, index)
+    baseline = _local_gap_measure(rho.matrix, index)
     return global_total - baseline, quota_total - baseline, baseline
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, linalg
 from .bounds import bound_report, marginal_product_distance, nogo_check
 from .errors import StateValidationError, UnsupportedParameterError
-from .modes import bipartite_mode_set, mode_measure
+from .modes import _local_gap_measure, _reduced_first, bipartite_mode_set
 from .optimizer import UnitarySearchConfig, maximize_delta_m, random_allowed_unitary
 from .qubit_protocol import (
     amplification_state,
@@ -34,6 +34,7 @@ from .states import (
     BlochState,
     DensityMatrix,
     NumberOperator,
+    _converted,
     bloch_from_json,
     bloch_to_density,
     density_from_json,
@@ -80,20 +81,14 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _resolve(args, config: dict, key: str, default):
+def _resolve(args, config: dict, key: str, convert, default=None):
+    """Flag, else config entry, else default, through ``convert``; a rejected value names the key."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
-
-
-def _resolve_seed(args, config: dict) -> int:
-    seed = _resolve(args, config, "seed", None)
-    if seed is None:
-        seed = os.environ.get(SEED_ENV_VAR)
-    return int(seed) if seed is not None else 0
+    if value is None:
+        value = config.get(key)
+    if value is None:
+        value = default
+    return None if value is None else _converted(value, convert, f"parameter '{key}'")
 
 
 def _write_manifest(out_dir: str, command: str, params: dict, outputs) -> None:
@@ -140,14 +135,14 @@ def _local_dim(rho: DensityMatrix) -> int:
 
 
 def cmd_concentrate(args, config: dict, seed: int, out_dir: str) -> tuple:
-    state_path = _resolve(args, config, "state", None)
+    state_path = _resolve(args, config, "state", os.fspath)
     if state_path is None:
         raise UnsupportedParameterError("concentrate requires --state")
     rho = _load_state(state_path)
-    j = int(_resolve(args, config, "j", 1))
-    bipartite = bool(_resolve(args, config, "bipartite", False))
-    restarts = int(_resolve(args, config, "restarts", 8))
-    iters = int(_resolve(args, config, "iters", 2000))
+    j = _resolve(args, config, "j", int, 1)
+    bipartite = _resolve(args, config, "bipartite", bool, False)
+    restarts = _resolve(args, config, "restarts", int, 8)
+    iters = _resolve(args, config, "iters", int, 2000)
     params = {
         "state": state_path,
         "j": j,
@@ -165,10 +160,6 @@ def cmd_concentrate(args, config: dict, seed: int, out_dir: str) -> tuple:
         report["marginal_product_distance"] = marginal_product_distance(rho, gen)
         print(f"verdict: {verdict}")
     else:
-        if rho.dim > 4:
-            raise UnsupportedParameterError(
-                f"dimension {rho.dim} unsupported; the search oracle is capped at 4"
-            )
         cfg = UnitarySearchConfig(restarts=restarts, max_iters=iters, seed=seed)
         outcome = maximize_delta_m(rho, NumberOperator(rho.dim), j, cfg)
         rep = bound_report(rho, NumberOperator(rho.dim), j, achieved=outcome.best_delta_m)
@@ -196,10 +187,10 @@ def cmd_concentrate(args, config: dict, seed: int, out_dir: str) -> tuple:
 
 
 def cmd_concat(args, config: dict, seed: int, out_dir: str) -> tuple:
-    nx_values = _float_list(_resolve(args, config, "nx", "0.1"))
-    nz_values = _float_list(_resolve(args, config, "nz", "0.7"))
-    steps = int(_resolve(args, config, "steps", 1_000_000))
-    eps = float(_resolve(args, config, "eps", 1e-3))
+    nx_values = _resolve(args, config, "nx", _float_list, "0.1")
+    nz_values = _resolve(args, config, "nz", _float_list, "0.7")
+    steps = _resolve(args, config, "steps", int, 1_000_000)
+    eps = _resolve(args, config, "eps", float, 1e-3)
     params = {
         "nx": ",".join(str(v) for v in nx_values),
         "nz": ",".join(str(v) for v in nz_values),
@@ -246,7 +237,7 @@ def cmd_concat(args, config: dict, seed: int, out_dir: str) -> tuple:
 
 
 def cmd_field(args, config: dict, seed: int, out_dir: str) -> tuple:
-    grid = str(_resolve(args, config, "grid", "20x20"))
+    grid = _resolve(args, config, "grid", str, "20x20")
     if "x" in grid:
         radial, angular = (int(tok) for tok in grid.split("x"))
     else:
@@ -260,17 +251,17 @@ def cmd_field(args, config: dict, seed: int, out_dir: str) -> tuple:
 
 
 def cmd_bound_compare(args, config: dict, seed: int, out_dir: str) -> tuple:
-    dim = int(_resolve(args, config, "dim", 3))
+    dim = _resolve(args, config, "dim", int, 3)
     if dim not in (3, 4):
         raise UnsupportedParameterError(f"bound-compare supports dimension 3 or 4, got {dim}")
-    ranks = _int_list(_resolve(args, config, "ranks", ",".join(str(r) for r in range(1, dim + 1))))
+    ranks = _resolve(args, config, "ranks", _int_list, ",".join(str(r) for r in range(1, dim + 1)))
     for rank in ranks:
         if not 1 <= rank <= dim:
             raise UnsupportedParameterError(f"rank {rank} outside [1, {dim}]")
-    samples = int(_resolve(args, config, "samples", 100))
-    with_achieved = bool(_resolve(args, config, "with_achieved", False))
-    restarts = int(_resolve(args, config, "restarts", 3))
-    iters = int(_resolve(args, config, "iters", 500))
+    samples = _resolve(args, config, "samples", int, 100)
+    with_achieved = _resolve(args, config, "with_achieved", bool, False)
+    restarts = _resolve(args, config, "restarts", int, 3)
+    iters = _resolve(args, config, "iters", int, 500)
     params = {
         "dim": dim,
         "ranks": ",".join(str(r) for r in ranks),
@@ -320,34 +311,26 @@ def cmd_bound_compare(args, config: dict, seed: int, out_dir: str) -> tuple:
 
 
 def cmd_nogo(args, config: dict, seed: int, out_dir: str) -> tuple:
-    state_path = _resolve(args, config, "state", None)
-    p = _resolve(args, config, "p", None)
-    samples = int(_resolve(args, config, "samples", 500))
+    state_path = _resolve(args, config, "state", os.fspath)
+    p = _resolve(args, config, "p", float)
+    samples = _resolve(args, config, "samples", int, 500)
     if (state_path is None) == (p is None):
         raise UnsupportedParameterError("nogo requires exactly one of --state or --p")
     if state_path is not None:
         rho = _load_state(state_path)
         source = state_path
     else:
-        rho = isotropic_state(float(p))
-        source = f"isotropic(p={float(p)})"
+        rho = isotropic_state(p)
+        source = f"isotropic(p={p})"
     local_dim = _local_dim(rho)
     gen = BipartiteGenerator(NumberOperator(local_dim))
     verdict = nogo_check(rho, gen)
-    local_op = NumberOperator(local_dim)
-    before = mode_measure(
-        DensityMatrix(linalg.partial_trace_b(rho.matrix, local_dim, local_dim)), local_op, 1
-    )
+    before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, local_dim, local_dim), 1)
     rng = np.random.default_rng(seed)
     max_gain = -math.inf
     for _ in range(samples):
         u = random_allowed_unitary(gen, rng)
-        evolved = rho.evolve(u.matrix)
-        after = mode_measure(
-            DensityMatrix(linalg.partial_trace_b(evolved.matrix, local_dim, local_dim)),
-            local_op,
-            1,
-        )
+        after = _local_gap_measure(_reduced_first(u.matrix, rho.matrix, local_dim), 1)
         max_gain = max(max_gain, after - before)
     report = {
         "source": source,
@@ -365,8 +348,8 @@ def cmd_nogo(args, config: dict, seed: int, out_dir: str) -> tuple:
 
 
 def cmd_amplify(args, config: dict, seed: int, out_dir: str) -> tuple:
-    layers = int(_resolve(args, config, "steps", 10))
-    eps = float(_resolve(args, config, "eps", 0.1))
+    layers = _resolve(args, config, "steps", int, 10)
+    eps = _resolve(args, config, "eps", float, 0.1)
     start = amplification_state(layers, eps)
     trace = run_concatenation(start, max_steps=layers, convergence_eps=0.0)
     initial = abs(start.nx)
@@ -466,8 +449,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        seed = _resolve_seed(args, config)
-        out_dir = _resolve(args, config, "out", ".")
+        seed = _resolve(args, config, "seed", int, os.environ.get(SEED_ENV_VAR, 0))
+        out_dir = _resolve(args, config, "out", os.fspath, ".")
         os.makedirs(out_dir, exist_ok=True)
         params, outputs = args.func(args, config, seed, out_dir)
         _write_manifest(out_dir, args.command, {**params, "seed": seed, "out": out_dir}, outputs)

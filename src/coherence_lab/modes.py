@@ -71,14 +71,34 @@ class VinProjector(NamedTuple):
     dim: int
 
 
+def _check_local_index(op: NumberOperator, index: int, rho=None, lowest: int = 1) -> None:
+    """Reject a state whose dimension is not the operator's, and an index outside [lowest, d-1]."""
+    if rho is not None and rho.dim != op.dim:
+        raise ValueError(f"state dimension {rho.dim} does not match operator dimension {op.dim}")
+    if not lowest <= index <= op.dim - 1:
+        raise UnsupportedParameterError(
+            f"mode index {index} outside the local range [{lowest}, {op.dim - 1}]"
+        )
+
+
+def _local_gap_measure(matrix: np.ndarray, index: int) -> float:
+    """Trace norm of the gap-``index`` stripe of a local matrix: the l1 norm of one diagonal.
+
+    L is non-degenerate, so the stripe has at most one entry per row and column,
+    and its singular values are the magnitudes on diagonal -``index``.
+    """
+    return float(np.abs(np.diagonal(matrix, offset=-index)).sum())
+
+
+def _reduced_first(unitary: np.ndarray, joint: np.ndarray, d: int) -> np.ndarray:
+    """First-system marginal of U X U^dagger on two d-dimensional systems, not re-validated."""
+    sigma = unitary @ joint @ unitary.conj().T
+    return sigma.reshape(d, d, d, d).trace(axis1=1, axis2=3)
+
+
 def mode_component(rho: DensityMatrix, op: NumberOperator, index: int) -> ModeOperator:
     """Stripe of rho connecting eigenvalues that differ by ``index``."""
-    if rho.dim != op.dim:
-        raise ValueError(f"state dimension {rho.dim} does not match operator dimension {op.dim}")
-    if abs(index) > op.dim - 1:
-        raise UnsupportedParameterError(
-            f"mode index {index} outside the range of a {op.dim}-dimensional system"
-        )
+    _check_local_index(op, index, rho, lowest=1 - op.dim)
     return _component(rho.matrix, op.eigenvalues, index)
 
 
@@ -91,7 +111,8 @@ def _component(matrix: np.ndarray, eigenvalues: np.ndarray, index: int) -> ModeO
 
 def mode_measure(rho: DensityMatrix, op: NumberOperator, index: int) -> float:
     """Trace norm of the mode component; zero exactly when the mode is absent."""
-    return linalg.trace_norm(mode_component(rho, op, index).op)
+    _check_local_index(op, index, rho, lowest=1 - op.dim)
+    return _local_gap_measure(rho.matrix, index)
 
 
 def mode_set(
@@ -102,11 +123,7 @@ def mode_set(
     Negative indices are redundant: the -index component is the adjoint of the
     +index one, so reports are canonicalized to index >= 0.
     """
-    return {
-        j
-        for j in range(op.dim)
-        if linalg.trace_norm(mode_component(rho, op, j).op) > threshold
-    }
+    return {j for j in range(op.dim) if mode_measure(rho, op, j) > threshold}
 
 
 def bipartite_mode(rho_ab: DensityMatrix, gen: BipartiteGenerator, index: int) -> ModeOperator:
@@ -158,12 +175,8 @@ def vin_projector(gen: BipartiteGenerator, index: int) -> VinProjector:
 
     n runs over [0, d-1-index] and m over [0, d-1], so there are (d-index)*d.
     """
-    d = gen.dim
-    if not 0 < index <= d - 1:
-        raise UnsupportedParameterError(
-            f"mode index {index} outside the local range [1, {d - 1}]"
-        )
-    return VinProjector((d - index) * d)
+    _check_local_index(gen.local, index)
+    return VinProjector((gen.dim - index) * gen.dim)
 
 
 def vin_block_dim(gen: BipartiteGenerator, index: int, c: int) -> int:

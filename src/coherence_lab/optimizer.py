@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedParameterError
+from .modes import _check_local_index, _local_gap_measure, _reduced_first
 from .sampling import as_rng, haar_unitary
 from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator
 
@@ -186,32 +187,26 @@ def maximize_delta_m(
     """
     cfg = config or UnitarySearchConfig()
     d = rho.dim
-    if d != op.dim:
-        raise ValueError(f"state dimension {d} does not match operator dimension {op.dim}")
-    if not 0 < index <= d - 1:
-        raise UnsupportedParameterError(f"mode index {index} outside the local range [1, {d - 1}]")
+    _check_local_index(op, index, rho)
     if d > MAX_LOCAL_DIM:
         raise UnsupportedParameterError(
             f"search supports local dimension up to {MAX_LOCAL_DIM}, got {d}"
         )
     gen = BipartiteGenerator(op)
     pair = np.kron(rho.matrix, rho.matrix)
-    total_dim = d * d
     sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
     meshes = [np.ix_(gen.block_indices(c), gen.block_indices(c)) for c in range(gen.n_eigenvalues)]
     offsets = np.concatenate(([0], np.cumsum([n * n for n in sizes])))
     n_params = int(offsets[-1])
-    baseline = float(np.abs(np.diagonal(rho.matrix, offset=-index)).sum())
+    baseline = _local_gap_measure(rho.matrix, index)
 
-    scratch = np.zeros((total_dim, total_dim), dtype=complex)
+    scratch = np.zeros((d * d, d * d), dtype=complex)
 
     def objective(params: np.ndarray) -> float:
         for c, n in enumerate(sizes):
             block = _exp_ih(_hermitian_from_params(n, params[offsets[c] : offsets[c + 1]]))
             scratch[meshes[c]] = block
-        sigma = scratch @ pair @ scratch.conj().T
-        reduced = sigma.reshape(d, d, d, d).trace(axis1=1, axis2=3)
-        return float(np.abs(np.diagonal(reduced, offset=-index)).sum()) - baseline
+        return _local_gap_measure(_reduced_first(scratch, pair, d), index) - baseline
 
     rng = as_rng(cfg.seed)
     best_f = None

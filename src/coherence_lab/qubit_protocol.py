@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import UnsupportedParameterError
+from .modes import _local_gap_measure, _reduced_first
 from .states import (
     AllowedUnitary,
     BipartiteGenerator,
@@ -113,14 +113,13 @@ def optimal_concentration(rho: DensityMatrix) -> ConcentrationResult:
     theta_opt = math.acos(1.0 / scale)
     unitary = optimal_unitary(p00)
 
-    conjugated = rho.tensor(rho).evolve(unitary.matrix)
-    reduced = DensityMatrix(linalg.partial_trace_b(conjugated.matrix, 2, 2))
-    simulated_gain = abs(complex(reduced.matrix[0, 1])) - abs(p01)
+    reduced = _reduced_first(unitary.matrix, np.kron(rho.matrix, rho.matrix), 2)
+    simulated_gain = _local_gap_measure(reduced, 1) - abs(p01)
     if abs(simulated_gain - delta_m) > SIMULATION_ATOL:
         raise RuntimeError(
             f"closed form and two-copy simulation disagree: {delta_m} vs {simulated_gain}"
         )
-    return ConcentrationResult(theta_opt, delta_m, density_to_bloch(reduced), unitary)
+    return ConcentrationResult(theta_opt, delta_m, density_to_bloch(DensityMatrix(reduced)), unitary)
 
 
 def recurrence_step(state: BlochState) -> BlochState:

@@ -9,8 +9,9 @@ residual.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,14 +114,43 @@ class BlochState:
             raise StateValidationError(
                 f"Bloch vector ({self.nx}, {self.ny}, {self.nz}) has a non-finite component"
             )
-        norm = math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
+        norm = self.norm()
         if norm > 1.0 + BLOCH_NORM_ATOL:
             raise StateValidationError(
-                f"Bloch vector norm {norm:.12f} exceeds 1 by {norm - 1.0:.3e}"
+                f"Bloch vector norm {norm:.12g} exceeds 1 by {norm - 1.0:.3e}"
             )
 
     def norm(self) -> float:
-        return math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
+        # hypot scales internally, so huge finite components do not overflow
+        return math.hypot(self.nx, self.ny, self.nz)
+
+
+@functools.cache
+def _generator_layout(d: int) -> tuple:
+    """Eigenspace index blocks and per-index eigenvalues of L (x) I + I (x) L, once per d.
+
+    Every generator of one dimension shares these arrays, so they are read-only.
+    """
+    blocks = []
+    for c in range(2 * d - 1):
+        lo, hi = max(0, c - d + 1), min(d - 1, c)
+        idx = np.array([n * d + (c - n) for n in range(lo, hi + 1)], dtype=int)
+        expected = c + 1 if c < d - 1 else 2 * d - 1 - c
+        if idx.size != expected:
+            raise StateValidationError(
+                f"eigenspace {c} has {idx.size} basis kets, expected {expected}"
+            )
+        idx.setflags(write=False)
+        blocks.append(idx)
+    rebuilt = np.zeros((d * d, d * d))
+    for c, idx in enumerate(blocks):
+        rebuilt[idx, idx] = c
+    target = np.kron(np.diag(np.arange(d)), np.eye(d)) + np.kron(np.eye(d), np.diag(np.arange(d)))
+    if not np.array_equal(rebuilt, target):
+        raise StateValidationError("eigenspace projectors do not reassemble the total number operator")
+    lam = (np.arange(d)[:, None] + np.arange(d)[None, :]).ravel()
+    lam.setflags(write=False)
+    return tuple(blocks), lam
 
 
 @dataclass(frozen=True)
@@ -133,32 +163,6 @@ class BipartiteGenerator:
     """
 
     local: NumberOperator
-    _block_indices: tuple = field(init=False, repr=False, compare=False)
-    _index_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        d = self.local.dim
-        lam = (np.arange(d)[:, None] + np.arange(d)[None, :]).ravel()
-        blocks = []
-        for c in range(2 * d - 1):
-            lo, hi = max(0, c - d + 1), min(d - 1, c)
-            idx = np.array([n * d + (c - n) for n in range(lo, hi + 1)], dtype=int)
-            expected = c + 1 if c < d - 1 else 2 * d - 1 - c
-            if idx.size != expected:
-                raise StateValidationError(
-                    f"eigenspace {c} has {idx.size} basis kets, expected {expected}"
-                )
-            blocks.append(idx)
-        rebuilt = np.zeros((d * d, d * d))
-        for c, idx in enumerate(blocks):
-            rebuilt[idx, idx] = c
-        target = np.kron(np.diag(np.arange(d)), np.eye(d)) + np.kron(np.eye(d), np.diag(np.arange(d)))
-        if not np.array_equal(rebuilt, target):
-            raise StateValidationError("eigenspace projectors do not reassemble the total number operator")
-        lam_ro = lam.copy()
-        lam_ro.setflags(write=False)
-        object.__setattr__(self, "_block_indices", tuple(blocks))
-        object.__setattr__(self, "_index_eigenvalues", lam_ro)
 
     @property
     def dim(self) -> int:
@@ -180,26 +184,26 @@ class BipartiteGenerator:
     @property
     def index_eigenvalues(self) -> np.ndarray:
         """Eigenvalue of each tensor-basis index |n, m> -> n + m."""
-        return self._index_eigenvalues
+        return _generator_layout(self.local.dim)[1]
 
     def block_dim(self, c: int) -> int:
         """Degeneracy of eigenvalue c."""
-        return self._block_indices[c].size
+        return _generator_layout(self.local.dim)[0][c].size
 
     def block_indices(self, c: int) -> np.ndarray:
         """Tensor-basis indices spanning the eigenvalue-c subspace, ordered by first index."""
-        return self._block_indices[c].copy()
+        return _generator_layout(self.local.dim)[0][c].copy()
 
     def projector(self, c: int) -> np.ndarray:
         p = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        idx = self._block_indices[c]
+        idx = _generator_layout(self.local.dim)[0][c]
         p[idx, idx] = 1.0
         return p
 
     @property
     def matrix(self) -> np.ndarray:
         """The total operator as a dense (d^2 x d^2) matrix."""
-        return np.diag(self._index_eigenvalues).astype(complex)
+        return np.diag(self.index_eigenvalues).astype(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,14 +297,24 @@ def density_to_json(rho: DensityMatrix) -> dict:
     }
 
 
+def _converted(value, convert, name: str):
+    """``convert(value)``; a value it rejects is a validation error naming ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise StateValidationError(f"{name} has an invalid value: {exc}") from exc
+
+
 def density_from_json(obj: dict) -> DensityMatrix:
     """Parse the dict form; invariant violations are rejected with the residual in the message."""
     for key in ("dim", "re", "im"):
         if key not in obj:
             raise StateValidationError(f"state object missing key '{key}'")
-    dim = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    dim = _converted(obj["dim"], int, "state key 'dim'")
+    re, im = (
+        _converted(obj[key], functools.partial(np.asarray, dtype=float), f"state key '{key}'")
+        for key in ("re", "im")
+    )
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise StateValidationError(
             f"entry arrays have shapes {re.shape} and {im.shape}, expected ({dim}, {dim})"
@@ -316,4 +330,6 @@ def bloch_from_json(obj: dict) -> BlochState:
     for key in ("nx", "nz"):
         if key not in obj:
             raise StateValidationError(f"Bloch object missing key '{key}'")
-    return BlochState(float(obj["nx"]), float(obj.get("ny", 0.0)), float(obj["nz"]))
+    return BlochState(
+        *(_converted(obj.get(key, 0.0), float, f"Bloch key '{key}'") for key in ("nx", "ny", "nz"))
+    )

@@ -5,9 +5,18 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from coherence_lab.cli import main
+from coherence_lab.optimizer import random_allowed_unitary
 from coherence_lab.qubit_protocol import recurrence_step
-from coherence_lab.states import BlochState, density_to_json, isotropic_state
+from coherence_lab.sampling import random_density_matrix
+from coherence_lab.states import (
+    BipartiteGenerator,
+    BlochState,
+    NumberOperator,
+    density_to_json,
+    isotropic_state,
+)
 
 
 def _write_state(path, obj):
@@ -136,6 +145,11 @@ class TestConcat:
         assert main(["concat", "--nx", "nan", "--nz", "0.5", "--out", str(out)]) == 1
         assert not [f for f in os.listdir(out) if f.endswith(".csv")]
 
+    def test_huge_finite_start_is_rejected_by_norm(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["concat", "--nx", "1e200", "--nz", "0", "--out", str(out)]) == 1
+        assert "norm" in capsys.readouterr().err
+
     def test_cap_reached_warns_but_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["concat", "--nx", "0", "--nz", "0.5", "--steps", "10", "--out", str(out)])
@@ -218,6 +232,46 @@ class TestNogo:
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["nogo", "--out", str(tmp_path)]) == 2
+
+    def test_qutrit_gain_matches_loop_reference(self, tmp_path):
+        rho = random_density_matrix(9, 3, np.random.default_rng(5))
+        state = _write_state(tmp_path / "joint.json", density_to_json(rho))
+        out = tmp_path / "out"
+        args = ["nogo", "--state", state, "--samples", "20", "--seed", "7", "--out", str(out)]
+        assert main(args) == 0
+        report = json.load(open(out / "nogo_report.json"))
+
+        def m1(joint):
+            reduced = oracles.partial_trace_b_loops(joint, 3, 3)
+            stripe = np.zeros((3, 3), dtype=complex)
+            for n in range(2):
+                stripe[n + 1, n] = reduced[n + 1, n]
+            return np.linalg.svd(stripe, compute_uv=False).sum()
+
+        gen = BipartiteGenerator(NumberOperator(3))
+        rng = np.random.default_rng(7)
+        before = m1(rho.matrix)
+        gain = -math.inf
+        for _ in range(20):
+            u = random_allowed_unitary(gen, rng).matrix
+            gain = max(gain, m1(u @ rho.matrix @ u.conj().T) - before)
+        assert gain > 0.01
+        assert abs(report["initial_local_m1"] - before) <= 1e-12
+        assert abs(report["max_local_m1_gain"] - gain) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "command, flag, obj, key",
+    [
+        (["nogo", "--p", "0.5"], "--config", {"samples": {}}, "samples"),
+        (["concentrate"], "--state", {"dim": [2], "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim"),
+        (["concentrate"], "--state", {"nx": [0.1], "nz": 0.5}, "nx"),
+    ],
+)
+def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):
+    path = _write_state(tmp_path / "input.json", obj)
+    assert main(command + [flag, path, "--out", str(tmp_path / "out")]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 class TestAmplify:

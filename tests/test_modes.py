@@ -107,6 +107,22 @@ class TestModeMeasure:
         expected = oracles.jacobi_singular_values(stripe).sum()
         assert mode_measure(rho, QUTRIT, 1) == pytest.approx(expected, abs=1e-10)
 
+    def test_matches_trace_norm_of_component_for_every_index_and_rank(self):
+        # the subdiagonal l1 sum is the stripe's trace norm, since L is non-degenerate
+        rng = np.random.default_rng(14)
+        for d in (2, 3, 4):
+            op = NumberOperator(d)
+            for rank in range(1, d + 1):
+                for _ in range(5):
+                    rho = random_density_matrix(d, rank, rng)
+                    for j in range(1 - d, d):
+                        expected = linalg.trace_norm(mode_component(rho, op, j).op)
+                        assert abs(mode_measure(rho, op, j) - expected) <= 1e-14
+
+    def test_out_of_range_index(self):
+        with pytest.raises(UnsupportedParameterError, match="outside the local range"):
+            mode_measure(DensityMatrix(np.eye(3) / 3), QUTRIT, -3)
+
 
 class TestBipartiteMode:
     def test_incoherent_product_has_single_mode(self):

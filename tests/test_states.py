@@ -12,6 +12,7 @@ from coherence_lab.states import (
     BlochState,
     DensityMatrix,
     NumberOperator,
+    _generator_layout,
     bell_phi_plus,
     bloch_from_json,
     bloch_to_density,
@@ -78,6 +79,12 @@ class TestBloch:
             with pytest.raises(StateValidationError, match="non-finite"):
                 BlochState(*components)
 
+    def test_huge_finite_components_rejected_by_norm(self):
+        # squaring 1e200 overflows; the norm check must still report the norm
+        with pytest.raises(StateValidationError, match="norm"):
+            BlochState(1e200, 0.0, 0.0)
+        assert BlochState(3e-200, 4e-200, 0.0).norm() == pytest.approx(5e-200, rel=1e-15)
+
     def test_density_to_bloch_requires_qubit(self):
         with pytest.raises(UnsupportedParameterError, match="qubit"):
             density_to_bloch(DensityMatrix(np.eye(3) / 3))
@@ -111,6 +118,17 @@ class TestBipartiteGenerator:
         local = np.diag(np.arange(3)).astype(complex)
         expected = np.kron(local, np.eye(3)) + np.kron(np.eye(3), local)
         np.testing.assert_array_equal(gen.matrix, expected)
+
+    def test_layout_is_shared_and_read_only(self):
+        gen, again = BipartiteGenerator(NumberOperator(3)), BipartiteGenerator(NumberOperator(3))
+        assert gen.index_eigenvalues is again.index_eigenvalues
+        with pytest.raises(ValueError):
+            gen.index_eigenvalues[0] = 7
+        for idx in _generator_layout(3)[0]:
+            assert not idx.flags.writeable
+        idx = gen.block_indices(2)
+        idx[0] = 99
+        np.testing.assert_array_equal(again.block_indices(2), [2, 4, 6])
 
     def test_projectors_resolve_identity(self):
         gen = BipartiteGenerator(NumberOperator(4))
