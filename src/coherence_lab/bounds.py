@@ -134,6 +134,13 @@ def kyfan_diagonal_lemma_check(matrix: np.ndarray, selection, k: int) -> bool:
     return total <= linalg.ky_fan_norm(m, k) + 1e-9
 
 
+def _nogo_verdict(present: set, d: int) -> str:
+    """The no-go rule on the total-gap mode set of a joint state of two d-level systems."""
+    if present != {0} and not (present & set(range(1, d))):
+        return NO_GO
+    return NOT_APPLICABLE
+
+
 def nogo_check(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> str:
     """Mode-structure verdict on whether local coherence can ever be concentrated.
 
@@ -141,11 +148,7 @@ def nogo_check(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> str:
     large to be seen locally (no occupied gap in [1, d-1] but some gap other
     than 0 occupied); ``"not_applicable"`` otherwise.
     """
-    present = bipartite_mode_set(rho_ab, gen)
-    local_range = set(range(1, gen.dim))
-    if present != {0} and not (present & local_range):
-        return NO_GO
-    return NOT_APPLICABLE
+    return _nogo_verdict(bipartite_mode_set(rho_ab, gen), gen.dim)
 
 
 def marginal_product_distance(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> float:

@@ -1,9 +1,11 @@
 """Command-line frontend: experiments, data export, reproducible CSV/JSON artifacts.
 
-Every run writes a manifest next to its outputs echoing the resolved
-parameters, the package version, and the seed, so a run can be reproduced by
-pointing --config at the manifest. Numeric CSV fields use 17 significant
-digits, which round-trips doubles losslessly.
+Each subcommand's parameters are declared once, in ``COMMANDS``, which builds
+the parser, resolves every value and names the manifest entries. Every run
+writes a manifest next to its outputs echoing the resolved parameters, the
+package version, and the seed, so a run can be reproduced by pointing
+--config at the manifest. Numeric CSV fields use 17 significant digits, which
+round-trips doubles losslessly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, linalg
-from .bounds import bound_report, marginal_product_distance, nogo_check
+from .bounds import _nogo_verdict, bound_report, marginal_product_distance
 from .errors import StateValidationError, UnsupportedParameterError
 from .modes import _local_gap_measure, _reduced_first, bipartite_mode_set
 from .optimizer import UnitarySearchConfig, maximize_delta_m, random_allowed_unitary
@@ -81,16 +83,6 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _resolve(args, config: dict, key: str, convert, default=None):
-    """Flag, else config entry, else default, through ``convert``; a rejected value names the key."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key)
-    if value is None:
-        value = default
-    return None if value is None else _converted(value, convert, f"parameter '{key}'")
-
-
 def _write_manifest(out_dir: str, command: str, params: dict, outputs) -> None:
     _write_json(
         os.path.join(out_dir, f"{command.replace('-', '_')}_manifest.json"),
@@ -116,12 +108,37 @@ def _load_state(path: str) -> DensityMatrix:
     raise StateValidationError("state file has neither matrix keys (dim/re/im) nor Bloch keys (nx/ny/nz)")
 
 
-def _float_list(text: str):
-    return [float(tok) for tok in str(text).split(",") if tok != ""]
+def _int(value) -> int:
+    """An integer or integer text; ``2.5``, ``"2.5"`` and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
-def _int_list(text: str):
-    return [int(tok) for tok in str(text).split(",") if tok != ""]
+def _bool(value) -> bool:
+    """Only JSON ``true``/``false`` (a ``store_true`` flag gives ``True``)."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _list(convert):
+    """Comma text (from a flag) or a JSON list (from a config), each item through ``convert``."""
+
+    def parse(value) -> list:
+        items = value.split(",") if isinstance(value, str) else value
+        if not isinstance(items, list):
+            raise TypeError(f"expected comma text or a list, got {value!r}")
+        return [convert(item) for item in items if item != ""]
+
+    return parse
+
+
+def _grid(text: str) -> tuple:
+    """``"20"`` or ``"20x30"`` as (radial, angular) sizes; a third size fails the unpacking."""
+    sizes = [_int(tok) for tok in text.split("x")]
+    radial, angular = sizes * 2 if len(sizes) == 1 else sizes
+    return radial, angular
 
 
 def _local_dim(rho: DensityMatrix) -> int:
@@ -134,33 +151,26 @@ def _local_dim(rho: DensityMatrix) -> int:
     return local_dim
 
 
-def cmd_concentrate(args, config: dict, seed: int, out_dir: str) -> tuple:
-    state_path = _resolve(args, config, "state", os.fspath)
-    if state_path is None:
+def _mode_structure(rho: DensityMatrix, gen: BipartiteGenerator) -> tuple:
+    """No-go verdict, sorted modes present and marginal product distance, from one mode set."""
+    present = bipartite_mode_set(rho, gen)
+    return _nogo_verdict(present, gen.dim), sorted(present), marginal_product_distance(rho, gen)
+
+
+def cmd_concentrate(p: dict, seed: int, out_dir: str) -> list:
+    if p["state"] is None:
         raise UnsupportedParameterError("concentrate requires --state")
-    rho = _load_state(state_path)
-    j = _resolve(args, config, "j", int, 1)
-    bipartite = _resolve(args, config, "bipartite", bool, False)
-    restarts = _resolve(args, config, "restarts", int, 8)
-    iters = _resolve(args, config, "iters", int, 2000)
-    params = {
-        "state": state_path,
-        "j": j,
-        "bipartite": bipartite,
-        "restarts": restarts,
-        "iters": iters,
-    }
+    rho = _load_state(p["state"])
+    j = p["j"]
     report: dict = {"input_dim": rho.dim, "j": j}
 
-    if bipartite:
+    if p["bipartite"]:
         gen = BipartiteGenerator(NumberOperator(_local_dim(rho)))
-        verdict = nogo_check(rho, gen)
-        report["nogo_verdict"] = verdict
-        report["modes_present"] = sorted(bipartite_mode_set(rho, gen))
-        report["marginal_product_distance"] = marginal_product_distance(rho, gen)
+        verdict, modes, distance = _mode_structure(rho, gen)
+        report.update(nogo_verdict=verdict, modes_present=modes, marginal_product_distance=distance)
         print(f"verdict: {verdict}")
     else:
-        cfg = UnitarySearchConfig(restarts=restarts, max_iters=iters, seed=seed)
+        cfg = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"], seed=seed)
         outcome = maximize_delta_m(rho, NumberOperator(rho.dim), j, cfg)
         rep = bound_report(rho, NumberOperator(rho.dim), j, achieved=outcome.best_delta_m)
         report["optimizer"] = {
@@ -183,26 +193,17 @@ def cmd_concentrate(args, config: dict, seed: int, out_dir: str) -> tuple:
             print(f"simulated delta_m: {simulated:.6e}")
 
     _write_json(os.path.join(out_dir, "concentrate_report.json"), report)
-    return params, ["concentrate_report.json"]
+    return ["concentrate_report.json"]
 
 
-def cmd_concat(args, config: dict, seed: int, out_dir: str) -> tuple:
-    nx_values = _resolve(args, config, "nx", _float_list, "0.1")
-    nz_values = _resolve(args, config, "nz", _float_list, "0.7")
-    steps = _resolve(args, config, "steps", int, 1_000_000)
-    eps = _resolve(args, config, "eps", float, 1e-3)
-    params = {
-        "nx": ",".join(str(v) for v in nx_values),
-        "nz": ",".join(str(v) for v in nz_values),
-        "steps": steps,
-        "eps": eps,
-    }
+def cmd_concat(p: dict, seed: int, out_dir: str) -> list:
+    steps = p["steps"]
     outputs = []
     summary = []
-    for nx in nx_values:
-        for nz in nz_values:
+    for nx in p["nx"]:
+        for nz in p["nz"]:
             start = BlochState(nx, 0.0, nz)
-            trace = run_concatenation(start, max_steps=steps, convergence_eps=eps)
+            trace = run_concatenation(start, max_steps=steps, convergence_eps=p["eps"])
             ceiling = purity_ceiling(bloch_to_density(trace.steps[0]))
             name = f"concat_nx{nx:g}_nz{nz:g}.csv"
             # step m consumes 2^m copies; the exponent is written, since past
@@ -233,58 +234,40 @@ def cmd_concat(args, config: dict, seed: int, out_dir: str) -> tuple:
                 }
             )
     _write_json(os.path.join(out_dir, "concat_summary.json"), summary)
-    return params, outputs + ["concat_summary.json"]
+    return outputs + ["concat_summary.json"]
 
 
-def cmd_field(args, config: dict, seed: int, out_dir: str) -> tuple:
-    grid = _resolve(args, config, "grid", str, "20x20")
-    if "x" in grid:
-        radial, angular = (int(tok) for tok in grid.split("x"))
-    else:
-        radial = angular = int(grid)
+def cmd_field(p: dict, seed: int, out_dir: str) -> list:
+    radial, angular = _converted(p["grid"], _grid, "parameter 'grid'")
     rows = [
         (state.nx, state.nz, delta[0], delta[1])
         for state, delta in vector_field(radial, angular)
     ]
     _write_csv(os.path.join(out_dir, "vector_field.csv"), ("n_x", "n_z", "dn_x", "dn_z"), rows)
-    return {"grid": grid}, ["vector_field.csv"]
+    return ["vector_field.csv"]
 
 
-def cmd_bound_compare(args, config: dict, seed: int, out_dir: str) -> tuple:
-    dim = _resolve(args, config, "dim", int, 3)
+def cmd_bound_compare(p: dict, seed: int, out_dir: str) -> list:
+    dim = p["dim"]
     if dim not in (3, 4):
         raise UnsupportedParameterError(f"bound-compare supports dimension 3 or 4, got {dim}")
-    ranks = _resolve(args, config, "ranks", _int_list, ",".join(str(r) for r in range(1, dim + 1)))
+    ranks = range(1, dim + 1) if p["ranks"] is None else p["ranks"]
     for rank in ranks:
         if not 1 <= rank <= dim:
             raise UnsupportedParameterError(f"rank {rank} outside [1, {dim}]")
-    samples = _resolve(args, config, "samples", int, 100)
-    with_achieved = _resolve(args, config, "with_achieved", bool, False)
-    restarts = _resolve(args, config, "restarts", int, 3)
-    iters = _resolve(args, config, "iters", int, 500)
-    params = {
-        "dim": dim,
-        "ranks": ",".join(str(r) for r in ranks),
-        "samples": samples,
-        "with_achieved": with_achieved,
-        "restarts": restarts,
-        "iters": iters,
-    }
     op = NumberOperator(dim)
     rows = []
     wins: dict = {}
     counter = 0
     for rank in ranks:
-        for _ in range(samples):
+        for _ in range(p["samples"]):
             sample_seed = seed + counter
             counter += 1
             rho = random_density_matrix(dim, rank, np.random.default_rng(sample_seed))
             for j in range(1, dim):
                 achieved = None
-                if with_achieved:
-                    cfg = UnitarySearchConfig(
-                        restarts=restarts, max_iters=iters, seed=sample_seed
-                    )
+                if p["with_achieved"]:
+                    cfg = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"], seed=sample_seed)
                     achieved = maximize_delta_m(rho, op, j, cfg).best_delta_m
                 rep = bound_report(rho, op, j, achieved=achieved)
                 rows.append(
@@ -307,24 +290,24 @@ def cmd_bound_compare(args, config: dict, seed: int, out_dir: str) -> tuple:
             f"rank {entry['rank']} j {entry['j']}: "
             f"bound1 wins {entry['bound1']}, bound2 wins {entry['bound2']}, ties {entry['tie']}"
         )
-    return params, ["bound_compare.csv", "bound_compare_summary.json"]
+    return ["bound_compare.csv", "bound_compare_summary.json"]
 
 
-def cmd_nogo(args, config: dict, seed: int, out_dir: str) -> tuple:
-    state_path = _resolve(args, config, "state", os.fspath)
-    p = _resolve(args, config, "p", float)
-    samples = _resolve(args, config, "samples", int, 500)
-    if (state_path is None) == (p is None):
+def cmd_nogo(p: dict, seed: int, out_dir: str) -> list:
+    state_path, samples = p["state"], p["samples"]
+    if (state_path is None) == (p["p"] is None):
         raise UnsupportedParameterError("nogo requires exactly one of --state or --p")
+    if samples < 1:
+        raise UnsupportedParameterError(f"nogo requires --samples >= 1, got {samples}")
     if state_path is not None:
         rho = _load_state(state_path)
         source = state_path
     else:
-        rho = isotropic_state(p)
-        source = f"isotropic(p={p})"
+        rho = isotropic_state(p["p"])
+        source = f"isotropic(p={p['p']})"
     local_dim = _local_dim(rho)
     gen = BipartiteGenerator(NumberOperator(local_dim))
-    verdict = nogo_check(rho, gen)
+    verdict, modes_present, distance = _mode_structure(rho, gen)
     before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, local_dim, local_dim), 1)
     rng = np.random.default_rng(seed)
     max_gain = -math.inf
@@ -335,21 +318,20 @@ def cmd_nogo(args, config: dict, seed: int, out_dir: str) -> tuple:
     report = {
         "source": source,
         "verdict": verdict,
-        "modes_present": sorted(bipartite_mode_set(rho, gen)),
+        "modes_present": modes_present,
         "initial_local_m1": before,
         "max_local_m1_gain": max_gain,
         "unitary_samples": samples,
-        "marginal_product_distance": marginal_product_distance(rho, gen),
+        "marginal_product_distance": distance,
         "note": "dynamical check samples covariant unitaries only; the verdict itself covers all covariant operations",
     }
     _write_json(os.path.join(out_dir, "nogo_report.json"), report)
     print(f"verdict: {verdict}  max local m1 gain over {samples} unitaries: {max_gain:.3e}")
-    return {"state": state_path, "p": p, "samples": samples}, ["nogo_report.json"]
+    return ["nogo_report.json"]
 
 
-def cmd_amplify(args, config: dict, seed: int, out_dir: str) -> tuple:
-    layers = _resolve(args, config, "steps", int, 10)
-    eps = _resolve(args, config, "eps", float, 0.1)
+def cmd_amplify(p: dict, seed: int, out_dir: str) -> list:
+    layers, eps = p["steps"], p["eps"]
     start = amplification_state(layers, eps)
     trace = run_concatenation(start, max_steps=layers, convergence_eps=0.0)
     initial = abs(start.nx)
@@ -373,7 +355,53 @@ def cmd_amplify(args, config: dict, seed: int, out_dir: str) -> tuple:
     }
     _write_json(os.path.join(out_dir, "amplify_summary.json"), summary)
     print(f"ratio after {layers} layers: {ratio:.4f}  threshold: {threshold:.4f}")
-    return {"steps": layers, "eps": eps}, [name, "amplify_summary.json"]
+    return [name, "amplify_summary.json"]
+
+
+#: Parameters every subcommand takes, as (name, converter, default, help).
+#: ``--config`` is read before the others are resolved, so it is a flag only.
+_COMMON = (
+    ("seed", _int, 0, f"RNG seed, else ${SEED_ENV_VAR}"),
+    ("out", os.fspath, ".", "output directory"),
+)
+
+#: Subcommand -> (function, help, parameters as (name, converter, default, help)).
+COMMANDS = {
+    "concentrate": (cmd_concentrate, "closed form, search oracle, and bounds for one state", (
+        ("state", os.fspath, None, "JSON state file (matrix or Bloch form)"),
+        ("j", _int, 1, "mode index"),
+        ("bipartite", _bool, False,
+         "treat the state as a joint two-system state and run the no-go analysis"),
+        ("restarts", _int, 8, "search restarts"),
+        ("iters", _int, 2000, "evaluations per restart"),
+    )),
+    "concat": (cmd_concat, "run the concatenation recurrence from Bloch starting points", (
+        ("nx", _list(float), "0.1", "comma-separated transverse components"),
+        ("nz", _list(float), "0.7", "comma-separated z components"),
+        ("steps", _int, 1_000_000, "step cap"),
+        ("eps", float, 1e-3, "|nz| convergence threshold"),
+    )),
+    "field": (cmd_field, "export the recurrence displacement field on the quarter disc", (
+        ("grid", str, "20x20", "resolution, e.g. 20 or 20x30 (radial x angular)"),
+    )),
+    "bound-compare": (cmd_bound_compare, "sample states and compare the two upper bounds", (
+        ("dim", _int, 3, "local dimension, 3 or 4"),
+        ("ranks", _list(_int), None, "comma-separated ranks (default all)"),
+        ("samples", _int, 100, "samples per rank"),
+        ("with_achieved", _bool, False, "also run the search oracle per sample (slow)"),
+        ("restarts", _int, 3, "oracle restarts when enabled"),
+        ("iters", _int, 500, "oracle evaluations per restart"),
+    )),
+    "nogo": (cmd_nogo, "mode-structure verdict plus a randomized dynamical check", (
+        ("state", os.fspath, None, "JSON joint-state file"),
+        ("p", float, None, "build the two-qubit isotropic state instead"),
+        ("samples", _int, 500, "random unitaries to try, at least 1"),
+    )),
+    "amplify": (cmd_amplify, "construct and run an unbounded-ratio amplification state", (
+        ("steps", _int, 10, "number of doubling layers N"),
+        ("eps", float, 0.1, "ratio slack exponent"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,77 +411,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
-        p.add_argument("--out", default=None, help="output directory (default: current)")
+    for command, (_, command_help, params) in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for name, convert, default, help_text in (*params, *_COMMON):
+            flag = {"action": "store_true"} if convert is _bool else {}
+            if default is not None and convert is not _bool:
+                help_text = f"{help_text} (default {default})"
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None, help=help_text, **flag)
         p.add_argument("--config", default=None, help="JSON file with parameter defaults; flags win")
-
-    p = sub.add_parser("concentrate", help="closed form, search oracle, and bounds for one state")
-    p.add_argument("--state", default=None, help="JSON state file (matrix or Bloch form)")
-    p.add_argument("--j", type=int, default=None, help="mode index (default 1)")
-    p.add_argument("--bipartite", action="store_true", default=None,
-                   help="treat the state as a joint two-system state and run the no-go analysis")
-    p.add_argument("--restarts", type=int, default=None, help="search restarts (default 8)")
-    p.add_argument("--iters", type=int, default=None, help="evaluations per restart (default 2000)")
-    common(p)
-    p.set_defaults(func=cmd_concentrate)
-
-    p = sub.add_parser("concat", help="run the concatenation recurrence from Bloch starting points")
-    p.add_argument("--nx", default=None, help="comma-separated transverse components (default 0.1)")
-    p.add_argument("--nz", default=None, help="comma-separated z components (default 0.7)")
-    p.add_argument("--steps", type=int, default=None, help="step cap (default 1000000)")
-    p.add_argument("--eps", type=float, default=None, help="|nz| convergence threshold (default 0.001)")
-    common(p)
-    p.set_defaults(func=cmd_concat)
-
-    p = sub.add_parser("field", help="export the recurrence displacement field on the quarter disc")
-    p.add_argument("--grid", default=None, help="resolution, e.g. 20 or 20x30 (radial x angular)")
-    common(p)
-    p.set_defaults(func=cmd_field)
-
-    p = sub.add_parser("bound-compare", help="sample states and compare the two upper bounds")
-    p.add_argument("--dim", type=int, default=None, help="local dimension, 3 or 4 (default 3)")
-    p.add_argument("--ranks", default=None, help="comma-separated ranks (default all)")
-    p.add_argument("--samples", type=int, default=None, help="samples per rank (default 100)")
-    p.add_argument("--with-achieved", dest="with_achieved", action="store_true", default=None,
-                   help="also run the search oracle per sample (slow)")
-    p.add_argument("--restarts", type=int, default=None, help="oracle restarts when enabled (default 3)")
-    p.add_argument("--iters", type=int, default=None, help="oracle evaluations per restart (default 500)")
-    common(p)
-    p.set_defaults(func=cmd_bound_compare)
-
-    p = sub.add_parser("nogo", help="mode-structure verdict plus a randomized dynamical check")
-    p.add_argument("--state", default=None, help="JSON joint-state file")
-    p.add_argument("--p", type=float, default=None, help="build the two-qubit isotropic state instead")
-    p.add_argument("--samples", type=int, default=None, help="random unitaries to try (default 500)")
-    common(p)
-    p.set_defaults(func=cmd_nogo)
-
-    p = sub.add_parser("amplify", help="construct and run an unbounded-ratio amplification state")
-    p.add_argument("--steps", type=int, default=None, help="number of doubling layers N (default 10)")
-    p.add_argument("--eps", type=float, default=None, help="ratio slack exponent (default 0.1)")
-    common(p)
-    p.set_defaults(func=cmd_amplify)
-
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: resolve the shared settings, run it, and write its manifest.
+    """Run one subcommand: resolve its parameters, run it, and write its manifest.
 
-    Each ``cmd_*`` resolves its own parameters, writes its outputs into the
-    output directory, and returns those parameters with its output file names.
+    Each parameter is its flag, else its ``--config`` entry, else its default
+    (for ``seed``, ``$COHERENCE_LAB_SEED`` first), through its converter; a
+    value the converter rejects exits 1 naming the parameter. ``cmd_*`` gets
+    the resolved dict, writes its outputs into the output directory and
+    returns their names; the manifest echoes the same dict.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    func, _, params = COMMANDS[args.command]
     try:
         config = _load_config(args.config)
-        seed = _resolve(args, config, "seed", int, os.environ.get(SEED_ENV_VAR, 0))
-        out_dir = _resolve(args, config, "out", os.fspath, ".")
-        os.makedirs(out_dir, exist_ok=True)
-        params, outputs = args.func(args, config, seed, out_dir)
-        _write_manifest(out_dir, args.command, {**params, "seed": seed, "out": out_dir}, outputs)
+        p = {}
+        for name, convert, default, _ in (*params, *_COMMON):
+            if name == "seed":
+                default = os.environ.get(SEED_ENV_VAR, default)
+            value = next((v for v in (getattr(args, name), config.get(name), default) if v is not None), None)
+            p[name] = None if value is None else _converted(value, convert, f"parameter '{name}'")
+        os.makedirs(p["out"], exist_ok=True)
+        outputs = func(p, p["seed"], p["out"])
+        _write_manifest(p["out"], args.command, p, outputs)
         return EXIT_OK
     except UnsupportedParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -150,6 +150,8 @@ def run_concatenation(
     """
     if max_steps < 1:
         raise UnsupportedParameterError(f"max_steps must be at least 1, got {max_steps}")
+    if not convergence_eps >= 0.0:
+        raise UnsupportedParameterError(f"convergence_eps must be non-negative, got {convergence_eps}")
     current = _canonical(start)
     steps = [current]
     converged_at = 0 if abs(current.nz) < convergence_eps else None
@@ -198,7 +200,7 @@ def amplification_state(n_layers: int, epsilon: float) -> BlochState:
     """
     if n_layers < 1:
         raise UnsupportedParameterError(f"layer count must be at least 1, got {n_layers}")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise UnsupportedParameterError(f"epsilon must be positive, got {epsilon}")
     nx, nz = _amplification_components(n_layers, epsilon)
     if nx < AMPLIFICATION_FLOOR:

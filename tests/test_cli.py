@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import oracles
+from coherence_lab import bounds, cli
 from coherence_lab.cli import main
 from coherence_lab.optimizer import random_allowed_unitary
 from coherence_lab.qubit_protocol import recurrence_step
@@ -266,12 +271,49 @@ class TestNogo:
         (["nogo", "--p", "0.5"], "--config", {"samples": {}}, "samples"),
         (["concentrate"], "--state", {"dim": [2], "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim"),
         (["concentrate"], "--state", {"nx": [0.1], "nz": 0.5}, "nx"),
+        (["concentrate"], "--config", {"bipartite": "false"}, "bipartite"),
+        (["nogo", "--p", "0.5"], "--config", {"samples": 2.5}, "samples"),
+        (["amplify", "--steps", "abc"], "--config", {}, "steps"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):
     path = _write_state(tmp_path / "input.json", obj)
     assert main(command + [flag, path, "--out", str(tmp_path / "out")]) == 1
     assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amplify", "--eps", "nan"],
+        ["concat", "--eps", "nan"],
+        ["concat", "--eps=-0.5"],
+        ["nogo", "--p", "0.5", "--samples", "0"],
+    ],
+)
+def test_unsupported_value_exits_2_before_writing(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["nogo", "--p", "0.5", "--samples", "3"], ["concentrate", "--bipartite", "--state"]]
+)
+def test_one_mode_set_per_command(tmp_path, monkeypatch, argv):
+    if argv[-1] == "--state":
+        argv = argv + [_write_state(tmp_path / "iso.json", density_to_json(isotropic_state(0.5)))]
+    calls = []
+    original = cli.bipartite_mode_set
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli, bounds):
+        monkeypatch.setattr(module, "bipartite_mode_set", counting)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 class TestAmplify:
@@ -297,6 +339,40 @@ class TestManifestReproduction:
         data2 = open(out2 / "bound_compare.csv", "rb").read()
         assert data1 == data2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["concat", "--nx", "0.01,0.3", "--nz", "0.7,0.2", "--eps", "0.01"],
+            ["nogo", "--p", "0.5", "--samples", "20", "--seed", "4"],
+            ["nogo", "--state", "JOINT", "--samples", "10", "--seed", "6"],
+            ["amplify", "--steps", "12", "--eps", "0.15"],
+            ["field", "--grid", "4x7"],
+            ["concentrate", "--state", "JOINT", "--bipartite"],
+            ["concentrate", "--state", "QUBIT", "--j", "1", "--restarts", "2", "--iters", "60", "--seed", "3"],
+        ],
+    )
+    def test_every_command_reruns_from_its_manifest(self, tmp_path, argv):
+        states = {
+            "JOINT": _write_state(
+                tmp_path / "joint.json",
+                density_to_json(random_density_matrix(9, 2, np.random.default_rng(1))),
+            ),
+            "QUBIT": _qubit_state_file(tmp_path),
+        }
+        argv = [states.get(arg, arg) for arg in argv]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(argv + ["--out", str(out1)]) == 0
+        manifest = next(f for f in os.listdir(out1) if f.endswith("_manifest.json"))
+        assert main([argv[0], "--config", str(out1 / manifest), "--out", str(out2)]) == 0
+        names = sorted(os.listdir(out1))
+        assert sorted(os.listdir(out2)) == names
+        for name in names:
+            if name != manifest:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        params1 = json.load(open(out1 / manifest))["params"]
+        params2 = json.load(open(out2 / manifest))["params"]
+        assert {**params1, "out": None} == {**params2, "out": None}
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         monkeypatch.setenv("COHERENCE_LAB_SEED", "77")
@@ -306,3 +382,106 @@ class TestManifestReproduction:
             ["bound-compare", "--dim", "3", "--ranks", "1", "--samples", "3", "--seed", "77", "--out", str(out2)]
         ) == 0
         assert open(out1 / "bound_compare.csv", "rb").read() == open(out2 / "bound_compare.csv", "rb").read()
+
+
+# Parser sweep: per subcommand, each parameter's usual flag texts and its odd
+# ones (nan, inf, empty, negative, malformed lists and grids, missing or
+# invalid files). An example sets at most one parameter to an odd text or to a
+# config value of the wrong JSON type, so every odd value is reached on its own.
+# Every number is small (grids <= 20, steps <= 50, samples <= 5, one restart of
+# ten evaluations), so an example runs in milliseconds. PRESENT stands for a
+# bare boolean flag, None for a parameter left to its default, and a name in
+# STATE_FILES for a file the sweep writes.
+PRESENT = object()
+STATE_FILES = ("qubit.json", "bloch.json", "iso.json", "joint.json", "bad.json")
+SEED_TEXTS = ([None, "0", "7"], ["-1", "2.5", "x", ""])
+SWEEP = {
+    "concentrate": {
+        "state": (["qubit.json", "bloch.json", "iso.json"], ["bad.json", "missing.json", ""]),
+        "j": ([None, "1", "2"], ["0", "-1", "4", "nan", ""]),
+        "bipartite": ([None, PRESENT], []),
+        "restarts": (["1"], ["0", "-2"]),
+        "iters": (["10"], ["0", "inf"]),
+    },
+    "concat": {
+        "nx": ([None, "0.4", "0.1,0.5", "0,0.3"], ["nan", "inf", "-0.2", "", "1e200", "a,b", "0.3,,0.1"]),
+        "nz": ([None, "0.1", "0", "0.2,0.9"], ["-0.5", "nan", "", "1"]),
+        "steps": (["1", "50"], ["0", "-3", "abc", "2.5", ""]),
+        "eps": ([None, "0.001", "0"], ["-1", "nan", "inf", ""]),
+    },
+    "field": {
+        "grid": ([None, "1", "3x4", "20"], ["20x20", "1x2x3", "x", "0x5", "-1", "", "nan", "2x-2", "20x"]),
+    },
+    "bound-compare": {
+        "dim": ([None, "3", "4"], ["2", "5", "nan", "", "3.0"]),
+        "ranks": ([None, "1", "1,2"], ["", "0", "5", "a", "2,,1", "-1"]),
+        "samples": (["1", "2"], ["0", "-1", "2.5", ""]),
+        "with_achieved": ([None, PRESENT], []),
+        "restarts": (["1"], ["0", "x"]),
+        "iters": (["10"], ["-1", ""]),
+    },
+    "nogo": {
+        "state": ([None, "iso.json", "joint.json"], ["qubit.json", "bad.json", "missing.json", ""]),
+        "p": ([None, "0.5", "0", "1"], ["1.5", "-0.1", "nan", "inf", ""]),
+        "samples": (["1", "5"], ["0", "-2", "x", "nan"]),
+    },
+    "amplify": {
+        "steps": ([None, "1", "6", "50"], ["0", "-1", "x", "", "2.5"]),
+        "eps": ([None, "0.1"], ["0", "-0.1", "nan", "inf", "1e-300", "", "abc"]),
+    },
+}
+#: parameters whose default is too large for the sweep, so they always come from a flag
+FLAG_ONLY = {"restarts", "iters", "steps", "samples"}
+#: config values of the wrong JSON type (null means "use the default")
+WRONG_TYPES = ["false", 2.5, {}, [], None]
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep")
+    joint = random_density_matrix(9, 2, np.random.default_rng(2))
+    for name, obj in zip(
+        STATE_FILES,
+        (
+            {"dim": 2, "re": [[0.7, 0.2], [0.2, 0.3]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+            {"nx": 0.3, "nz": 0.4},
+            density_to_json(isotropic_state(0.5)),
+            density_to_json(joint),
+            {"dim": 2, "re": [[1.5, 0.0], [0.0, -0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+        ),
+    ):
+        _write_state(root / name, obj)
+    return root
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP))
+@seed(5)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_parser_sweep_exits_0_1_or_2(sweep_dir, command, data):
+    params = {**SWEEP[command], "seed": SEED_TEXTS}
+    odd = data.draw(st.sampled_from([None, *params]), label="odd parameter")
+    argv, config = [command], {}
+    for name, (usual, unusual) in params.items():
+        source = st.sampled_from(usual)
+        if name == odd:
+            source = st.sampled_from(usual + unusual)
+            if name not in FLAG_ONLY:
+                source |= st.sampled_from(WRONG_TYPES).map(lambda value: (value,))
+        choice = data.draw(source, label=name)
+        flag = "--" + name.replace("_", "-")
+        if isinstance(choice, tuple):
+            config[name] = choice[0]
+        elif choice is PRESENT:
+            argv.append(flag)
+        elif choice is not None:
+            text = str(sweep_dir / choice) if choice in STATE_FILES else choice
+            argv.append(f"{flag}={text}")
+    if config:
+        _write_state(sweep_dir / "config.json", config)
+        argv += ["--config", str(sweep_dir / "config.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(sweep_dir / "out")])
+    assert code in (0, 1, 2)
+    assert (code == 0) == (err.getvalue() == ""), err.getvalue()

@@ -181,6 +181,11 @@ class TestConcatenation:
         with pytest.raises(UnsupportedParameterError, match="max_steps"):
             run_concatenation(BlochState(0.1, 0.0, 0.1), max_steps=0)
 
+    @pytest.mark.parametrize("eps", [math.nan, -1e-3])
+    def test_convergence_threshold_validation(self, eps):
+        with pytest.raises(UnsupportedParameterError, match="convergence_eps"):
+            run_concatenation(BlochState(0.1, 0.0, 0.1), convergence_eps=eps)
+
     def test_trace_invariants_enforced(self):
         good = (BlochState(0.1, 0.0, 0.5), BlochState(0.2, 0.0, 0.4))
         ConcatTrace(good, None)
@@ -230,6 +235,8 @@ class TestAmplification:
             amplification_state(0, 0.1)
         with pytest.raises(UnsupportedParameterError, match="epsilon"):
             amplification_state(3, 0.0)
+        with pytest.raises(UnsupportedParameterError, match="epsilon"):
+            amplification_state(3, math.nan)
 
 
 class TestVectorField:
