@@ -89,7 +89,7 @@ def _block_spectra(rho: DensityMatrix, op: NumberOperator, index: int) -> tuple:
         values = linalg.singular_values(block)
         spectra.append(values)
         quota_total += float(values[: vin_block_dim(gen, index, c)].sum())
-    order = vin_projector(gen, index).dim
+    order = vin_projector(gen, index)
     global_total = float(np.sort(np.concatenate(spectra))[::-1][:order].sum())
     baseline = _local_gap_measure(rho.matrix, index)
     return global_total - baseline, quota_total - baseline, baseline
@@ -154,8 +154,10 @@ def nogo_check(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> str:
 def marginal_product_distance(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> float:
     """Trace-norm distance between a joint state and the product of its marginals."""
     d = gen.dim
-    rho_a = linalg.partial_trace_b(rho_ab.matrix, d, d)
-    rho_b = linalg.partial_trace_a(rho_ab.matrix, d, d)
+    # the joint matrix is already validated; both marginals trace one view of it
+    joint = rho_ab.matrix.reshape(d, d, d, d)
+    rho_a = joint.trace(axis1=1, axis2=3)
+    rho_b = joint.trace(axis1=0, axis2=2)
     return linalg.trace_norm(rho_ab.matrix - np.kron(rho_a, rho_b))
 
 

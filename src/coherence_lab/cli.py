@@ -115,6 +115,21 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A number or number text, ``"nan"`` included; booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _seed(value) -> int:
+    """A non-negative integer: numpy's generators take no negative seed."""
+    seed = _int(value)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _bool(value) -> bool:
     """Only JSON ``true``/``false`` (a ``store_true`` flag gives ``True``)."""
     if not isinstance(value, bool):
@@ -251,6 +266,8 @@ def cmd_bound_compare(p: dict, seed: int, out_dir: str) -> list:
     dim = p["dim"]
     if dim not in (3, 4):
         raise UnsupportedParameterError(f"bound-compare supports dimension 3 or 4, got {dim}")
+    if p["samples"] < 1:
+        raise UnsupportedParameterError(f"bound-compare requires --samples >= 1, got {p['samples']}")
     ranks = range(1, dim + 1) if p["ranks"] is None else p["ranks"]
     for rank in ranks:
         if not 1 <= rank <= dim:
@@ -361,7 +378,7 @@ def cmd_amplify(p: dict, seed: int, out_dir: str) -> list:
 #: Parameters every subcommand takes, as (name, converter, default, help).
 #: ``--config`` is read before the others are resolved, so it is a flag only.
 _COMMON = (
-    ("seed", _int, 0, f"RNG seed, else ${SEED_ENV_VAR}"),
+    ("seed", _seed, 0, f"non-negative RNG seed, else ${SEED_ENV_VAR}"),
     ("out", os.fspath, ".", "output directory"),
 )
 
@@ -376,10 +393,10 @@ COMMANDS = {
         ("iters", _int, 2000, "evaluations per restart"),
     )),
     "concat": (cmd_concat, "run the concatenation recurrence from Bloch starting points", (
-        ("nx", _list(float), "0.1", "comma-separated transverse components"),
-        ("nz", _list(float), "0.7", "comma-separated z components"),
+        ("nx", _list(_float), "0.1", "comma-separated transverse components"),
+        ("nz", _list(_float), "0.7", "comma-separated z components"),
         ("steps", _int, 1_000_000, "step cap"),
-        ("eps", float, 1e-3, "|nz| convergence threshold"),
+        ("eps", _float, 1e-3, "|nz| convergence threshold"),
     )),
     "field": (cmd_field, "export the recurrence displacement field on the quarter disc", (
         ("grid", str, "20x20", "resolution, e.g. 20 or 20x30 (radial x angular)"),
@@ -387,19 +404,19 @@ COMMANDS = {
     "bound-compare": (cmd_bound_compare, "sample states and compare the two upper bounds", (
         ("dim", _int, 3, "local dimension, 3 or 4"),
         ("ranks", _list(_int), None, "comma-separated ranks (default all)"),
-        ("samples", _int, 100, "samples per rank"),
+        ("samples", _int, 100, "samples per rank, at least 1"),
         ("with_achieved", _bool, False, "also run the search oracle per sample (slow)"),
         ("restarts", _int, 3, "oracle restarts when enabled"),
         ("iters", _int, 500, "oracle evaluations per restart"),
     )),
     "nogo": (cmd_nogo, "mode-structure verdict plus a randomized dynamical check", (
         ("state", os.fspath, None, "JSON joint-state file"),
-        ("p", float, None, "build the two-qubit isotropic state instead"),
+        ("p", _float, None, "build the two-qubit isotropic state instead"),
         ("samples", _int, 500, "random unitaries to try, at least 1"),
     )),
     "amplify": (cmd_amplify, "construct and run an unbounded-ratio amplification state", (
         ("steps", _int, 10, "number of doubling layers N"),
-        ("eps", float, 0.1, "ratio slack exponent"),
+        ("eps", _float, 0.1, "ratio slack exponent"),
     )),
 }
 

@@ -1,19 +1,8 @@
-"""Dense complex linear algebra: tensor products, partial traces, singular spectra."""
+"""Dense complex linear algebra: partial traces, singular spectra, Ky-Fan norms."""
 
 from __future__ import annotations
 
 import numpy as np
-
-__all__ = [
-    "as_matrix",
-    "dagger",
-    "tensor",
-    "partial_trace_a",
-    "partial_trace_b",
-    "singular_values",
-    "ky_fan_norm",
-    "trace_norm",
-]
 
 
 def as_matrix(m: np.ndarray) -> np.ndarray:
@@ -31,11 +20,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.transpose(m))
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; output dimensions are the products of the input dimensions."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def partial_trace_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Trace out the second tensor factor of a (dim_a*dim_b)-dimensional operator."""
     m = as_matrix(m)
@@ -45,17 +29,6 @@ def partial_trace_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
             f"operator shape {m.shape} does not match factor dimensions {dim_a}x{dim_b}"
         )
     return m.reshape(dim_a, dim_b, dim_a, dim_b).trace(axis1=1, axis2=3)
-
-
-def partial_trace_a(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Trace out the first tensor factor of a (dim_a*dim_b)-dimensional operator."""
-    m = as_matrix(m)
-    n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise ValueError(
-            f"operator shape {m.shape} does not match factor dimensions {dim_a}x{dim_b}"
-        )
-    return m.reshape(dim_a, dim_b, dim_a, dim_b).trace(axis1=0, axis2=2)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

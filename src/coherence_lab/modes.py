@@ -11,7 +11,6 @@ are grouped by (n + m) differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +30,7 @@ class ModeOperator:
     ``eigenvalues`` assigns a generator eigenvalue to every basis index; the
     operator may only have support where the row and column eigenvalues differ
     by exactly ``index``. An index outside the attainable gap range is legal
-    only for the zero operator (which is what tracing out a subsystem produces
-    when the gap is too large to survive locally).
+    only for the zero operator.
     """
 
     index: int
@@ -63,12 +61,6 @@ class ModeOperator:
     @property
     def dim(self) -> int:
         return self.op.shape[0]
-
-
-class VinProjector(NamedTuple):
-    """Count of the basis positions of a bipartite mode that survive the trace over the second system."""
-
-    dim: int
 
 
 def _check_local_index(op: NumberOperator, index: int, rho=None, lowest: int = 1) -> None:
@@ -115,17 +107,6 @@ def mode_measure(rho: DensityMatrix, op: NumberOperator, index: int) -> float:
     return _local_gap_measure(rho.matrix, index)
 
 
-def mode_set(
-    rho: DensityMatrix, op: NumberOperator, threshold: float = MODE_PRESENCE_THRESHOLD
-) -> set:
-    """Non-negative mode indices carrying weight above the presence threshold.
-
-    Negative indices are redundant: the -index component is the adjoint of the
-    +index one, so reports are canonicalized to index >= 0.
-    """
-    return {j for j in range(op.dim) if mode_measure(rho, op, j) > threshold}
-
-
 def bipartite_mode(rho_ab: DensityMatrix, gen: BipartiteGenerator, index: int) -> ModeOperator:
     """Component of a two-system state on one total-eigenvalue gap.
 
@@ -154,29 +135,13 @@ def bipartite_mode_set(
     }
 
 
-def local_mode_of_global(global_mode: ModeOperator, dims: tuple) -> ModeOperator:
-    """Trace the second system out of a bipartite mode.
-
-    The result is the mode of the reduced state with the same index. Gaps
-    larger than the local range cannot survive the trace, so those inputs map
-    to the zero operator.
-    """
-    dim_a, dim_b = dims
-    if global_mode.dim != dim_a * dim_b:
-        raise ValueError(
-            f"mode dimension {global_mode.dim} does not match factors {dim_a}x{dim_b}"
-        )
-    reduced = linalg.partial_trace_b(global_mode.op, dim_a, dim_b)
-    return ModeOperator(global_mode.index, reduced, np.arange(dim_a))
-
-
-def vin_projector(gen: BipartiteGenerator, index: int) -> VinProjector:
+def vin_projector(gen: BipartiteGenerator, index: int) -> int:
     """Number of positions (|n+index, m>, |n, m>) whose coefficients feed the local mode.
 
     n runs over [0, d-1-index] and m over [0, d-1], so there are (d-index)*d.
     """
     _check_local_index(gen.local, index)
-    return VinProjector((gen.dim - index) * gen.dim)
+    return (gen.dim - index) * gen.dim
 
 
 def vin_block_dim(gen: BipartiteGenerator, index: int, c: int) -> int:

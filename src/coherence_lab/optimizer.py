@@ -20,8 +20,15 @@ from .modes import _check_local_index, _local_gap_measure, _reduced_first
 from .sampling import as_rng, haar_unitary
 from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator
 
+#: first coordinate step of every restart
+INITIAL_STEP = 0.5
+#: factor applied to the step after a sweep that improves no coordinate
+STEP_DECAY = 0.5
 #: search stops refining below this coordinate step
 STEP_FLOOR = 1e-8
+#: largest rise of the best value over the last fifth of the evaluations that
+#: still counts as converged
+CONVERGENCE_TOLERANCE = 1e-9
 #: largest supported local dimension; the parameter count grows as the sum of
 #: squared degeneracies (44 real parameters at dimension 4)
 MAX_LOCAL_DIM = 4
@@ -29,26 +36,17 @@ MAX_LOCAL_DIM = 4
 
 @dataclass(frozen=True)
 class UnitarySearchConfig:
-    """Search budget and reproducibility knobs."""
+    """Search budget and seed."""
 
     restarts: int = 8
     max_iters: int = 2000
-    initial_step: float = 0.5
-    step_decay: float = 0.5
     seed: int = 0
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise UnsupportedParameterError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iters < 1:
             raise UnsupportedParameterError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.tolerance <= 0:
-            raise UnsupportedParameterError(f"tolerance must be positive, got {self.tolerance}")
-        if not 0.0 < self.step_decay < 1.0:
-            raise UnsupportedParameterError(f"step decay must lie in (0, 1), got {self.step_decay}")
-        if self.initial_step <= 0:
-            raise UnsupportedParameterError(f"initial step must be positive, got {self.initial_step}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,19 +61,6 @@ class SearchOutcome:
     def __post_init__(self) -> None:
         if self.best_delta_m < -1e-12:
             raise ValueError(f"best gain {self.best_delta_m} below the identity baseline")
-
-    def to_json(self) -> dict:
-        return {
-            "best_delta_m": self.best_delta_m,
-            "converged": self.converged,
-            "history": list(self.history),
-            "best_unitary": {
-                "blocks": [
-                    {"re": b.real.tolist(), "im": b.imag.tolist()}
-                    for b in self.best_unitary.blocks
-                ]
-            },
-        }
 
 
 def _hermitian_from_params(n: int, params: np.ndarray) -> np.ndarray:
@@ -135,7 +120,7 @@ def random_allowed_unitary(gen: BipartiteGenerator, rng) -> AllowedUnitary:
     return AllowedUnitary(gen, blocks)
 
 
-def _pattern_search(objective, x0: np.ndarray, cfg: UnitarySearchConfig):
+def _pattern_search(objective, x0: np.ndarray, max_iters: int):
     """Greedy coordinate search with geometric step decay on stall.
 
     ``max_iters`` counts objective evaluations. Returns the best point, its
@@ -146,11 +131,11 @@ def _pattern_search(objective, x0: np.ndarray, cfg: UnitarySearchConfig):
     evals = 1
     best_x, best_f = x.copy(), fx
     curve = [best_f]
-    step = cfg.initial_step
-    while evals < cfg.max_iters and step >= STEP_FLOOR:
+    step = INITIAL_STEP
+    while evals < max_iters and step >= STEP_FLOOR:
         improved = False
         for i in range(x.size):
-            if evals >= cfg.max_iters:
+            if evals >= max_iters:
                 break
             for sign in (1.0, -1.0):
                 cand = x.copy()
@@ -165,10 +150,10 @@ def _pattern_search(objective, x0: np.ndarray, cfg: UnitarySearchConfig):
                     curve.append(best_f)
                     break
                 curve.append(best_f)
-                if evals >= cfg.max_iters:
+                if evals >= max_iters:
                     break
         if not improved:
-            step *= cfg.step_decay
+            step *= STEP_DECAY
     return best_x, best_f, curve
 
 
@@ -218,7 +203,7 @@ def maximize_delta_m(
             x0 = np.zeros(n_params)
         else:
             x0 = rng.uniform(-math.pi, math.pi, n_params)
-        x, fx, curve = _pattern_search(objective, x0, cfg)
+        x, fx, curve = _pattern_search(objective, x0, cfg.max_iters)
         history.append(fx)
         if best_f is None or fx > best_f:
             best_f, best_x, best_curve = fx, x, curve
@@ -227,7 +212,7 @@ def maximize_delta_m(
         for c, n in enumerate(sizes)
     )
     stable_from = int(0.8 * (len(best_curve) - 1))
-    converged = (best_curve[-1] - best_curve[stable_from]) <= cfg.tolerance
+    converged = (best_curve[-1] - best_curve[stable_from]) <= CONVERGENCE_TOLERANCE
     return SearchOutcome(
         best_delta_m=float(best_f),
         best_unitary=AllowedUnitary(gen, blocks),

@@ -23,7 +23,6 @@ PSD_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 UNITARY_ATOL = 1e-9
 BLOCH_NORM_ATOL = 1e-9
-COMMUTATOR_ATOL = 1e-9
 
 
 def _readonly(m: np.ndarray) -> np.ndarray:
@@ -94,10 +93,6 @@ class NumberOperator:
     @property
     def eigenvalues(self) -> np.ndarray:
         return np.arange(self.dim)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.arange(self.dim)).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -176,10 +171,6 @@ class BipartiteGenerator:
     @property
     def n_eigenvalues(self) -> int:
         return 2 * self.local.dim - 1
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.arange(self.n_eigenvalues)
 
     @property
     def index_eigenvalues(self) -> np.ndarray:
@@ -266,25 +257,12 @@ def density_to_bloch(rho: DensityMatrix) -> BlochState:
     return BlochState(2.0 * m[0, 1].real, 2.0 * m[0, 1].imag, float(2.0 * m[0, 0].real - 1.0))
 
 
-def is_incoherent(rho: DensityMatrix, op: NumberOperator, atol: float = COMMUTATOR_ATOL) -> bool:
-    """Whether rho commutes with the number operator (no superposition across eigenspaces)."""
-    if rho.dim != op.dim:
-        raise ValueError(f"state dimension {rho.dim} does not match operator dimension {op.dim}")
-    commutator = rho.matrix @ op.matrix - op.matrix @ rho.matrix
-    return float(np.abs(commutator).max()) <= atol
-
-
-def bell_phi_plus() -> DensityMatrix:
-    """Projector onto (|00> + |11>)/sqrt(2)."""
-    psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    return DensityMatrix(np.outer(psi, psi.conj()))
-
-
 def isotropic_state(p: float) -> DensityMatrix:
-    """Two-qubit mixture p * Bell projector + (1-p) * I/4."""
+    """Two-qubit mixture p * |phi+><phi+| + (1-p) * I/4, with |phi+> = (|00> + |11>)/sqrt(2)."""
     if not 0.0 <= p <= 1.0:
         raise UnsupportedParameterError(f"mixing parameter must lie in [0, 1], got {p}")
-    return DensityMatrix(p * bell_phi_plus().matrix + (1.0 - p) * np.eye(4) / 4.0)
+    psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    return DensityMatrix(p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0)
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
@@ -319,10 +297,6 @@ def density_from_json(obj: dict) -> DensityMatrix:
             f"entry arrays have shapes {re.shape} and {im.shape}, expected ({dim}, {dim})"
         )
     return DensityMatrix(re + 1j * im)
-
-
-def bloch_to_json(b: BlochState) -> dict:
-    return {"nx": b.nx, "ny": b.ny, "nz": b.nz}
 
 
 def bloch_from_json(obj: dict) -> BlochState:

@@ -220,6 +220,19 @@ class TestCorrelationWitness:
             assert nogo_check(pair, GEN2) != NO_GO
             assert marginal_product_distance(pair, GEN2) <= 1e-8
 
+    def test_distance_matches_loop_reference(self):
+        rng = np.random.default_rng(8)
+        for d in (2, 3):
+            gen = BipartiteGenerator(NumberOperator(d))
+            for rank in range(1, d * d + 1):
+                m = random_density_matrix(d * d, rank, rng).matrix
+                rho_a = oracles.partial_trace_b_loops(m, d, d)
+                rho_b = oracles.partial_trace_a_loops(m, d, d)
+                # the difference is Hermitian: its trace norm is the sum of |eigenvalues|
+                expected = np.abs(np.linalg.eigvalsh(m - oracles.kron_loops(rho_a, rho_b))).sum()
+                distance = marginal_product_distance(DensityMatrix(m), gen)
+                assert abs(distance - expected) <= 1e-12
+
 
 class TestBoundReport:
     def test_tie_detection(self):

@@ -274,12 +274,27 @@ class TestNogo:
         (["concentrate"], "--config", {"bipartite": "false"}, "bipartite"),
         (["nogo", "--p", "0.5"], "--config", {"samples": 2.5}, "samples"),
         (["amplify", "--steps", "abc"], "--config", {}, "steps"),
+        (["concat"], "--config", {"eps": True}, "eps"),
+        (["concat"], "--config", {"nx": [True]}, "nx"),
+        (["nogo"], "--config", {"p": True}, "p"),
+        (["amplify"], "--config", {"eps": True}, "eps"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):
     path = _write_state(tmp_path / "input.json", obj)
     assert main(command + [flag, path, "--out", str(tmp_path / "out")]) == 1
     assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_negative_seed_exits_1_naming_it(tmp_path, capsys, monkeypatch, command):
+    config = _write_state(tmp_path / "config.json", {"seed": -2})
+    monkeypatch.setenv("COHERENCE_LAB_SEED", "-3")
+    for argv in (["--seed=-5"], ["--config", config], []):
+        out = tmp_path / "out"
+        assert main([command, *argv, "--out", str(out)]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -289,6 +304,7 @@ def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj,
         ["concat", "--eps", "nan"],
         ["concat", "--eps=-0.5"],
         ["nogo", "--p", "0.5", "--samples", "0"],
+        ["bound-compare", "--samples=-3"],
     ],
 )
 def test_unsupported_value_exits_2_before_writing(tmp_path, argv):

@@ -21,25 +21,6 @@ def _bounded(shape):
     ).map(lambda parts: parts[0] + 1j * parts[1])
 
 
-class TestTensor:
-    def test_identity(self):
-        np.testing.assert_array_equal(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_projectors(self):
-        out = linalg.tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        np.testing.assert_array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_matches_index_loops(self):
-        rng = np.random.default_rng(21)
-        a = _complex_matrix(rng, 2, 2)
-        b = _complex_matrix(rng, 2, 2)
-        np.testing.assert_allclose(linalg.tensor(a, b), oracles.kron_loops(a, b), atol=1e-14)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            linalg.tensor(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
-
-
 class TestPartialTrace:
     def test_product_state_reduction(self):
         rng = np.random.default_rng(3)
@@ -60,9 +41,6 @@ class TestPartialTrace:
         np.testing.assert_allclose(
             linalg.partial_trace_b(m, 2, 2), oracles.partial_trace_b_loops(m, 2, 2), atol=1e-14
         )
-        np.testing.assert_allclose(
-            linalg.partial_trace_a(m, 2, 2), oracles.partial_trace_a_loops(m, 2, 2), atol=1e-14
-        )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -80,7 +58,7 @@ class TestPartialTrace:
             a = _complex_matrix(rng, 2, 2)
             b = _complex_matrix(rng, 3, 3)
             np.testing.assert_allclose(
-                linalg.partial_trace_b(linalg.tensor(a, b), 2, 3), a * np.trace(b), atol=1e-13
+                linalg.partial_trace_b(np.kron(a, b), 2, 3), a * np.trace(b), atol=1e-13
             )
 
 
