@@ -174,13 +174,3 @@ def lrd_decompose(mode: ModeOperator, gen: BipartiteGenerator) -> list:
         cols = gen.block_indices(c)
         blocks.append((c, mode.op[np.ix_(rows, cols)]))
     return blocks
-
-
-def reassemble_lrd(blocks: list, gen: BipartiteGenerator, index: int) -> np.ndarray:
-    """Place the (c, block) pairs of ``lrd_decompose`` back at their global positions."""
-    out = np.zeros((gen.total_dim, gen.total_dim), dtype=complex)
-    for c, block in blocks:
-        rows = gen.block_indices(c + index)
-        cols = gen.block_indices(c)
-        out[np.ix_(rows, cols)] = block
-    return out

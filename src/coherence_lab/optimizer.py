@@ -3,20 +3,23 @@
 This is the ground-truth oracle at small dimension: each degenerate eigenspace
 block is parameterized by a Hermitian generator (an unconstrained real vector),
 and a multi-restart coordinate pattern search climbs the gain of the local mode
-measure after conjugating two copies of the state and tracing one system out.
+measure of one system after conjugating two copies of the state. It reads only
+the gap-j stripe of that marginal, from cached per-block products, so a move
+recomputes only the block it changes.
 The objective is a smooth composition except at singular-value crossings, so a
 derivative-free method avoids subgradient bookkeeping at these sizes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedParameterError
-from .modes import _check_local_index, _local_gap_measure, _reduced_first
+from .modes import _check_local_index, _local_gap_measure
 from .sampling import as_rng, haar_unitary
 from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator
 
@@ -51,28 +54,47 @@ class UnitarySearchConfig:
 
 @dataclass(frozen=True, eq=False)
 class SearchOutcome:
-    """Best gain found, the unitary achieving it, and per-restart bests."""
+    """Best gain found, the unitary achieving it, per-restart bests, and run telemetry.
+
+    ``evals``, ``accepted`` and ``step_shrinks`` total the objective
+    evaluations, accepted moves and step shrinks over all restarts;
+    ``stop_reasons`` says per restart whether it spent its evaluation budget
+    ("eval budget") or refined its step below ``STEP_FLOOR`` ("step floor").
+    """
 
     best_delta_m: float
     best_unitary: AllowedUnitary
     history: tuple
     converged: bool
+    evals: int = 0
+    accepted: int = 0
+    step_shrinks: int = 0
+    stop_reasons: tuple = ()
 
     def __post_init__(self) -> None:
         if self.best_delta_m < -1e-12:
             raise ValueError(f"best gain {self.best_delta_m} below the identity baseline")
 
 
+@functools.cache
+def _hermitian_layout(n: int) -> np.ndarray:
+    """Where each entry of an n x n generator sits in [diagonal, upper triangle, its conjugate].
+
+    The upper triangle is taken row by row, the order ``np.triu_indices`` walks.
+    """
+    upper = np.triu_indices(n, 1)
+    k = n + np.arange(upper[0].size)
+    where = np.empty((n, n), dtype=int)
+    where[np.diag_indices(n)] = np.arange(n)
+    where[upper] = k
+    where[upper[::-1]] = k + k.size
+    where.setflags(write=False)
+    return where
+
+
 def _hermitian_from_params(n: int, params: np.ndarray) -> np.ndarray:
-    h = np.zeros((n, n), dtype=complex)
-    h[np.diag_indices(n)] = params[:n]
-    k = n
-    for r in range(n):
-        for c in range(r + 1, n):
-            h[r, c] = params[k] + 1j * params[k + 1]
-            h[c, r] = params[k] - 1j * params[k + 1]
-            k += 2
-    return h
+    upper = params[n::2] + 1j * params[n + 1 :: 2]
+    return np.concatenate((params[:n], upper, upper.conj()))[_hermitian_layout(n)]
 
 
 def _exp_ih(h: np.ndarray) -> np.ndarray:
@@ -120,41 +142,113 @@ def random_allowed_unitary(gen: BipartiteGenerator, rng) -> AllowedUnitary:
     return AllowedUnitary(gen, blocks)
 
 
-def _pattern_search(objective, x0: np.ndarray, max_iters: int):
+class _StripeObjective:
+    """Local gap-j gain over the block parameters, paid per moved block.
+
+    Entry (n + j, n) of the first-system marginal of U (rho x rho) U^dagger is
+    z_n = sum over m of (U_{c+j} X_{c+j,c} U_c^dagger)[(n + j, m), (n, m)] with
+    c = n + m, where X_{c+j,c} is the block of rho x rho from eigenspace c to
+    eigenspace c + j. The gain is sum_n |z_n| minus the input's measure. Row c
+    of ``parts`` holds pair (c + j, c)'s share of z, so a move inside block b
+    recomputes exp(i H_b) and the rows b - j and b only.
+
+    ``start`` makes a point current; ``move`` evaluates the current point with
+    coordinate i changed, and ``accept`` makes that moved point current.
+    """
+
+    def __init__(self, rho: DensityMatrix, gen: BipartiteGenerator, j: int) -> None:
+        d = gen.dim
+        self.sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
+        self.offsets = np.concatenate(([0], np.cumsum([n * n for n in self.sizes])))
+        self.block_of = np.repeat(np.arange(len(self.sizes)), [n * n for n in self.sizes])
+        self.j = j
+        joint = np.kron(rho.matrix, rho.matrix)
+        # per pair: rows of block c + j, rows of block c, their n, and X_{c+j,c}
+        self.pairs = []
+        for c in range(gen.n_eigenvalues - j):
+            lo, hi = max(0, c - d + 1), min(d - 1 - j, c)
+            shift = j - max(0, c + j - d + 1)
+            self.pairs.append((
+                slice(lo + shift, hi + 1 + shift),
+                slice(0, hi + 1 - lo),
+                slice(lo, hi + 1),
+                joint[np.ix_(gen.block_indices(c + j), gen.block_indices(c))],
+            ))
+        self.shape = (len(self.pairs), d - j)
+        self.touched = [
+            [c for c in (b - j, b) if 0 <= c < len(self.pairs)] for b in range(len(self.sizes))
+        ]
+        self.baseline = _local_gap_measure(rho.matrix, j)
+
+    def unit(self, x: np.ndarray, b: int) -> np.ndarray:
+        n, first = self.sizes[b], self.offsets[b]
+        return _exp_ih(_hermitian_from_params(n, x[first : first + n * n]))
+
+    def _fill(self, parts: np.ndarray, units: list, c: int) -> None:
+        rows, cols, span, block = self.pairs[c]
+        parts[c, span] = ((units[c + self.j][rows] @ block) * units[c][cols].conj()).sum(1)
+
+    def _gain(self, parts: np.ndarray) -> float:
+        return float(np.abs(parts.sum(0)).sum()) - self.baseline
+
+    def start(self, x: np.ndarray) -> float:
+        self.units = [self.unit(x, b) for b in range(len(self.sizes))]
+        self.parts = np.zeros(self.shape, dtype=complex)
+        for c in range(len(self.pairs)):
+            self._fill(self.parts, self.units, c)
+        return self._gain(self.parts)
+
+    def move(self, x: np.ndarray, i: int) -> float:
+        b = self.block_of[i]
+        units = self.units.copy()
+        units[b] = self.unit(x, b)
+        parts = self.parts.copy()
+        for c in self.touched[b]:
+            self._fill(parts, units, c)
+        self.moved = units, parts
+        return self._gain(parts)
+
+    def accept(self) -> None:
+        self.units, self.parts = self.moved
+
+
+def _pattern_search(objective: _StripeObjective, x0: np.ndarray, max_iters: int) -> tuple:
     """Greedy coordinate search with geometric step decay on stall.
 
-    ``max_iters`` counts objective evaluations. Returns the best point, its
-    value, and the best-so-far curve (one entry per evaluation).
+    ``max_iters`` counts objective evaluations. Only improving moves are taken,
+    so the final point is the best one. Returns it, its value, the best-so-far
+    curve (one entry per evaluation), the numbers of accepted moves and of
+    step shrinks, and why the search stopped.
     """
     x = x0.copy()
-    fx = objective(x)
-    evals = 1
-    best_x, best_f = x.copy(), fx
-    curve = [best_f]
+    fx = objective.start(x)
+    curve = [fx]
+    accepted = shrinks = 0
     step = INITIAL_STEP
-    while evals < max_iters and step >= STEP_FLOOR:
+    while len(curve) < max_iters and step >= STEP_FLOOR:
         improved = False
         for i in range(x.size):
-            if evals >= max_iters:
+            if len(curve) >= max_iters:
                 break
             for sign in (1.0, -1.0):
                 cand = x.copy()
                 cand[i] += sign * step
-                fc = objective(cand)
-                evals += 1
+                fc = objective.move(cand, i)
                 if fc > fx:
+                    objective.accept()
                     x, fx = cand, fc
+                    accepted += 1
                     improved = True
-                    if fc > best_f:
-                        best_f, best_x = fc, cand.copy()
-                    curve.append(best_f)
+                    curve.append(fx)
                     break
-                curve.append(best_f)
-                if evals >= max_iters:
+                curve.append(fx)
+                if len(curve) >= max_iters:
                     break
         if not improved:
             step *= STEP_DECAY
-    return best_x, best_f, curve
+            shrinks += 1
+    reason = "eval budget" if len(curve) >= max_iters else "step floor"
+    return x, fx, curve, accepted, shrinks, reason
 
 
 def maximize_delta_m(
@@ -165,10 +259,10 @@ def maximize_delta_m(
 ) -> SearchOutcome:
     """Search the block-diagonal unitaries for the largest local mode-measure gain.
 
-    The objective conjugates two copies of ``rho``, traces out the partner
-    system, and differences the local mode measure against the input's. The
-    identity (all-zero parameters) seeds the first restart, so the result is
-    never below zero beyond roundoff.
+    The objective reads the gap-``index`` stripe of the first-system marginal
+    of the conjugated two-copy state and differences its measure against the
+    input's. The identity (all-zero parameters) seeds the first restart, so
+    the result is never below zero beyond roundoff.
     """
     cfg = config or UnitarySearchConfig()
     d = rho.dim
@@ -178,39 +272,28 @@ def maximize_delta_m(
             f"search supports local dimension up to {MAX_LOCAL_DIM}, got {d}"
         )
     gen = BipartiteGenerator(op)
-    pair = np.kron(rho.matrix, rho.matrix)
-    sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
-    meshes = [np.ix_(gen.block_indices(c), gen.block_indices(c)) for c in range(gen.n_eigenvalues)]
-    offsets = np.concatenate(([0], np.cumsum([n * n for n in sizes])))
-    n_params = int(offsets[-1])
-    baseline = _local_gap_measure(rho.matrix, index)
-
-    scratch = np.zeros((d * d, d * d), dtype=complex)
-
-    def objective(params: np.ndarray) -> float:
-        for c, n in enumerate(sizes):
-            block = _exp_ih(_hermitian_from_params(n, params[offsets[c] : offsets[c + 1]]))
-            scratch[meshes[c]] = block
-        return _local_gap_measure(_reduced_first(scratch, pair, d), index) - baseline
+    objective = _StripeObjective(rho, gen, index)
+    n_params = int(objective.offsets[-1])
 
     rng = as_rng(cfg.seed)
-    best_f = None
-    best_x = None
-    best_curve = None
-    history = []
+    best = None
+    history, reasons = [], []
+    evals = accepted = shrinks = 0
     for restart in range(cfg.restarts):
         if restart == 0:
             x0 = np.zeros(n_params)
         else:
             x0 = rng.uniform(-math.pi, math.pi, n_params)
-        x, fx, curve = _pattern_search(objective, x0, cfg.max_iters)
+        x, fx, curve, n_accepted, n_shrinks, reason = _pattern_search(objective, x0, cfg.max_iters)
         history.append(fx)
-        if best_f is None or fx > best_f:
-            best_f, best_x, best_curve = fx, x, curve
-    blocks = tuple(
-        _exp_ih(_hermitian_from_params(n, best_x[offsets[c] : offsets[c + 1]]))
-        for c, n in enumerate(sizes)
-    )
+        reasons.append(reason)
+        evals += len(curve)
+        accepted += n_accepted
+        shrinks += n_shrinks
+        if best is None or fx > best[1]:
+            best = x, fx, curve
+    best_x, best_f, best_curve = best
+    blocks = tuple(objective.unit(best_x, c) for c in range(gen.n_eigenvalues))
     stable_from = int(0.8 * (len(best_curve) - 1))
     converged = (best_curve[-1] - best_curve[stable_from]) <= CONVERGENCE_TOLERANCE
     return SearchOutcome(
@@ -218,4 +301,8 @@ def maximize_delta_m(
         best_unitary=AllowedUnitary(gen, blocks),
         history=tuple(history),
         converged=converged,
+        evals=evals,
+        accepted=accepted,
+        step_shrinks=shrinks,
+        stop_reasons=tuple(reasons),
     )

@@ -75,10 +75,6 @@ class DensityMatrix:
         u = linalg.as_matrix(unitary)
         return DensityMatrix(u @ self.matrix @ linalg.dagger(u))
 
-    def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        """Joint state of two independent systems."""
-        return DensityMatrix(np.kron(self.matrix, other.matrix))
-
 
 @dataclass(frozen=True)
 class NumberOperator:
@@ -185,12 +181,6 @@ class BipartiteGenerator:
         """Tensor-basis indices spanning the eigenvalue-c subspace, ordered by first index."""
         return _generator_layout(self.local.dim)[0][c].copy()
 
-    def projector(self, c: int) -> np.ndarray:
-        p = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        idx = _generator_layout(self.local.dim)[0][c]
-        p[idx, idx] = 1.0
-        return p
-
     @property
     def matrix(self) -> np.ndarray:
         """The total operator as a dense (d^2 x d^2) matrix."""
@@ -263,15 +253,6 @@ def isotropic_state(p: float) -> DensityMatrix:
         raise UnsupportedParameterError(f"mixing parameter must lie in [0, 1], got {p}")
     psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     return DensityMatrix(p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0)
-
-
-def density_to_json(rho: DensityMatrix) -> dict:
-    """Serialize as {"dim": d, "re": [[...]], "im": [[...]]}."""
-    return {
-        "dim": rho.dim,
-        "re": rho.matrix.real.tolist(),
-        "im": rho.matrix.imag.tolist(),
-    }
 
 
 def _converted(value, convert, name: str):

@@ -1,4 +1,4 @@
-"""Independent numeric oracles for the test suite.
+"""Independent numeric oracles and state-file writers for the test suite.
 
 Everything here is implemented from first principles with plain numpy loops
 or textbook algorithms, deliberately avoiding the package's own code paths.
@@ -18,6 +18,26 @@ def kron_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 for l in range(cb):
                     out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
     return out
+
+
+def hermitian_from_params_loops(n: int, params: np.ndarray) -> np.ndarray:
+    """Hermitian matrix from its diagonal, then (real, imaginary) upper-triangle pairs row by row."""
+    h = np.zeros((n, n), dtype=complex)
+    for r in range(n):
+        h[r, r] = params[r]
+    k = n
+    for r in range(n):
+        for c in range(r + 1, n):
+            h[r, c] = params[k] + 1j * params[k + 1]
+            h[c, r] = params[k] - 1j * params[k + 1]
+            k += 2
+    return h
+
+
+def density_to_json(rho) -> dict:
+    """State-file form {"dim": d, "re": [[...]], "im": [[...]]} of a density matrix."""
+    m = rho.matrix
+    return {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def partial_trace_b_loops(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

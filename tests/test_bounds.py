@@ -195,11 +195,11 @@ class TestNogo:
 
     def test_coherent_product_is_not_applicable(self):
         rho = bloch_to_density(BlochState(0.5, 0.0, 0.3))
-        assert nogo_check(rho.tensor(rho), GEN2) == "not_applicable"
+        assert nogo_check(DensityMatrix(np.kron(rho.matrix, rho.matrix)), GEN2) == "not_applicable"
 
     def test_incoherent_product_is_not_applicable(self):
         rho = DensityMatrix(np.diag([0.7, 0.3]))
-        assert nogo_check(rho.tensor(rho), GEN2) == "not_applicable"
+        assert nogo_check(DensityMatrix(np.kron(rho.matrix, rho.matrix)), GEN2) == "not_applicable"
 
 
 class TestCorrelationWitness:
@@ -216,7 +216,7 @@ class TestCorrelationWitness:
         rng = np.random.default_rng(5)
         for _ in range(20):
             rho = bloch_to_density(random_bloch(rng))
-            pair = rho.tensor(rho)
+            pair = DensityMatrix(np.kron(rho.matrix, rho.matrix))
             assert nogo_check(pair, GEN2) != NO_GO
             assert marginal_product_distance(pair, GEN2) <= 1e-8
 

@@ -19,7 +19,6 @@ from coherence_lab.states import (
     BipartiteGenerator,
     BlochState,
     NumberOperator,
-    density_to_json,
     isotropic_state,
 )
 
@@ -75,7 +74,7 @@ class TestConcentrate:
         assert report["optimizer"]["best_delta_m"] <= 1e-8
 
     def test_isotropic_bipartite_reports_no_go(self, tmp_path):
-        state = _write_state(tmp_path / "iso.json", density_to_json(isotropic_state(0.5)))
+        state = _write_state(tmp_path / "iso.json", oracles.density_to_json(isotropic_state(0.5)))
         out = tmp_path / "out"
         assert main(["concentrate", "--state", state, "--bipartite", "--out", str(out)]) == 0
         report = json.load(open(out / "concentrate_report.json"))
@@ -240,7 +239,7 @@ class TestNogo:
 
     def test_qutrit_gain_matches_loop_reference(self, tmp_path):
         rho = random_density_matrix(9, 3, np.random.default_rng(5))
-        state = _write_state(tmp_path / "joint.json", density_to_json(rho))
+        state = _write_state(tmp_path / "joint.json", oracles.density_to_json(rho))
         out = tmp_path / "out"
         args = ["nogo", "--state", state, "--samples", "20", "--seed", "7", "--out", str(out)]
         assert main(args) == 0
@@ -318,7 +317,8 @@ def test_unsupported_value_exits_2_before_writing(tmp_path, argv):
 )
 def test_one_mode_set_per_command(tmp_path, monkeypatch, argv):
     if argv[-1] == "--state":
-        argv = argv + [_write_state(tmp_path / "iso.json", density_to_json(isotropic_state(0.5)))]
+        iso = oracles.density_to_json(isotropic_state(0.5))
+        argv = argv + [_write_state(tmp_path / "iso.json", iso)]
     calls = []
     original = cli.bipartite_mode_set
 
@@ -371,7 +371,7 @@ class TestManifestReproduction:
         states = {
             "JOINT": _write_state(
                 tmp_path / "joint.json",
-                density_to_json(random_density_matrix(9, 2, np.random.default_rng(1))),
+                oracles.density_to_json(random_density_matrix(9, 2, np.random.default_rng(1))),
             ),
             "QUBIT": _qubit_state_file(tmp_path),
         }
@@ -461,8 +461,8 @@ def sweep_dir(tmp_path_factory):
         (
             {"dim": 2, "re": [[0.7, 0.2], [0.2, 0.3]], "im": [[0.0, 0.0], [0.0, 0.0]]},
             {"nx": 0.3, "nz": 0.4},
-            density_to_json(isotropic_state(0.5)),
-            density_to_json(joint),
+            oracles.density_to_json(isotropic_state(0.5)),
+            oracles.density_to_json(joint),
             {"dim": 2, "re": [[1.5, 0.0], [0.0, -0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]},
         ),
     ):

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from coherence_lab import linalg
 from coherence_lab.errors import UnsupportedParameterError
 from coherence_lab.modes import mode_measure
 from coherence_lab.optimizer import (
+    STEP_FLOOR,
     SearchOutcome,
     UnitarySearchConfig,
+    _hermitian_from_params,
     maximize_delta_m,
     parameterize_block,
     random_allowed_unitary,
@@ -54,6 +57,16 @@ class TestParameterizeBlock:
             parameterize_block(GEN2, 1, [0.0, 0.0])
 
 
+class TestGeneratorBuild:
+    def test_index_arrays_match_loop_reference_bitwise(self):
+        rng = np.random.default_rng(4)
+        for n in range(1, 5):
+            for _ in range(10):
+                params = rng.uniform(-3, 3, n * n)
+                expected = oracles.hermitian_from_params_loops(n, params)
+                np.testing.assert_array_equal(_hermitian_from_params(n, params), expected)
+
+
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(UnsupportedParameterError, match="restarts"):
@@ -90,10 +103,69 @@ class TestQubitSearch:
         rho = bloch_to_density(random_bloch(rng))
         op = NumberOperator(2)
         outcome = maximize_delta_m(rho, op, 1, UnitarySearchConfig(seed=2))
-        pair = rho.tensor(rho).evolve(outcome.best_unitary.matrix)
+        pair = DensityMatrix(np.kron(rho.matrix, rho.matrix)).evolve(outcome.best_unitary.matrix)
         reduced = DensityMatrix(linalg.partial_trace_b(pair.matrix, 2, 2))
         replayed = mode_measure(reduced, op, 1) - mode_measure(rho, op, 1)
         assert replayed == pytest.approx(outcome.best_delta_m, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_best_unitary_reproduces_best_value_beyond_qubits(self, d):
+        # block sizes 1..d and up to three stripe pairs per block at d = 4
+        rng = np.random.default_rng(30 + d)
+        op = NumberOperator(d)
+        for rank in (1, d):
+            rho = random_density_matrix(d, rank, rng)
+            pair = oracles.kron_loops(rho.matrix, rho.matrix)
+            for j in range(1, d):
+                cfg = UnitarySearchConfig(restarts=2, max_iters=300, seed=j)
+                outcome = maximize_delta_m(rho, op, j, cfg)
+                u = outcome.best_unitary.matrix
+                reduced = oracles.partial_trace_b_loops(u @ pair @ u.conj().T, d, d)
+                before, after = (np.abs(np.diagonal(m, -j)).sum() for m in (rho.matrix, reduced))
+                assert abs((after - before) - outcome.best_delta_m) <= 1e-12
+
+
+class TestTelemetry:
+    @staticmethod
+    def _check_restart(outcome, max_iters):
+        assert len(outcome.stop_reasons) == 1
+        assert outcome.evals <= max_iters
+        assert (outcome.stop_reasons[0] == "step floor") == (outcome.evals < max_iters)
+        assert 0 <= outcome.accepted < outcome.evals
+        if outcome.stop_reasons[0] == "step floor":
+            # the step halves from 0.5 until it falls below the floor
+            assert outcome.step_shrinks >= math.ceil(math.log2(0.5 / STEP_FLOOR))
+
+    def test_each_restart_reports_its_budget_and_stop_reason(self):
+        rng = np.random.default_rng(12)
+        qubit = bloch_to_density(random_bloch(rng))
+        qutrit = random_density_matrix(3, 2, rng)
+        reasons = set()
+        for rho, j, max_iters in ((qubit, 1, 2000), (qutrit, 1, 200), (qutrit, 2, 2000)):
+            for seed in range(3):
+                cfg = UnitarySearchConfig(restarts=1, max_iters=max_iters, seed=seed)
+                outcome = maximize_delta_m(rho, NumberOperator(rho.dim), j, cfg)
+                self._check_restart(outcome, max_iters)
+                reasons.add(outcome.stop_reasons[0])
+        assert reasons == {"eval budget", "step floor"}
+
+    def test_totals_span_the_restarts(self):
+        rho = bloch_to_density(random_bloch(np.random.default_rng(13)))
+        outcome = maximize_delta_m(rho, NumberOperator(2), 1, UnitarySearchConfig(restarts=3))
+        assert len(outcome.stop_reasons) == len(outcome.history) == 3
+        assert outcome.evals <= 3 * 2000
+        assert (outcome.evals == 3 * 2000) == all(r == "eval budget" for r in outcome.stop_reasons)
+
+    def test_criterion_six_budget_exhausts_every_restart(self):
+        # the first inputs of acceptance criterion 06, in its order and seeds
+        rng = np.random.default_rng(606)
+        for k in range(3):
+            rho = random_density_matrix(3, 1, rng)
+            for j in (1, 2):
+                cfg = UnitarySearchConfig(restarts=4, max_iters=600, seed=2 * k + j - 1)
+                outcome = maximize_delta_m(rho, NumberOperator(3), j, cfg)
+                assert outcome.stop_reasons == ("eval budget",) * 4
+                assert outcome.evals == 4 * 600
 
 
 class TestDeterminism:
@@ -121,7 +193,7 @@ class TestRandomUnitarySampling:
         rho = bloch_to_density(random_bloch(np.random.default_rng(7)))
         best = optimal_concentration(rho).delta_m
         baseline = abs(rho.matrix[0, 1])
-        pair = rho.tensor(rho)
+        pair = DensityMatrix(np.kron(rho.matrix, rho.matrix))
         rng = np.random.default_rng(8)
         for _ in range(1000):
             u = random_allowed_unitary(GEN2, rng)

@@ -50,7 +50,7 @@ class TestOptimalConcentration:
     def test_reference_point_beats_random_unitaries(self):
         rho = _qubit(0.9, 0.1)
         gen = BipartiteGenerator(NumberOperator(2))
-        pair = rho.tensor(rho)
+        pair = DensityMatrix(np.kron(rho.matrix, rho.matrix))
         best = optimal_concentration(rho).delta_m
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -64,7 +64,7 @@ class TestOptimalConcentration:
         for _ in range(200):
             rho = bloch_to_density(random_bloch(rng))
             result = optimal_concentration(rho)
-            pair = rho.tensor(rho).evolve(result.unitary.matrix)
+            pair = DensityMatrix(np.kron(rho.matrix, rho.matrix)).evolve(result.unitary.matrix)
             reduced = linalg.partial_trace_b(pair.matrix, 2, 2)
             gain = abs(reduced[0, 1]) - abs(rho.matrix[0, 1])
             assert abs(gain - result.delta_m) <= 1e-10
