@@ -18,13 +18,12 @@ import numpy as np
 
 from . import linalg
 from .modes import (
+    _check_joint_dim,
     _check_local_index,
-    _component,
     _local_gap_measure,
+    _stripe_blocks,
+    _stripe_layout,
     bipartite_mode_set,
-    lrd_decompose,
-    vin_block_dim,
-    vin_projector,
 )
 from .states import BipartiteGenerator, DensityMatrix, NumberOperator
 
@@ -49,15 +48,9 @@ class BoundReport:
     tighter: str
 
     def __post_init__(self) -> None:
-        if self.achieved is not None:
-            if self.bound1 < self.achieved - SOUNDNESS_ATOL:
-                raise ValueError(
-                    f"global-mode bound {self.bound1} fell below the achieved value {self.achieved}"
-                )
-            if self.bound2 < self.achieved - SOUNDNESS_ATOL:
-                raise ValueError(
-                    f"block-sum bound {self.bound2} fell below the achieved value {self.achieved}"
-                )
+        for name, bound in (("global-mode", self.bound1), ("block-sum", self.bound2)):
+            if self.achieved is not None and bound < self.achieved - SOUNDNESS_ATOL:
+                raise ValueError(f"{name} bound {bound} fell below the achieved value {self.achieved}")
 
     def to_json(self) -> dict:
         return {
@@ -75,22 +68,17 @@ def _block_spectra(rho: DensityMatrix, op: NumberOperator, index: int) -> tuple:
 
     The eigenspace-pair blocks of the gap-``index`` mode of rho (x) rho sit on
     disjoint rows and columns, so the mode's singular values are exactly the
-    union of the block singular values. Bound 1 is the top-(d-index)*d sum of
-    that union; bound 2 sums each block's top values up to the block's own
-    count of surviving positions. Returns (bound1, bound2, baseline).
+    union of the block singular values. Bound 2 sums each block's top values
+    up to the block's own count of surviving positions; bound 1 is the top-k
+    sum of the union, with k the total count. Returns (bound1, bound2, baseline).
     """
     _check_local_index(op, index, rho)
-    gen = BipartiteGenerator(op)
+    pairs = _stripe_layout(rho.dim, index)
     # the product of two validated states is a valid state; no re-validation
-    pair_mode = _component(np.kron(rho.matrix, rho.matrix), gen.index_eigenvalues, index)
-    spectra = []
-    quota_total = 0.0
-    for c, block in lrd_decompose(pair_mode, gen):
-        values = linalg.singular_values(block)
-        spectra.append(values)
-        quota_total += float(values[: vin_block_dim(gen, index, c)].sum())
-    order = vin_projector(gen, index)
-    global_total = float(np.sort(np.concatenate(spectra))[::-1][:order].sum())
+    spectra = [linalg.singular_values(b) for b in _stripe_blocks(pairs, np.kron(rho.matrix, rho.matrix))]
+    quotas = [span.stop - span.start for *_, span in pairs]
+    quota_total = sum(float(values[:quota].sum()) for values, quota in zip(spectra, quotas))
+    global_total = float(np.sort(np.concatenate(spectra))[::-1][: sum(quotas)].sum())
     baseline = _local_gap_measure(rho.matrix, index)
     return global_total - baseline, quota_total - baseline, baseline
 
@@ -153,6 +141,7 @@ def nogo_check(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> str:
 
 def marginal_product_distance(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> float:
     """Trace-norm distance between a joint state and the product of its marginals."""
+    _check_joint_dim(rho_ab, gen)
     d = gen.dim
     # the joint matrix is already validated; both marginals trace one view of it
     joint = rho_ab.matrix.reshape(d, d, d, d)

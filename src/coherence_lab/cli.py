@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, linalg
 from .bounds import _nogo_verdict, bound_report, marginal_product_distance
 from .errors import StateValidationError, UnsupportedParameterError
-from .modes import _local_gap_measure, _reduced_first, bipartite_mode_set
+from .modes import _local_gap_measure, _stripe_blocks, _stripe_layout, _stripe_measure, bipartite_mode_set
 from .optimizer import UnitarySearchConfig, maximize_delta_m, random_allowed_unitary
 from .qubit_protocol import (
     amplification_state,
@@ -138,13 +138,15 @@ def _bool(value) -> bool:
 
 
 def _list(convert):
-    """Comma text (from a flag) or a JSON list (from a config), each item through ``convert``."""
+    """Comma text (from a flag) or a JSON list (from a config), each item through ``convert``; not empty."""
 
     def parse(value) -> list:
         items = value.split(",") if isinstance(value, str) else value
         if not isinstance(items, list):
             raise TypeError(f"expected comma text or a list, got {value!r}")
-        return [convert(item) for item in items if item != ""]
+        if not (parsed := [convert(item) for item in items if item != ""]):
+            raise ValueError(f"expected at least one item, got {value!r}")
+        return parsed
 
     return parse
 
@@ -326,12 +328,14 @@ def cmd_nogo(p: dict, seed: int, out_dir: str) -> list:
     gen = BipartiteGenerator(NumberOperator(local_dim))
     verdict, modes_present, distance = _mode_structure(rho, gen)
     before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, local_dim, local_dim), 1)
+    pairs = _stripe_layout(local_dim, 1)
+    blocks = _stripe_blocks(pairs, rho.matrix)
+    parts = np.zeros((len(pairs), local_dim - 1), dtype=complex)
     rng = np.random.default_rng(seed)
     max_gain = -math.inf
     for _ in range(samples):
         u = random_allowed_unitary(gen, rng)
-        after = _local_gap_measure(_reduced_first(u.matrix, rho.matrix, local_dim), 1)
-        max_gain = max(max_gain, after - before)
+        max_gain = max(max_gain, _stripe_measure(pairs, u.blocks, blocks, parts) - before)
     report = {
         "source": source,
         "verdict": verdict,

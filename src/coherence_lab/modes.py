@@ -10,13 +10,14 @@ are grouped by (n + m) differences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import StateValidationError, UnsupportedParameterError
-from .states import BipartiteGenerator, DensityMatrix, NumberOperator
+from .states import BipartiteGenerator, DensityMatrix, NumberOperator, _generator_layout
 
 #: a mode counts as present when its trace norm exceeds this threshold,
 #: separating structural zeros from roundoff
@@ -82,10 +83,47 @@ def _local_gap_measure(matrix: np.ndarray, index: int) -> float:
     return float(np.abs(np.diagonal(matrix, offset=-index)).sum())
 
 
-def _reduced_first(unitary: np.ndarray, joint: np.ndarray, d: int) -> np.ndarray:
-    """First-system marginal of U X U^dagger on two d-dimensional systems, not re-validated."""
-    sigma = unitary @ joint @ unitary.conj().T
-    return sigma.reshape(d, d, d, d).trace(axis1=1, axis2=3)
+def _check_joint_dim(joint, gen: BipartiteGenerator) -> None:
+    """Reject a joint state or mode whose dimension is not the generator's d^2."""
+    if joint.dim != gen.total_dim:
+        raise ValueError(f"joint dimension {joint.dim} does not match generator dimension {gen.total_dim}")
+
+
+@functools.cache
+def _stripe_layout(d: int, index: int) -> tuple:
+    """Eigenspace pairs (c + index, c) of the gap-``index`` stripe of two d-level systems.
+
+    Pair c is (c + index, upper, lower, rows, cols, span): the read-only tensor
+    indices of eigenspaces c + index and c, the places ``rows`` and ``cols`` in
+    them of the positions (|n + index, m>, |n, m>) with n + m = c that survive
+    the partial trace, and the n in ``span`` these feed. ``index`` runs over [0, d].
+    """
+    blocks = _generator_layout(d)[0]
+    pairs = []
+    for c in range(2 * d - 1 - index):
+        lo, hi = max(0, c - d + 1), min(d - 1 - index, c)
+        shift = index - max(0, c + index - d + 1)
+        rows, cols = slice(lo + shift, hi + 1 + shift), slice(0, hi + 1 - lo)
+        pairs.append((c + index, blocks[c + index], blocks[c], rows, cols, slice(lo, hi + 1)))
+    return tuple(pairs)
+
+
+def _stripe_blocks(pairs: tuple, joint: np.ndarray) -> list:
+    """The eigenspace-pair blocks X_{c+j,c} of a joint matrix, one per pair."""
+    return [joint[np.ix_(upper, lower)] for _, upper, lower, *_ in pairs]
+
+
+def _stripe_measure(pairs: tuple, units, blocks, parts: np.ndarray, touched=None) -> float:
+    """Gap-j measure of the first marginal of U X U^dagger, U block diagonal over ``units``.
+
+    Row c of ``parts`` (pairs x (d - j)) holds pair c's share of the stripe:
+    z_n sums (U_{c+j} X_{c+j,c} U_c^dagger)[(n + j, m), (n, m)] over m = c - n.
+    Only the rows ``touched`` (default all) are rewritten.
+    """
+    for c in range(len(pairs)) if touched is None else touched:
+        up, _, _, rows, cols, span = pairs[c]
+        parts[c, span] = ((units[up][rows] @ blocks[c]) * units[c][cols].conj()).sum(1)
+    return float(np.abs(parts.sum(0)).sum())
 
 
 def mode_component(rho: DensityMatrix, op: NumberOperator, index: int) -> ModeOperator:
@@ -113,10 +151,7 @@ def bipartite_mode(rho_ab: DensityMatrix, gen: BipartiteGenerator, index: int) -
     For a product state this equals the convolution of the local modes: local
     gaps k on the first system pair with gaps index - k on the second.
     """
-    if rho_ab.dim != gen.total_dim:
-        raise ValueError(
-            f"state dimension {rho_ab.dim} does not match generator dimension {gen.total_dim}"
-        )
+    _check_joint_dim(rho_ab, gen)
     if abs(index) > 2 * gen.dim - 2:
         raise UnsupportedParameterError(
             f"mode index {index} outside the range of the total number operator"
@@ -131,7 +166,7 @@ def bipartite_mode_set(
     return {
         j
         for j in range(2 * gen.dim - 1)
-        if linalg.trace_norm(_component(rho_ab.matrix, gen.index_eigenvalues, j).op) > threshold
+        if linalg.trace_norm(bipartite_mode(rho_ab, gen, j).op) > threshold
     }
 
 
@@ -147,10 +182,11 @@ def vin_projector(gen: BipartiteGenerator, index: int) -> int:
 def vin_block_dim(gen: BipartiteGenerator, index: int, c: int) -> int:
     """Number of surviving positions whose column ket |n, m> has n + m = c.
 
-    These are the n in [max(0, c-d+1), min(d-1-index, c)], where m = c - n stays in range.
+    Read from the stripe layout; an eigenvalue with no pair (c + index, c) has none.
     """
-    d = gen.dim
-    return max(0, min(d - index - 1, c) - max(0, c - d + 1) + 1)
+    _check_local_index(gen.local, index)
+    pairs = _stripe_layout(gen.dim, index)
+    return pairs[c][-1].stop - pairs[c][-1].start if 0 <= c < len(pairs) else 0
 
 
 def lrd_decompose(mode: ModeOperator, gen: BipartiteGenerator) -> list:
@@ -162,15 +198,9 @@ def lrd_decompose(mode: ModeOperator, gen: BipartiteGenerator) -> list:
     every entry of the mode exactly once; stacking them back into their
     row/column positions reassembles the mode.
     """
-    if mode.dim != gen.total_dim:
-        raise ValueError(
-            f"mode dimension {mode.dim} does not match generator dimension {gen.total_dim}"
-        )
-    blocks = []
-    for c in range(gen.n_eigenvalues):
-        if not 0 <= c + mode.index < gen.n_eigenvalues:
-            continue
-        rows = gen.block_indices(c + mode.index)
-        cols = gen.block_indices(c)
-        blocks.append((c, mode.op[np.ix_(rows, cols)]))
-    return blocks
+    _check_joint_dim(mode, gen)
+    n, j = gen.n_eigenvalues, mode.index
+    return [
+        (c, mode.op[np.ix_(gen.block_indices(c + j), gen.block_indices(c))])
+        for c in range(max(0, -j), min(n, n - j))
+    ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedParameterError
-from .modes import _check_local_index, _local_gap_measure
+from .modes import _check_local_index, _local_gap_measure, _stripe_blocks, _stripe_layout, _stripe_measure
 from .sampling import as_rng, haar_unitary
 from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator
 
@@ -145,36 +145,21 @@ def random_allowed_unitary(gen: BipartiteGenerator, rng) -> AllowedUnitary:
 class _StripeObjective:
     """Local gap-j gain over the block parameters, paid per moved block.
 
-    Entry (n + j, n) of the first-system marginal of U (rho x rho) U^dagger is
-    z_n = sum over m of (U_{c+j} X_{c+j,c} U_c^dagger)[(n + j, m), (n, m)] with
-    c = n + m, where X_{c+j,c} is the block of rho x rho from eigenspace c to
-    eigenspace c + j. The gain is sum_n |z_n| minus the input's measure. Row c
-    of ``parts`` holds pair (c + j, c)'s share of z, so a move inside block b
-    recomputes exp(i H_b) and the rows b - j and b only.
+    The gain is ``modes._stripe_measure`` of U (rho x rho) U^dagger minus the
+    input's measure. Its pair c involves blocks c + j and c only, so a move
+    inside block b recomputes exp(i H_b) and the pairs b - j and b only.
 
     ``start`` makes a point current; ``move`` evaluates the current point with
     coordinate i changed, and ``accept`` makes that moved point current.
     """
 
     def __init__(self, rho: DensityMatrix, gen: BipartiteGenerator, j: int) -> None:
-        d = gen.dim
         self.sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
         self.offsets = np.concatenate(([0], np.cumsum([n * n for n in self.sizes])))
         self.block_of = np.repeat(np.arange(len(self.sizes)), [n * n for n in self.sizes])
-        self.j = j
-        joint = np.kron(rho.matrix, rho.matrix)
-        # per pair: rows of block c + j, rows of block c, their n, and X_{c+j,c}
-        self.pairs = []
-        for c in range(gen.n_eigenvalues - j):
-            lo, hi = max(0, c - d + 1), min(d - 1 - j, c)
-            shift = j - max(0, c + j - d + 1)
-            self.pairs.append((
-                slice(lo + shift, hi + 1 + shift),
-                slice(0, hi + 1 - lo),
-                slice(lo, hi + 1),
-                joint[np.ix_(gen.block_indices(c + j), gen.block_indices(c))],
-            ))
-        self.shape = (len(self.pairs), d - j)
+        self.pairs = _stripe_layout(gen.dim, j)
+        self.blocks = _stripe_blocks(self.pairs, np.kron(rho.matrix, rho.matrix))
+        self.parts = np.zeros((len(self.pairs), gen.dim - j), dtype=complex)
         self.touched = [
             [c for c in (b - j, b) if 0 <= c < len(self.pairs)] for b in range(len(self.sizes))
         ]
@@ -184,29 +169,17 @@ class _StripeObjective:
         n, first = self.sizes[b], self.offsets[b]
         return _exp_ih(_hermitian_from_params(n, x[first : first + n * n]))
 
-    def _fill(self, parts: np.ndarray, units: list, c: int) -> None:
-        rows, cols, span, block = self.pairs[c]
-        parts[c, span] = ((units[c + self.j][rows] @ block) * units[c][cols].conj()).sum(1)
-
-    def _gain(self, parts: np.ndarray) -> float:
-        return float(np.abs(parts.sum(0)).sum()) - self.baseline
-
     def start(self, x: np.ndarray) -> float:
         self.units = [self.unit(x, b) for b in range(len(self.sizes))]
-        self.parts = np.zeros(self.shape, dtype=complex)
-        for c in range(len(self.pairs)):
-            self._fill(self.parts, self.units, c)
-        return self._gain(self.parts)
+        return _stripe_measure(self.pairs, self.units, self.blocks, self.parts) - self.baseline
 
     def move(self, x: np.ndarray, i: int) -> float:
         b = self.block_of[i]
         units = self.units.copy()
         units[b] = self.unit(x, b)
         parts = self.parts.copy()
-        for c in self.touched[b]:
-            self._fill(parts, units, c)
         self.moved = units, parts
-        return self._gain(parts)
+        return _stripe_measure(self.pairs, units, self.blocks, parts, self.touched[b]) - self.baseline
 
     def accept(self) -> None:
         self.units, self.parts = self.moved

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import UnsupportedParameterError
-from .modes import _local_gap_measure, _reduced_first
+from .modes import _local_gap_measure
 from .states import (
     AllowedUnitary,
     BipartiteGenerator,
@@ -113,7 +114,8 @@ def optimal_concentration(rho: DensityMatrix) -> ConcentrationResult:
     theta_opt = math.acos(1.0 / scale)
     unitary = optimal_unitary(p00)
 
-    reduced = _reduced_first(unitary.matrix, np.kron(rho.matrix, rho.matrix), 2)
+    u = unitary.matrix
+    reduced = linalg.partial_trace_b(u @ np.kron(rho.matrix, rho.matrix) @ u.conj().T, 2, 2)
     simulated_gain = _local_gap_measure(reduced, 1) - abs(p01)
     if abs(simulated_gain - delta_m) > SIMULATION_ATOL:
         raise RuntimeError(

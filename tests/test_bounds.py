@@ -16,7 +16,7 @@ from coherence_lab.bounds import (
     nogo_check,
 )
 from coherence_lab.errors import UnsupportedParameterError
-from coherence_lab.modes import mode_measure
+from coherence_lab.modes import bipartite_mode_set, mode_measure
 from coherence_lab.optimizer import UnitarySearchConfig, maximize_delta_m
 from coherence_lab.qubit_protocol import optimal_concentration
 from coherence_lab.sampling import haar_unitary, random_bloch, random_density_matrix
@@ -232,6 +232,15 @@ class TestCorrelationWitness:
                 expected = np.abs(np.linalg.eigvalsh(m - oracles.kron_loops(rho_a, rho_b))).sum()
                 distance = marginal_product_distance(DensityMatrix(m), gen)
                 assert abs(distance - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("check", [bipartite_mode_set, nogo_check, marginal_product_distance])
+@pytest.mark.parametrize("joint_dim, d", [(9, 2), (4, 3)])
+def test_joint_dimension_mismatch_names_both_dimensions(check, joint_dim, d):
+    rho = DensityMatrix(np.eye(joint_dim) / joint_dim)
+    expected = f"joint dimension {joint_dim} does not match generator dimension {d * d}"
+    with pytest.raises(ValueError, match=expected):
+        check(rho, BipartiteGenerator(NumberOperator(d)))
 
 
 class TestBoundReport:

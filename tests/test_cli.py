@@ -237,8 +237,9 @@ class TestNogo:
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["nogo", "--out", str(tmp_path)]) == 2
 
-    def test_qutrit_gain_matches_loop_reference(self, tmp_path):
-        rho = random_density_matrix(9, 3, np.random.default_rng(5))
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_gain_matches_loop_reference(self, tmp_path, d):
+        rho = random_density_matrix(d * d, 3, np.random.default_rng(5))
         state = _write_state(tmp_path / "joint.json", oracles.density_to_json(rho))
         out = tmp_path / "out"
         args = ["nogo", "--state", state, "--samples", "20", "--seed", "7", "--out", str(out)]
@@ -246,13 +247,13 @@ class TestNogo:
         report = json.load(open(out / "nogo_report.json"))
 
         def m1(joint):
-            reduced = oracles.partial_trace_b_loops(joint, 3, 3)
-            stripe = np.zeros((3, 3), dtype=complex)
-            for n in range(2):
+            reduced = oracles.partial_trace_b_loops(joint, d, d)
+            stripe = np.zeros((d, d), dtype=complex)
+            for n in range(d - 1):
                 stripe[n + 1, n] = reduced[n + 1, n]
             return np.linalg.svd(stripe, compute_uv=False).sum()
 
-        gen = BipartiteGenerator(NumberOperator(3))
+        gen = BipartiteGenerator(NumberOperator(d))
         rng = np.random.default_rng(7)
         before = m1(rho.matrix)
         gain = -math.inf
@@ -262,6 +263,15 @@ class TestNogo:
         assert gain > 0.01
         assert abs(report["initial_local_m1"] - before) <= 1e-12
         assert abs(report["max_local_m1_gain"] - gain) <= 1e-12
+
+    def test_one_dimensional_joint_state_has_zero_gain(self, tmp_path):
+        # d = 1: the stripe has no eigenspace pair and no entry
+        state = _write_state(tmp_path / "joint.json", {"dim": 1, "re": [[1.0]], "im": [[0.0]]})
+        out = tmp_path / "out"
+        assert main(["nogo", "--state", state, "--samples", "5", "--out", str(out)]) == 0
+        report = json.load(open(out / "nogo_report.json"))
+        assert report["max_local_m1_gain"] == 0.0
+        assert report["initial_local_m1"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -277,12 +287,23 @@ class TestNogo:
         (["concat"], "--config", {"nx": [True]}, "nx"),
         (["nogo"], "--config", {"p": True}, "p"),
         (["amplify"], "--config", {"eps": True}, "eps"),
+        # a list with no item left
+        (["bound-compare", "--ranks", ","], "--config", {}, "ranks"),
+        (["bound-compare", "--ranks="], "--config", {}, "ranks"),
+        (["concat", "--nx="], "--config", {}, "nx"),
+        (["concat", "--nz", ","], "--config", {}, "nz"),
+        (["bound-compare"], "--config", {"ranks": []}, "ranks"),
+        (["concat"], "--config", {"nx": []}, "nx"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):
     path = _write_state(tmp_path / "input.json", obj)
-    assert main(command + [flag, path, "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main(command + [flag, path, "--out", str(out)]) == 1
     assert f"'{key}'" in capsys.readouterr().err
+    if flag == "--config":
+        # parameters are resolved before the output directory is made
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))

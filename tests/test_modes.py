@@ -6,6 +6,7 @@ from coherence_lab import linalg
 from coherence_lab.errors import StateValidationError, UnsupportedParameterError
 from coherence_lab.modes import (
     ModeOperator,
+    _stripe_layout,
     bipartite_mode,
     bipartite_mode_set,
     lrd_decompose,
@@ -227,6 +228,29 @@ class TestVinProjector:
             vin_projector(GEN3, 3)
         with pytest.raises(UnsupportedParameterError, match="outside the local range"):
             vin_projector(GEN3, 0)
+
+
+class TestStripeLayout:
+    def test_layout_is_cached_and_read_only(self):
+        pairs = _stripe_layout(3, 1)
+        assert _stripe_layout(3, 1) is pairs
+        for _, upper, lower, *_ in pairs:
+            for idx in (upper, lower):
+                with pytest.raises(ValueError):
+                    idx[0] = 99
+
+    def test_surviving_positions_sum_to_vin_projector(self):
+        for gen in (GEN2, GEN3, BipartiteGenerator(NumberOperator(4))):
+            d = gen.dim
+            for j in range(1, d):
+                pairs = _stripe_layout(d, j)
+                assert sum(span.stop - span.start for *_, span in pairs) == vin_projector(gen, j)
+                for c, (up, upper, lower, rows, cols, span) in enumerate(pairs):
+                    assert up == c + j
+                    ns = range(span.start, span.stop)
+                    # (|n + j, m>, |n, m>) with m = c - n, as tensor indices
+                    assert list(upper[rows]) == [(n + j) * d + c - n for n in ns]
+                    assert list(lower[cols]) == [n * d + c - n for n in ns]
 
 
 class TestLrdDecomposition:
