@@ -335,7 +335,7 @@ def cmd_nogo(p: dict, seed: int, out_dir: str) -> list:
     max_gain = -math.inf
     for _ in range(samples):
         u = random_allowed_unitary(gen, rng)
-        max_gain = max(max_gain, _stripe_measure(pairs, u.blocks, blocks, parts) - before)
+        max_gain = max(max_gain, float(_stripe_measure(pairs, u.blocks, blocks, parts)) - before)
     report = {
         "source": source,
         "verdict": verdict,

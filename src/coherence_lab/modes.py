@@ -113,17 +113,19 @@ def _stripe_blocks(pairs: tuple, joint: np.ndarray) -> list:
     return [joint[np.ix_(upper, lower)] for _, upper, lower, *_ in pairs]
 
 
-def _stripe_measure(pairs: tuple, units, blocks, parts: np.ndarray, touched=None) -> float:
+def _stripe_measure(pairs: tuple, units, blocks, parts: np.ndarray, touched=None) -> np.ndarray:
     """Gap-j measure of the first marginal of U X U^dagger, U block diagonal over ``units``.
 
-    Row c of ``parts`` (pairs x (d - j)) holds pair c's share of the stripe:
+    Row c of ``parts`` (..., pairs, d - j) holds pair c's share of the stripe:
     z_n sums (U_{c+j} X_{c+j,c} U_c^dagger)[(n + j, m), (n, m)] over m = c - n.
-    Only the rows ``touched`` (default all) are rewritten.
+    Only the rows ``touched`` (default all) are rewritten. Leading axes of
+    ``units`` and ``parts`` are stack axes, one measure per stacked unitary.
     """
     for c in range(len(pairs)) if touched is None else touched:
         up, _, _, rows, cols, span = pairs[c]
-        parts[c, span] = ((units[up][rows] @ blocks[c]) * units[c][cols].conj()).sum(1)
-    return float(np.abs(parts.sum(0)).sum())
+        product = (units[up][..., rows, :] @ blocks[c]) * units[c][..., cols, :].conj()
+        parts[..., c, span] = product.sum(-1)
+    return np.abs(parts.sum(-2)).sum(-1)
 
 
 def mode_component(rho: DensityMatrix, op: NumberOperator, index: int) -> ModeOperator:
@@ -159,15 +161,39 @@ def bipartite_mode(rho_ab: DensityMatrix, gen: BipartiteGenerator, index: int) -
     return _component(rho_ab.matrix, gen.index_eigenvalues, index)
 
 
+@functools.cache
+def _pair_blocks_layout(d: int) -> tuple:
+    """Where to gather every eigenspace-pair block X_{c+g,c} of a d^2 x d^2 matrix, and its gap g.
+
+    Block k of ``joint.ravel()`` appended with one zero is ``flat[index[k]]``,
+    zero-padded to d x d; padding adds only zero singular values.
+    """
+    blocks = _generator_layout(d)[0]
+    n = d * d
+    pairs = [(g, blocks[c + g], blocks[c]) for g in range(len(blocks)) for c in range(len(blocks) - g)]
+    index = np.full((len(pairs), d, d), n * n)
+    for k, (_, rows, cols) in enumerate(pairs):
+        index[k, : rows.size, : cols.size] = rows[:, None] * n + cols
+    gaps = np.array([g for g, _, _ in pairs])
+    index.setflags(write=False)
+    gaps.setflags(write=False)
+    return index, gaps
+
+
 def bipartite_mode_set(
     rho_ab: DensityMatrix, gen: BipartiteGenerator, threshold: float = MODE_PRESENCE_THRESHOLD
 ) -> set:
-    """Non-negative total-gap indices present in a two-system state."""
-    return {
-        j
-        for j in range(2 * gen.dim - 1)
-        if linalg.trace_norm(bipartite_mode(rho_ab, gen, j).op) > threshold
-    }
+    """Non-negative total-gap indices present in a two-system state.
+
+    The eigenspace-pair blocks X_{c+g,c} of the gap-g component have disjoint
+    rows and disjoint columns, so its trace norm is the sum of their singular
+    values; the d^2 x d^2 component is never built.
+    """
+    _check_joint_dim(rho_ab, gen)
+    index, gaps = _pair_blocks_layout(gen.dim)
+    stack = np.append(rho_ab.matrix.ravel(), 0.0)[index]
+    norms = np.bincount(gaps, np.linalg.svd(stack, compute_uv=False).sum(-1))
+    return {g for g, norm in enumerate(norms) if norm > threshold}
 
 
 def vin_projector(gen: BipartiteGenerator, index: int) -> int:

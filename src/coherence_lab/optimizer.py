@@ -5,7 +5,8 @@ block is parameterized by a Hermitian generator (an unconstrained real vector),
 and a multi-restart coordinate pattern search climbs the gain of the local mode
 measure of one system after conjugating two copies of the state. It reads only
 the gap-j stripe of that marginal, from cached per-block products, so a move
-recomputes only the block it changes.
+recomputes only the block it changes. The restarts run in lockstep, so one
+stacked evaluation per coordinate step serves all of them.
 The objective is a smooth composition except at singular-value crossings, so a
 derivative-free method avoids subgradient bookkeeping at these sizes.
 """
@@ -35,6 +36,9 @@ CONVERGENCE_TOLERANCE = 1e-9
 #: largest supported local dimension; the parameter count grows as the sum of
 #: squared degeneracies (44 real parameters at dimension 4)
 MAX_LOCAL_DIM = 4
+
+#: the +step and -step candidates of a coordinate, in the order they are tried
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -93,30 +97,38 @@ def _hermitian_layout(n: int) -> np.ndarray:
 
 
 def _hermitian_from_params(n: int, params: np.ndarray) -> np.ndarray:
-    upper = params[n::2] + 1j * params[n + 1 :: 2]
-    return np.concatenate((params[:n], upper, upper.conj()))[_hermitian_layout(n)]
+    """Hermitian n x n generators from the last axis of ``params``; leading axes are stack axes."""
+    upper = params[..., n::2] + 1j * params[..., n + 1 :: 2]
+    return np.concatenate((params[..., :n], upper, upper.conj()), axis=-1)[..., _hermitian_layout(n)]
 
 
 def _exp_ih(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for Hermitian h; closed forms below 3x3, eigendecomposition above."""
-    n = h.shape[0]
+    """exp(i h) for a stack of Hermitian h; closed forms below 3x3, eigendecomposition above.
+
+    Each matrix of a stack comes out bit for bit as it would alone. For that
+    the 2x2 form takes |b|^2 as re^2 + im^2 (the complex product b b* is fused
+    differently on arrays) and sin(r)/r as a real quotient (complex / real
+    multiplies by a reciprocal).
+    """
+    n = h.shape[-1]
     if n == 1:
-        return np.array([[np.exp(1j * h[0, 0].real)]])
+        return np.exp(1j * h.real)
     if n == 2:
-        mean = (h[0, 0].real + h[1, 1].real) / 2.0
-        delta = (h[0, 0].real - h[1, 1].real) / 2.0
-        b = h[0, 1]
-        r = math.sqrt(delta * delta + (b * b.conjugate()).real)
-        if r == 0.0:
-            core = np.eye(2, dtype=complex)
-        else:
-            s = 1j * math.sin(r) / r
-            core = np.array(
-                [[math.cos(r) + s * delta, s * b], [s * b.conjugate(), math.cos(r) - s * delta]]
-            )
-        return np.exp(1j * mean) * core
+        a, c, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
+        mean, delta = (a + c) / 2.0, (a - c) / 2.0
+        r = np.sqrt(delta * delta + (b.real * b.real + b.imag * b.imag))
+        zero = r == 0.0
+        s = 1j * (np.sin(r) / np.where(zero, 1.0, r))
+        cos = np.cos(r)
+        core = np.empty(h.shape, dtype=complex)
+        core[..., 0, 0] = cos + s * delta
+        core[..., 0, 1] = s * b
+        core[..., 1, 0] = s * b.conj()
+        core[..., 1, 1] = cos - s * delta
+        core[zero] = np.eye(2)
+        return np.exp(1j * mean)[..., None, None] * core
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def parameterize_block(gen: BipartiteGenerator, eigenvalue_index: int, params) -> np.ndarray:
@@ -143,14 +155,15 @@ def random_allowed_unitary(gen: BipartiteGenerator, rng) -> AllowedUnitary:
 
 
 class _StripeObjective:
-    """Local gap-j gain over the block parameters, paid per moved block.
+    """Local gap-j gain over the block parameters of a stack of points, paid per moved block.
 
     The gain is ``modes._stripe_measure`` of U (rho x rho) U^dagger minus the
     input's measure. Its pair c involves blocks c + j and c only, so a move
     inside block b recomputes exp(i H_b) and the pairs b - j and b only.
 
-    ``start`` makes a point current; ``move`` evaluates the current point with
-    coordinate i changed, and ``accept`` makes that moved point current.
+    ``start`` makes the rows of x current, one point per row; ``move``
+    evaluates candidates that change one coordinate of some of those points,
+    and ``accept`` makes chosen candidates current.
     """
 
     def __init__(self, rho: DensityMatrix, gen: BipartiteGenerator, j: int) -> None:
@@ -159,69 +172,105 @@ class _StripeObjective:
         self.block_of = np.repeat(np.arange(len(self.sizes)), [n * n for n in self.sizes])
         self.pairs = _stripe_layout(gen.dim, j)
         self.blocks = _stripe_blocks(self.pairs, np.kron(rho.matrix, rho.matrix))
-        self.parts = np.zeros((len(self.pairs), gen.dim - j), dtype=complex)
+        self.width = gen.dim - j
         self.touched = [
             [c for c in (b - j, b) if 0 <= c < len(self.pairs)] for b in range(len(self.sizes))
         ]
+        # the blocks that share a touched pair with block b
+        self.partners = [
+            [c + j if c == b else c for c in touched] for b, touched in enumerate(self.touched)
+        ]
         self.baseline = _local_gap_measure(rho.matrix, j)
 
-    def unit(self, x: np.ndarray, b: int) -> np.ndarray:
-        n, first = self.sizes[b], self.offsets[b]
-        return _exp_ih(_hermitian_from_params(n, x[first : first + n * n]))
-
-    def start(self, x: np.ndarray) -> float:
-        self.units = [self.unit(x, b) for b in range(len(self.sizes))]
+    def start(self, x: np.ndarray) -> np.ndarray:
+        """Gains at the rows of x (points x parameters), which become current."""
+        self.units = [
+            _exp_ih(_hermitian_from_params(n, x[:, first : first + n * n]))
+            for n, first in zip(self.sizes, self.offsets)
+        ]
+        self.parts = np.zeros((len(x), len(self.pairs), self.width), dtype=complex)
         return _stripe_measure(self.pairs, self.units, self.blocks, self.parts) - self.baseline
 
-    def move(self, x: np.ndarray, i: int) -> float:
+    def move(self, x: np.ndarray, live: np.ndarray, i: int, trial: np.ndarray) -> np.ndarray:
+        """Gains at the points ``x[live]`` with coordinate i set to each row of ``trial``.
+
+        ``trial`` is (candidates, live points); so is the result.
+        """
         b = self.block_of[i]
-        units = self.units.copy()
-        units[b] = self.unit(x, b)
-        parts = self.parts.copy()
-        self.moved = units, parts
+        n, first = self.sizes[b], self.offsets[b]
+        params = x[live, first : first + n * n][None].repeat(len(trial), 0)
+        params[..., i - first] = trial
+        units = {k: self.units[k][live] for k in self.partners[b]}
+        units[b] = _exp_ih(_hermitian_from_params(n, params))
+        parts = self.parts[live][None].repeat(len(trial), 0)
+        self.moved = b, live, units[b], parts
         return _stripe_measure(self.pairs, units, self.blocks, parts, self.touched[b]) - self.baseline
 
-    def accept(self) -> None:
-        self.units, self.parts = self.moved
+    def accept(self, moved: np.ndarray, take: np.ndarray) -> None:
+        """Make candidate ``take[k]`` of moved point ``moved[k]`` (a place in ``live``) current."""
+        b, live, unit, parts = self.moved
+        self.units[b][live[moved]] = unit[take, moved]
+        self.parts[live[moved]] = parts[take, moved]
 
 
 def _pattern_search(objective: _StripeObjective, x0: np.ndarray, max_iters: int) -> tuple:
-    """Greedy coordinate search with geometric step decay on stall.
+    """Greedy coordinate search with geometric step decay on stall, one restart per row of x0.
 
-    ``max_iters`` counts objective evaluations. Only improving moves are taken,
-    so the final point is the best one. Returns it, its value, the best-so-far
-    curve (one entry per evaluation), the numbers of accepted moves and of
-    step shrinks, and why the search stopped.
+    The restarts run in lockstep: each walks the coordinates in the same order
+    sweep by sweep, so one stacked call evaluates the +step and -step
+    candidates of every live restart, and each then takes +, else -, else
+    nothing. ``max_iters`` counts a restart's evaluations as a restart run on
+    its own spends them: the - candidate counts only after + failed with
+    budget left. Only improving moves are taken, so each final point is its
+    restart's best. Returns the final values, the best-so-far curves (one
+    entry per evaluation; row r is valid up to its evaluation count), and per
+    restart the evaluation counts, accepted moves, step shrinks and why it
+    stopped.
     """
     x = x0.copy()
+    n_restarts, n_params = x.shape
     fx = objective.start(x)
-    curve = [fx]
-    accepted = shrinks = 0
-    step = INITIAL_STEP
-    while len(curve) < max_iters and step >= STEP_FLOOR:
-        improved = False
-        for i in range(x.size):
-            if len(curve) >= max_iters:
+    # written at the evaluations that moved only, then forward-filled; it grows
+    # a sweep ahead, so its size follows the evaluations made, not the budget
+    curve = fx[:, None].copy()
+    evals = np.ones(n_restarts, dtype=int)
+    accepted = np.zeros(n_restarts, dtype=int)
+    shrinks = np.zeros(n_restarts, dtype=int)
+    step = np.full(n_restarts, INITIAL_STEP)
+    live = np.flatnonzero(evals < max_iters)
+    while live.size:
+        swept = live
+        need = min(max_iters, int(evals.max()) + 2 * n_params)
+        if need > curve.shape[1]:
+            width = min(max_iters, max(need, 2 * curve.shape[1]))
+            curve = np.hstack((curve, np.full((n_restarts, width - curve.shape[1]), -np.inf)))
+        improved = np.zeros(n_restarts, dtype=bool)
+        for i in range(n_params):
+            xi, fl, spent = x[live, i], fx[live], evals[live]
+            trial = xi + _SIGNS * step[live]
+            f = objective.move(x, live, i, trial)
+            plus = f[0] > fl
+            tried = ~plus & (spent + 1 < max_iters)
+            minus = tried & (f[1] > fl)
+            moved = np.flatnonzero(plus | minus)
+            take = minus[moved].astype(int)
+            objective.accept(moved, take)
+            rows = live[moved]
+            x[rows, i] = trial[take, moved]
+            fx[rows] = f[take, moved]
+            curve[rows, spent[moved] + take] = fx[rows]
+            evals[live] = spent + 1 + tried
+            accepted[rows] += 1
+            improved[rows] = True
+            live = live[evals[live] < max_iters]
+            if not live.size:
                 break
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] += sign * step
-                fc = objective.move(cand, i)
-                if fc > fx:
-                    objective.accept()
-                    x, fx = cand, fc
-                    accepted += 1
-                    improved = True
-                    curve.append(fx)
-                    break
-                curve.append(fx)
-                if len(curve) >= max_iters:
-                    break
-        if not improved:
-            step *= STEP_DECAY
-            shrinks += 1
-    reason = "eval budget" if len(curve) >= max_iters else "step floor"
-    return x, fx, curve, accepted, shrinks, reason
+        stalled = swept[~improved[swept]]
+        step[stalled] *= STEP_DECAY
+        shrinks[stalled] += 1
+        live = live[step[live] >= STEP_FLOOR]
+    reasons = tuple("eval budget" if n >= max_iters else "step floor" for n in evals)
+    return fx, np.maximum.accumulate(curve, axis=1), evals, accepted, shrinks, reasons
 
 
 def maximize_delta_m(
@@ -249,33 +298,20 @@ def maximize_delta_m(
     n_params = int(objective.offsets[-1])
 
     rng = as_rng(cfg.seed)
-    best = None
-    history, reasons = [], []
-    evals = accepted = shrinks = 0
-    for restart in range(cfg.restarts):
-        if restart == 0:
-            x0 = np.zeros(n_params)
-        else:
-            x0 = rng.uniform(-math.pi, math.pi, n_params)
-        x, fx, curve, n_accepted, n_shrinks, reason = _pattern_search(objective, x0, cfg.max_iters)
-        history.append(fx)
-        reasons.append(reason)
-        evals += len(curve)
-        accepted += n_accepted
-        shrinks += n_shrinks
-        if best is None or fx > best[1]:
-            best = x, fx, curve
-    best_x, best_f, best_curve = best
-    blocks = tuple(objective.unit(best_x, c) for c in range(gen.n_eigenvalues))
+    x0 = np.zeros((cfg.restarts, n_params))
+    x0[1:] = rng.uniform(-math.pi, math.pi, (cfg.restarts - 1, n_params))
+    fx, curve, evals, accepted, shrinks, reasons = _pattern_search(objective, x0, cfg.max_iters)
+    best = int(np.argmax(fx))
+    best_curve = curve[best, : evals[best]]
     stable_from = int(0.8 * (len(best_curve) - 1))
-    converged = (best_curve[-1] - best_curve[stable_from]) <= CONVERGENCE_TOLERANCE
+    converged = bool(best_curve[-1] - best_curve[stable_from] <= CONVERGENCE_TOLERANCE)
     return SearchOutcome(
-        best_delta_m=float(best_f),
-        best_unitary=AllowedUnitary(gen, blocks),
-        history=tuple(history),
+        best_delta_m=float(fx[best]),
+        best_unitary=AllowedUnitary(gen, tuple(u[best] for u in objective.units)),
+        history=tuple(fx.tolist()),
         converged=converged,
-        evals=evals,
-        accepted=accepted,
-        step_shrinks=shrinks,
-        stop_reasons=tuple(reasons),
+        evals=int(evals.sum()),
+        accepted=int(accepted.sum()),
+        step_shrinks=int(shrinks.sum()),
+        stop_reasons=reasons,
     )

@@ -2,7 +2,12 @@
 
 Everything here is implemented from first principles with plain numpy loops
 or textbook algorithms, deliberately avoiding the package's own code paths.
+The one exception is ``sequential_search``: it drives the search oracle's own
+objective one restart at a time, as a reference for the lockstep loop's
+bookkeeping rather than for its kernels.
 """
+
+import math
 
 import numpy as np
 
@@ -111,3 +116,96 @@ def two_copy_step(nx: float, nz: float) -> tuple:
     big = u @ np.kron(rho, rho) @ u.conj().T
     red = big.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
     return float(2.0 * red[0, 1].real), float(2.0 * red[0, 0].real - 1.0)
+
+
+def _sequential_restart(objective, x0: np.ndarray, max_iters: int) -> tuple:
+    """One restart of the greedy coordinate search: -step counts only after +step failed.
+
+    Both candidates of a coordinate come from one ``move`` call, as in the
+    package: a lone candidate would send one-element products through
+    another numpy loop, which rounds differently.
+    """
+    from coherence_lab.optimizer import INITIAL_STEP, STEP_DECAY, STEP_FLOOR
+
+    only = np.zeros(1, dtype=int)
+    x = x0.copy()
+    fx = objective.start(x[None])[0]
+    curve = [fx]
+    accepted = shrinks = 0
+    step = INITIAL_STEP
+    while len(curve) < max_iters and step >= STEP_FLOOR:
+        improved = False
+        for i in range(x.size):
+            if len(curve) >= max_iters:
+                break
+            trial = np.array([[x[i] + step], [x[i] - step]])
+            values = objective.move(x[None], only, i, trial)[:, 0]
+            for k in (0, 1):
+                if values[k] > fx:
+                    objective.accept(only, np.array([k]))
+                    x = x.copy()
+                    x[i], fx = trial[k, 0], values[k]
+                    accepted += 1
+                    improved = True
+                    curve.append(fx)
+                    break
+                curve.append(fx)
+                if len(curve) >= max_iters:
+                    break
+        if not improved:
+            step *= STEP_DECAY
+            shrinks += 1
+    reason = "eval budget" if len(curve) >= max_iters else "step floor"
+    return x, fx, curve, accepted, shrinks, reason
+
+
+def sequential_search(rho, op, index: int, config) -> tuple:
+    """``maximize_delta_m`` run one restart after another on a stack of one point.
+
+    Returns the ``SearchOutcome`` and each restart's evaluation count. The best
+    unitary is rebuilt from the best point's parameters, not taken from the
+    objective's cache.
+    """
+    from coherence_lab.optimizer import (
+        CONVERGENCE_TOLERANCE,
+        SearchOutcome,
+        _exp_ih,
+        _hermitian_from_params,
+        _StripeObjective,
+    )
+    from coherence_lab.states import AllowedUnitary, BipartiteGenerator
+
+    gen = BipartiteGenerator(op)
+    objective = _StripeObjective(rho, gen, index)
+    n_params = int(objective.offsets[-1])
+    rng = np.random.default_rng(config.seed)
+    best = None
+    history, reasons, evals = [], [], []
+    accepted = shrinks = 0
+    for restart in range(config.restarts):
+        x0 = np.zeros(n_params) if restart == 0 else rng.uniform(-math.pi, math.pi, n_params)
+        x, fx, curve, n_accepted, n_shrinks, reason = _sequential_restart(objective, x0, config.max_iters)
+        history.append(float(fx))
+        reasons.append(reason)
+        evals.append(len(curve))
+        accepted += n_accepted
+        shrinks += n_shrinks
+        if best is None or fx > best[1]:
+            best = x, fx, curve
+    best_x, best_f, best_curve = best
+    blocks = tuple(
+        _exp_ih(_hermitian_from_params(n, best_x[first : first + n * n]))
+        for n, first in zip(objective.sizes, objective.offsets)
+    )
+    stable_from = int(0.8 * (len(best_curve) - 1))
+    outcome = SearchOutcome(
+        best_delta_m=float(best_f),
+        best_unitary=AllowedUnitary(gen, blocks),
+        history=tuple(history),
+        converged=bool(best_curve[-1] - best_curve[stable_from] <= CONVERGENCE_TOLERANCE),
+        evals=sum(evals),
+        accepted=accepted,
+        step_shrinks=shrinks,
+        stop_reasons=tuple(reasons),
+    )
+    return outcome, evals

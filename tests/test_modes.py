@@ -5,6 +5,7 @@ import oracles
 from coherence_lab import linalg
 from coherence_lab.errors import StateValidationError, UnsupportedParameterError
 from coherence_lab.modes import (
+    MODE_PRESENCE_THRESHOLD,
     ModeOperator,
     _stripe_layout,
     bipartite_mode,
@@ -129,6 +130,32 @@ class TestBipartiteMode:
         for j in range(1, 5):
             assert np.all(bipartite_mode(pair, GEN3, j).op == 0)
         assert bipartite_mode_set(pair, GEN3) == {0}
+
+    def test_mode_set_matches_trace_norm_definition(self):
+        def by_trace_norm(rho_ab, gen):
+            return {
+                j
+                for j in range(2 * gen.dim - 1)
+                if linalg.trace_norm(bipartite_mode(rho_ab, gen, j).op) > MODE_PRESENCE_THRESHOLD
+            }
+
+        rng = np.random.default_rng(27)
+        cases = []
+        for d in (1, 2, 3, 4):
+            gen = BipartiteGenerator(NumberOperator(d))
+            for rank in range(1, d * d + 1, max(1, d)):
+                cases.append((random_density_matrix(d * d, rank, rng), gen))
+        cases += [(isotropic_state(p), GEN2) for p in (0.0, 0.3, 1.0)]
+        psi = np.zeros(9)
+        psi[[0, 8]] = 1.0 / np.sqrt(2.0)
+        for p in (0.0, 0.4, 1.0):
+            cases.append((DensityMatrix(p * np.outer(psi, psi) + (1.0 - p) * np.eye(9) / 9.0), GEN3))
+        seen = set()
+        for rho_ab, gen in cases:
+            present = bipartite_mode_set(rho_ab, gen)
+            assert present == by_trace_norm(rho_ab, gen)
+            seen.add(frozenset(present))
+        assert {frozenset({0}), frozenset({0, 2}), frozenset({0, 4})} <= seen
 
     def test_qutrit_pair_mode_two_documented_pattern(self):
         rng = np.random.default_rng(5)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from coherence_lab import linalg
+from coherence_lab import linalg, optimizer
 from coherence_lab.errors import UnsupportedParameterError
 from coherence_lab.modes import mode_measure
 from coherence_lab.optimizer import (
     STEP_FLOOR,
     SearchOutcome,
     UnitarySearchConfig,
+    _exp_ih,
     _hermitian_from_params,
     maximize_delta_m,
     parameterize_block,
@@ -20,6 +21,7 @@ from coherence_lab.qubit_protocol import optimal_concentration
 from coherence_lab.sampling import random_bloch, random_density_matrix
 from coherence_lab.states import (
     BipartiteGenerator,
+    BlochState,
     DensityMatrix,
     NumberOperator,
     bloch_to_density,
@@ -56,6 +58,21 @@ class TestParameterizeBlock:
         with pytest.raises(ValueError, match="expected 4 parameters"):
             parameterize_block(GEN2, 1, [0.0, 0.0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_exponential_matches_row_by_row_bitwise(self, n):
+        rng = np.random.default_rng(40 + n)
+        params = rng.uniform(-3, 3, (2, 6, n * n))
+        params[0, 0] = 0.0
+        # diagonal only: at n = 2 both give r = 0 in the closed form
+        params[0, 1, n:] = 0.0
+        params[1, 2, :n] = params[1, 2, 0]
+        params[1, 2, n:] = 0.0
+        stacked = _exp_ih(_hermitian_from_params(n, params))
+        assert stacked.shape == (2, 6, n, n)
+        for idx in np.ndindex(2, 6):
+            alone = _exp_ih(_hermitian_from_params(n, params[idx]))
+            assert stacked[idx].tobytes() == alone.tobytes()
+
 
 class TestGeneratorBuild:
     def test_index_arrays_match_loop_reference_bitwise(self):
@@ -65,6 +82,15 @@ class TestGeneratorBuild:
                 params = rng.uniform(-3, 3, n * n)
                 expected = oracles.hermitian_from_params_loops(n, params)
                 np.testing.assert_array_equal(_hermitian_from_params(n, params), expected)
+
+    def test_stack_matches_loop_reference_bitwise(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 5):
+            params = rng.uniform(-3, 3, (2, 3, n * n))
+            stacked = _hermitian_from_params(n, params)
+            for idx in np.ndindex(2, 3):
+                expected = oracles.hermitian_from_params_loops(n, params[idx])
+                assert stacked[idx].tobytes() == expected.tobytes()
 
 
 class TestConfigValidation:
@@ -166,6 +192,65 @@ class TestTelemetry:
                 outcome = maximize_delta_m(rho, NumberOperator(3), j, cfg)
                 assert outcome.stop_reasons == ("eval budget",) * 4
                 assert outcome.evals == 4 * 600
+
+
+# (local dimension, restarts, max_iters): every restart count 1-8 and every
+# budget at each dimension; the small budgets end restarts on a failed +step
+# with no evaluation, or exactly one, left for the -step
+LOCKSTEP_CASES = [
+    (2, 1, 1), (2, 2, 2), (2, 3, 3), (2, 4, 7), (2, 5, 300), (2, 8, 2000),
+    (3, 6, 1), (3, 7, 2), (3, 8, 3), (3, 1, 7), (3, 2, 300), (3, 3, 2000),
+    (4, 5, 1), (4, 1, 2), (4, 2, 3), (4, 8, 7), (4, 4, 300), (4, 2, 2000),
+]
+
+
+def _assert_same_outcome(a: SearchOutcome, b: SearchOutcome) -> None:
+    assert a.best_delta_m == b.best_delta_m
+    assert a.history == b.history
+    assert (a.evals, a.accepted, a.step_shrinks) == (b.evals, b.accepted, b.step_shrinks)
+    assert a.stop_reasons == b.stop_reasons
+    assert a.converged is b.converged
+    for blk_a, blk_b in zip(a.best_unitary.blocks, b.best_unitary.blocks, strict=True):
+        assert blk_a.tobytes() == blk_b.tobytes()
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("case", range(len(LOCKSTEP_CASES)))
+    def test_matches_sequential_reference_bitwise(self, case):
+        d, restarts, max_iters = LOCKSTEP_CASES[case]
+        rng = np.random.default_rng(50 + case)
+        rho = random_density_matrix(d, 1 + case % d, rng)
+        j = 1 + case % (d - 1)
+        cfg = UnitarySearchConfig(restarts=restarts, max_iters=max_iters, seed=case)
+        expected, _ = oracles.sequential_search(rho, NumberOperator(d), j, cfg)
+        _assert_same_outcome(maximize_delta_m(rho, NumberOperator(d), j, cfg), expected)
+
+    def test_restarts_ending_at_floor_and_budget_match_reference(self):
+        rho = bloch_to_density(random_bloch(np.random.default_rng(40)))
+        cfg = UnitarySearchConfig(restarts=8, max_iters=600, seed=0)
+        outcome = maximize_delta_m(rho, NumberOperator(2), 1, cfg)
+        assert set(outcome.stop_reasons) == {"eval budget", "step floor"}
+        _assert_same_outcome(outcome, oracles.sequential_search(rho, NumberOperator(2), 1, cfg)[0])
+
+    def test_one_block_exponential_per_coordinate_step(self, monkeypatch):
+        # a restart-by-restart loop would call it once per evaluation of every restart
+        calls = []
+        original = optimizer._exp_ih
+        monkeypatch.setattr(optimizer, "_exp_ih", lambda h: calls.append(h.shape) or original(h))
+        rho = bloch_to_density(random_bloch(np.random.default_rng(41)))
+        cfg = UnitarySearchConfig(restarts=8, max_iters=2000, seed=1)
+        outcome = maximize_delta_m(rho, NumberOperator(2), 1, cfg)
+        monkeypatch.undo()
+        _, evals = oracles.sequential_search(rho, NumberOperator(2), 1, cfg)
+        assert outcome.evals == sum(evals)
+        assert len(calls) <= max(evals) + GEN2.n_eigenvalues
+
+    def test_budget_far_beyond_the_step_floor_allocates_nothing_up_front(self):
+        # every qubit restart reaches the step floor within a few thousand evaluations
+        rho = bloch_to_density(BlochState(0.3, 0.1, 0.5))
+        cfg = UnitarySearchConfig(restarts=8, max_iters=10**12, seed=0)
+        outcome = maximize_delta_m(rho, NumberOperator(2), 1, cfg)
+        assert outcome.stop_reasons == ("step floor",) * 8
 
 
 class TestDeterminism:
