@@ -21,7 +21,8 @@ from .modes import (
     _check_joint_dim,
     _check_local_index,
     _local_gap_measure,
-    _stripe_blocks,
+    _pair_blocks_layout,
+    _pair_spectra,
     _stripe_layout,
     bipartite_mode_set,
 )
@@ -64,21 +65,23 @@ class BoundReport:
 
 
 def _block_spectra(rho: DensityMatrix, op: NumberOperator, index: int) -> tuple:
-    """Both bounds and the baseline from one singular-value pass over the two-copy mode.
+    """Both bounds and the baseline from the block spectra of the two-copy mode.
 
     The eigenspace-pair blocks of the gap-``index`` mode of rho (x) rho sit on
     disjoint rows and columns, so the mode's singular values are exactly the
     union of the block singular values. Bound 2 sums each block's top values
     up to the block's own count of surviving positions; bound 1 is the top-k
-    sum of the union, with k the total count. Returns (bound1, bound2, baseline).
+    sum of the union, with k the total count. The blocks' zero padding adds
+    only zero values, and no count exceeds its block's smaller dimension, so
+    the padding changes neither sum. Returns (bound1, bound2, baseline).
     """
     _check_local_index(op, index, rho)
-    pairs = _stripe_layout(rho.dim, index)
+    gather, gaps = _pair_blocks_layout(rho.dim)
     # the product of two validated states is a valid state; no re-validation
-    spectra = [linalg.singular_values(b) for b in _stripe_blocks(pairs, np.kron(rho.matrix, rho.matrix))]
-    quotas = [span.stop - span.start for *_, span in pairs]
+    spectra = _pair_spectra(np.kron(rho.matrix, rho.matrix), gather[gaps == index])
+    quotas = [span.stop - span.start for *_, span in _stripe_layout(rho.dim, index)]
     quota_total = sum(float(values[:quota].sum()) for values, quota in zip(spectra, quotas))
-    global_total = float(np.sort(np.concatenate(spectra))[::-1][: sum(quotas)].sum())
+    global_total = float(np.sort(spectra, axis=None)[::-1][: sum(quotas)].sum())
     baseline = _local_gap_measure(rho.matrix, index)
     return global_total - baseline, quota_total - baseline, baseline
 

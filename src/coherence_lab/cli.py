@@ -225,10 +225,10 @@ def cmd_concat(p: dict, seed: int, out_dir: str) -> list:
             name = f"concat_nx{nx:g}_nz{nz:g}.csv"
             # step m consumes 2^m copies; the exponent is written, since past
             # step 14,284 the integer 2^m exceeds Python's int-to-str digit limit
-            rows = [
+            rows = (
                 (m, state.nx, state.nz, m, abs(state.nx), ceiling)
                 for m, state in enumerate(trace.steps)
-            ]
+            )
             _write_csv(
                 os.path.join(out_dir, name),
                 ("step", "n_x", "n_z", "log2_copies", "m1", "purity_ceiling"),
@@ -360,7 +360,7 @@ def cmd_amplify(p: dict, seed: int, out_dir: str) -> list:
     ratio = final / initial
     threshold = 2.0 ** (-eps) * math.sqrt(2.0**layers)
     name = f"amplify_N{layers}.csv"
-    rows = [(m, state.nx, state.nz, m, abs(state.nx)) for m, state in enumerate(trace.steps)]
+    rows = ((m, state.nx, state.nz, m, abs(state.nx)) for m, state in enumerate(trace.steps))
     _write_csv(os.path.join(out_dir, name), ("step", "n_x", "n_z", "log2_copies", "m1"), rows)
     summary = {
         "layers": layers,
@@ -448,14 +448,16 @@ def main(argv=None) -> int:
 
     Each parameter is its flag, else its ``--config`` entry, else its default
     (for ``seed``, ``$COHERENCE_LAB_SEED`` first), through its converter; a
-    value the converter rejects exits 1 naming the parameter. ``cmd_*`` gets
-    the resolved dict, writes its outputs into the output directory and
-    returns their names; the manifest echoes the same dict.
+    value the converter rejects, or a config key that names no parameter,
+    exits 1 naming it. ``cmd_*`` gets the resolved dict, writes its outputs
+    into the output directory and returns their names; the manifest echoes it.
     """
     args = build_parser().parse_args(argv)
     func, _, params = COMMANDS[args.command]
     try:
         config = _load_config(args.config)
+        if unknown := sorted(set(config) - {name for name, *_ in (*params, *_COMMON)}):
+            raise StateValidationError(f"config keys that are not parameters of '{args.command}': {unknown}")
         p = {}
         for name, convert, default, _ in (*params, *_COMMON):
             if name == "seed":

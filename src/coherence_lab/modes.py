@@ -96,12 +96,14 @@ def _stripe_layout(d: int, index: int) -> tuple:
     Pair c is (c + index, upper, lower, rows, cols, span): the read-only tensor
     indices of eigenspaces c + index and c, the places ``rows`` and ``cols`` in
     them of the positions (|n + index, m>, |n, m>) with n + m = c that survive
-    the partial trace, and the n in ``span`` these feed. ``index`` runs over [0, d].
+    the partial trace, and the n in ``span`` these feed. ``index`` runs over
+    [0, 2d - 2]; from d on no position survives, and every slice is empty.
     """
     blocks = _generator_layout(d)[0]
     pairs = []
     for c in range(2 * d - 1 - index):
-        lo, hi = max(0, c - d + 1), min(d - 1 - index, c)
+        lo = max(0, c - d + 1)
+        hi = max(lo - 1, min(d - 1 - index, c))
         shift = index - max(0, c + index - d + 1)
         rows, cols = slice(lo + shift, hi + 1 + shift), slice(0, hi + 1 - lo)
         pairs.append((c + index, blocks[c + index], blocks[c], rows, cols, slice(lo, hi + 1)))
@@ -166,11 +168,11 @@ def _pair_blocks_layout(d: int) -> tuple:
     """Where to gather every eigenspace-pair block X_{c+g,c} of a d^2 x d^2 matrix, and its gap g.
 
     Block k of ``joint.ravel()`` appended with one zero is ``flat[index[k]]``,
-    zero-padded to d x d; padding adds only zero singular values.
+    zero-padded to d x d; padding adds only zero singular values. Blocks run
+    over g, then c, as in ``_stripe_layout(d, g)``; ``_pair_spectra`` reads them.
     """
-    blocks = _generator_layout(d)[0]
     n = d * d
-    pairs = [(g, blocks[c + g], blocks[c]) for g in range(len(blocks)) for c in range(len(blocks) - g)]
+    pairs = [(g, upper, lower) for g in range(2 * d - 1) for _, upper, lower, *_ in _stripe_layout(d, g)]
     index = np.full((len(pairs), d, d), n * n)
     for k, (_, rows, cols) in enumerate(pairs):
         index[k, : rows.size, : cols.size] = rows[:, None] * n + cols
@@ -180,9 +182,12 @@ def _pair_blocks_layout(d: int) -> tuple:
     return index, gaps
 
 
-def bipartite_mode_set(
-    rho_ab: DensityMatrix, gen: BipartiteGenerator, threshold: float = MODE_PRESENCE_THRESHOLD
-) -> set:
+def _pair_spectra(joint: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """One stacked SVD: row k is block ``index[k]``'s values, decreasing and zero-padded to d."""
+    return np.linalg.svd(np.append(joint.ravel(), 0.0)[index], compute_uv=False)
+
+
+def bipartite_mode_set(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> set:
     """Non-negative total-gap indices present in a two-system state.
 
     The eigenspace-pair blocks X_{c+g,c} of the gap-g component have disjoint
@@ -191,9 +196,8 @@ def bipartite_mode_set(
     """
     _check_joint_dim(rho_ab, gen)
     index, gaps = _pair_blocks_layout(gen.dim)
-    stack = np.append(rho_ab.matrix.ravel(), 0.0)[index]
-    norms = np.bincount(gaps, np.linalg.svd(stack, compute_uv=False).sum(-1))
-    return {g for g, norm in enumerate(norms) if norm > threshold}
+    norms = np.bincount(gaps, _pair_spectra(rho_ab.matrix, index).sum(-1))
+    return {g for g, norm in enumerate(norms) if norm > MODE_PRESENCE_THRESHOLD}
 
 
 def vin_projector(gen: BipartiteGenerator, index: int) -> int:
@@ -205,16 +209,6 @@ def vin_projector(gen: BipartiteGenerator, index: int) -> int:
     return (gen.dim - index) * gen.dim
 
 
-def vin_block_dim(gen: BipartiteGenerator, index: int, c: int) -> int:
-    """Number of surviving positions whose column ket |n, m> has n + m = c.
-
-    Read from the stripe layout; an eigenvalue with no pair (c + index, c) has none.
-    """
-    _check_local_index(gen.local, index)
-    pairs = _stripe_layout(gen.dim, index)
-    return pairs[c][-1].stop - pairs[c][-1].start if 0 <= c < len(pairs) else 0
-
-
 def lrd_decompose(mode: ModeOperator, gen: BipartiteGenerator) -> list:
     """Split a bipartite mode into its eigenspace-pair restrictions, as (c, block) pairs.
 
@@ -222,11 +216,11 @@ def lrd_decompose(mode: ModeOperator, gen: BipartiteGenerator) -> list:
     in the one with eigenvalue c; under a block-diagonal unitary each block
     transforms on its own as V_{c+index} (block) V_c^dagger. The blocks cover
     every entry of the mode exactly once; stacking them back into their
-    row/column positions reassembles the mode.
+    row/column positions reassembles the mode. A negative index reads the
+    pairs of gap -index transposed.
     """
     _check_joint_dim(mode, gen)
-    n, j = gen.n_eigenvalues, mode.index
-    return [
-        (c, mode.op[np.ix_(gen.block_indices(c + j), gen.block_indices(c))])
-        for c in range(max(0, -j), min(n, n - j))
-    ]
+    pairs = _stripe_layout(gen.dim, abs(mode.index))
+    if mode.index < 0:
+        return [(up, mode.op[np.ix_(lower, upper)]) for up, upper, lower, *_ in pairs]
+    return [(c, mode.op[np.ix_(upper, lower)]) for c, (_, upper, lower, *_) in enumerate(pairs)]

@@ -181,11 +181,6 @@ class BipartiteGenerator:
         """Tensor-basis indices spanning the eigenvalue-c subspace, ordered by first index."""
         return _generator_layout(self.local.dim)[0][c].copy()
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The total operator as a dense (d^2 x d^2) matrix."""
-        return np.diag(self.index_eigenvalues).astype(complex)
-
 
 @dataclass(frozen=True, eq=False)
 class AllowedUnitary:

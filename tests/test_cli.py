@@ -294,6 +294,9 @@ class TestNogo:
         (["concat", "--nz", ","], "--config", {}, "nz"),
         (["bound-compare"], "--config", {"ranks": []}, "ranks"),
         (["concat"], "--config", {"nx": []}, "nx"),
+        # a key that is not a parameter of the command
+        (["amplify", "--steps", "3"], "--config", {"stepz": 3}, "stepz"),
+        (["nogo", "--p", "0.5"], "--config", {"nx": [0.1]}, "nx"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):

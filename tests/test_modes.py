@@ -13,7 +13,6 @@ from coherence_lab.modes import (
     lrd_decompose,
     mode_component,
     mode_measure,
-    vin_block_dim,
     vin_projector,
 )
 from coherence_lab.optimizer import random_allowed_unitary
@@ -239,17 +238,6 @@ class TestVinProjector:
     def test_qutrit_middle_mode(self):
         assert vin_projector(GEN3, 1) == 6
 
-    def test_block_counts_sum_to_total(self):
-        for gen in (GEN2, GEN3, BipartiteGenerator(NumberOperator(4))):
-            for j in range(1, gen.dim):
-                per_block = sum(
-                    vin_block_dim(gen, j, c) for c in range(gen.n_eigenvalues)
-                )
-                assert per_block == vin_projector(gen, j)
-                for c in range(gen.n_eigenvalues):
-                    brute = sum(1 for n in range(gen.dim - j) if 0 <= c - n < gen.dim)
-                    assert vin_block_dim(gen, j, c) == brute
-
     def test_out_of_range(self):
         with pytest.raises(UnsupportedParameterError, match="outside the local range"):
             vin_projector(GEN3, 3)
@@ -267,17 +255,26 @@ class TestStripeLayout:
                     idx[0] = 99
 
     def test_surviving_positions_sum_to_vin_projector(self):
-        for gen in (GEN2, GEN3, BipartiteGenerator(NumberOperator(4))):
-            d = gen.dim
-            for j in range(1, d):
+        for d in range(1, 6):
+            gen = BipartiteGenerator(NumberOperator(d))
+            for j in range(2 * d - 1):
                 pairs = _stripe_layout(d, j)
-                assert sum(span.stop - span.start for *_, span in pairs) == vin_projector(gen, j)
+                assert len(pairs) == 2 * d - 1 - j
                 for c, (up, upper, lower, rows, cols, span) in enumerate(pairs):
                     assert up == c + j
+                    # n in [0, d - 1 - j] with m = c - n in [0, d - 1]
+                    brute = sum(1 for n in range(d - j) if 0 <= c - n < d)
+                    assert span.stop - span.start == brute
+                    assert len(upper[rows]) == len(lower[cols]) == brute
                     ns = range(span.start, span.stop)
                     # (|n + j, m>, |n, m>) with m = c - n, as tensor indices
                     assert list(upper[rows]) == [(n + j) * d + c - n for n in ns]
                     assert list(lower[cols]) == [n * d + c - n for n in ns]
+                total = sum(span.stop - span.start for *_, span in pairs)
+                if 1 <= j < d:
+                    assert total == vin_projector(gen, j)
+                elif j >= d:
+                    assert total == 0
 
 
 class TestLrdDecomposition:

@@ -1,0 +1,32 @@
+"""Every public name in the package is used by something other than its own unit tests."""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "coherence_lab").glob("*.py"))
+#: places a name may be used from besides the package itself
+USERS = [ROOT / "README.md", *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+
+
+def _public_definitions(path: pathlib.Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def test_no_public_name_is_used_only_by_tests():
+    src_text = "\n".join(path.read_text(encoding="utf-8") for path in SOURCES)
+    user_text = "\n".join(path.read_text(encoding="utf-8") for path in USERS)
+    unused = []
+    for path in SOURCES:
+        for name in _public_definitions(path):
+            word = re.compile(rf"\b{name}\b")
+            # the definition itself is one occurrence in src/
+            if len(word.findall(src_text)) < 2 and not word.search(user_text):
+                unused.append(f"{path.stem}.{name}")
+    assert not unused, f"public names used only by their tests: {unused}"
