@@ -238,6 +238,21 @@ class TestVinProjector:
     def test_qutrit_middle_mode(self):
         assert vin_projector(GEN3, 1) == 6
 
+    def test_block_counts_sum_to_total(self):
+        for d in range(1, 6):
+            gen = BipartiteGenerator(NumberOperator(d))
+            for j in range(1, d):
+                pairs = _stripe_layout(d, j)
+                # blocks past the last surviving pair hold no positions
+                counts = [
+                    pairs[c][-1].stop - pairs[c][-1].start if c < len(pairs) else 0
+                    for c in range(gen.n_eigenvalues)
+                ]
+                assert sum(counts) == vin_projector(gen, j)
+                for c in range(gen.n_eigenvalues):
+                    brute = sum(1 for n in range(d - j) if 0 <= c - n < d)
+                    assert counts[c] == brute
+
     def test_out_of_range(self):
         with pytest.raises(UnsupportedParameterError, match="outside the local range"):
             vin_projector(GEN3, 3)
