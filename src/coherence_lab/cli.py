@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, linalg
 from .bounds import _nogo_verdict, bound_report, marginal_product_distance
 from .errors import StateValidationError, UnsupportedParameterError
-from .modes import _local_gap_measure, _stripe_blocks, _stripe_layout, _stripe_measure, bipartite_mode_set
+from .modes import _local_gap_measure, _padded_units, _stripe_blocks, _stripe_measure, bipartite_mode_set
 from .optimizer import UnitarySearchConfig, maximize_delta_m, random_allowed_unitary
 from .qubit_protocol import (
     amplification_state,
@@ -196,6 +196,9 @@ def cmd_concentrate(p: dict, seed: int, out_dir: str) -> list:
         }
         report["bound_report"] = rep.to_json()
         print(f"optimizer delta_m: {outcome.best_delta_m:.6e}")
+        stationary = outcome.stop_reasons.count("stationary")
+        print(f"search: {outcome.evals} evaluations, restarts {stationary} stationary, "
+              f"{cfg.restarts - stationary} at eval budget, final gradient norm {outcome.grad_norm:.3e}")
         print(f"bound1: {rep.bound1:.6e}  bound2: {rep.bound2:.6e}  tighter: {rep.tighter}")
         if rho.dim == 2:
             result = optimal_concentration(rho)
@@ -328,14 +331,12 @@ def cmd_nogo(p: dict, seed: int, out_dir: str) -> list:
     gen = BipartiteGenerator(NumberOperator(local_dim))
     verdict, modes_present, distance = _mode_structure(rho, gen)
     before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, local_dim, local_dim), 1)
-    pairs = _stripe_layout(local_dim, 1)
-    blocks = _stripe_blocks(pairs, rho.matrix)
-    parts = np.zeros((len(pairs), local_dim - 1), dtype=complex)
+    blocks = _stripe_blocks(rho.matrix, local_dim, 1)
     rng = np.random.default_rng(seed)
     max_gain = -math.inf
     for _ in range(samples):
         u = random_allowed_unitary(gen, rng)
-        max_gain = max(max_gain, float(_stripe_measure(pairs, u.blocks, blocks, parts)) - before)
+        max_gain = max(max_gain, float(_stripe_measure(_padded_units(u.blocks, local_dim), blocks, 1)[0]) - before)
     report = {
         "source": source,
         "verdict": verdict,

@@ -110,24 +110,71 @@ def _stripe_layout(d: int, index: int) -> tuple:
     return tuple(pairs)
 
 
-def _stripe_blocks(pairs: tuple, joint: np.ndarray) -> list:
-    """The eigenspace-pair blocks X_{c+j,c} of a joint matrix, one per pair."""
-    return [joint[np.ix_(upper, lower)] for _, upper, lower, *_ in pairs]
+@functools.cache
+def _stripe_positions(d: int, index: int) -> np.ndarray:
+    """Where the terms of z_n sit in the flattened padded pair products of the gap-``index`` stripe.
 
-
-def _stripe_measure(pairs: tuple, units, blocks, parts: np.ndarray, touched=None) -> np.ndarray:
-    """Gap-j measure of the first marginal of U X U^dagger, U block diagonal over ``units``.
-
-    Row c of ``parts`` (..., pairs, d - j) holds pair c's share of the stripe:
-    z_n sums (U_{c+j} X_{c+j,c} U_c^dagger)[(n + j, m), (n, m)] over m = c - n.
-    Only the rows ``touched`` (default all) are rewritten. Leading axes of
-    ``units`` and ``parts`` are stack axes, one measure per stacked unitary.
+    Row n lists, for m = 0..d-1, the place in (pairs, d, d) of the entry
+    ((n + index, m), (n, m)) of pair c = n + m; every place appears once.
     """
-    for c in range(len(pairs)) if touched is None else touched:
-        up, _, _, rows, cols, span = pairs[c]
-        product = (units[up][..., rows, :] @ blocks[c]) * units[c][..., cols, :].conj()
-        parts[..., c, span] = product.sum(-1)
-    return np.abs(parts.sum(-2)).sum(-1)
+    where = np.empty((max(d - index, 0), d), dtype=int)
+    for c, (*_, rows, cols, span) in enumerate(_stripe_layout(d, index)):
+        for k, n in enumerate(range(span.start, span.stop)):
+            where[n, c - n] = (c * d + rows.start + k) * d + cols.start + k
+    where.setflags(write=False)
+    return where
+
+
+@functools.cache
+def _block_mask(d: int) -> np.ndarray:
+    """Where each eigenspace block b sits in a padded (2d - 1, d, d) stack: its top-left n_b x n_b corner."""
+    inside = np.arange(d) < np.array([idx.size for idx in _generator_layout(d)[0]])[:, None]
+    mask = inside[:, :, None] & inside[:, None, :]
+    mask.setflags(write=False)
+    return mask
+
+
+def _padded_units(units, d: int) -> np.ndarray:
+    """Block unitaries (..., n_b, n_b) as one (..., 2d - 1, d, d) stack, identity outside each block."""
+    lead = np.shape(units[0])[:-2]
+    padded = np.broadcast_to(np.eye(d, dtype=complex), (*lead, len(units), d, d)).copy()
+    padded[..., _block_mask(d)] = np.concatenate([np.reshape(u, (*lead, -1)) for u in units], -1)
+    return padded
+
+
+def _stripe_blocks(joint: np.ndarray, d: int, index: int) -> np.ndarray:
+    """The eigenspace-pair blocks X_{c+index,c} of a joint matrix, zero-padded to (pairs, d, d)."""
+    where, gaps = _pair_blocks_layout(d)
+    return np.append(joint.ravel(), 0.0)[where[gaps == index]]
+
+
+def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
+    """Gap-``index`` measure f of the first marginal of U X U^dagger, and its gradient per block.
+
+    ``units`` are padded block unitaries (``_padded_units``), whose leading
+    axes are stack axes; ``blocks`` are ``_stripe_blocks``. With
+    A_c = U_{c+j} X_c U_c^dagger, z_n sums A's entries at row n of
+    ``_stripe_positions`` and f = sum_n |z_n|. W_c holds conj(z_n) / |z_n| at
+    those places (0 where z_n = 0). Under U_b <- exp(i eps K) U_b, f rises by
+    eps tr(G_b K) to first order, with the Hermitian
+    G_b = herm(i A_{b-j} W_{b-j}^T) - herm(i W_b^T A_b). Products of padded
+    blocks vanish outside each block, and so does G. z_n adds its terms in order,
+    which ``sum(-1)`` does not at d = 4, so each point is the same bits in any stack.
+    """
+    pairs = len(blocks)
+    a = units[..., index : index + pairs, :, :] @ blocks @ units[..., :pairs, :, :].conj().swapaxes(-1, -2)
+    flat = a.reshape(*a.shape[:-3], -1)
+    where = _stripe_positions(units.shape[-1], index)
+    terms = flat[..., where.T]
+    z = sum((terms[..., k, :] for k in range(1, where.shape[1])), terms[..., 0, :])
+    size = np.abs(z)
+    w = np.zeros_like(flat)
+    w[..., where] = (z.conj() / np.where(size > 0.0, size, 1.0))[..., None]
+    wt = w.reshape(a.shape).swapaxes(-1, -2)
+    grad = np.zeros(units.shape, dtype=complex)
+    grad[..., index : index + pairs, :, :] = 1j * (a @ wt)
+    grad[..., :pairs, :, :] -= 1j * (wt @ a)
+    return size.sum(-1), (grad + grad.conj().swapaxes(-1, -2)) / 2
 
 
 def mode_component(rho: DensityMatrix, op: NumberOperator, index: int) -> ModeOperator:
@@ -169,7 +216,8 @@ def _pair_blocks_layout(d: int) -> tuple:
 
     Block k of ``joint.ravel()`` appended with one zero is ``flat[index[k]]``,
     zero-padded to d x d; padding adds only zero singular values. Blocks run
-    over g, then c, as in ``_stripe_layout(d, g)``; ``_pair_spectra`` reads them.
+    over g, then c, as in ``_stripe_layout(d, g)``; ``_pair_spectra`` and
+    ``_stripe_blocks`` read them.
     """
     n = d * d
     pairs = [(g, upper, lower) for g in range(2 * d - 1) for _, upper, lower, *_ in _stripe_layout(d, g)]

@@ -1,14 +1,15 @@
-"""Derivative-free maximization of the local coherence gain over block-diagonal unitaries.
+"""Riemannian gradient ascent of the local coherence gain over block-diagonal unitaries.
 
-This is the ground-truth oracle at small dimension: each degenerate eigenspace
-block is parameterized by a Hermitian generator (an unconstrained real vector),
-and a multi-restart coordinate pattern search climbs the gain of the local mode
-measure of one system after conjugating two copies of the state. It reads only
-the gap-j stripe of that marginal, from cached per-block products, so a move
-recomputes only the block it changes. The restarts run in lockstep, so one
-stacked evaluation per coordinate step serves all of them.
-The objective is a smooth composition except at singular-value crossings, so a
-derivative-free method avoids subgradient bookkeeping at these sizes.
+This is the ground-truth oracle at small dimension. The gain is the local
+mode measure of one system after conjugating two copies of the state by a
+unitary with one free block per degenerate eigenspace, read from the gap-j
+stripe of that marginal (``modes._stripe_measure``), which also gives its
+gradient per block in closed form. Each restart climbs along the product of
+block unitary groups, U_b <- exp(i alpha G_b) U_b (Abrudan, Eriksson &
+Koivunen, IEEE TSP 56, 2008), with Barzilai-Borwein steps guarded by a
+non-monotone Armijo test. The restarts run in lockstep, so one stacked
+exponential and one stacked value-and-gradient call per iteration serve all
+of them.
 """
 
 from __future__ import annotations
@@ -20,25 +21,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedParameterError
-from .modes import _check_local_index, _local_gap_measure, _stripe_blocks, _stripe_layout, _stripe_measure
+from .modes import (
+    _block_mask,
+    _check_local_index,
+    _local_gap_measure,
+    _padded_units,
+    _stripe_blocks,
+    _stripe_measure,
+)
 from .sampling import as_rng, haar_unitary
 from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator
 
-#: first coordinate step of every restart
-INITIAL_STEP = 0.5
-#: factor applied to the step after a sweep that improves no coordinate
-STEP_DECAY = 0.5
-#: search stops refining below this coordinate step
-STEP_FLOOR = 1e-8
-#: largest rise of the best value over the last fifth of the evaluations that
-#: still counts as converged
-CONVERGENCE_TOLERANCE = 1e-9
+#: first step of every restart
+FIRST_STEP = 1.0
+#: Barzilai-Borwein steps are clipped to this range
+STEP_RANGE = (1e-6, 1e6)
+#: a rejected trial divides the step by this factor
+BACKTRACK = 4.0
+#: a trial is accepted when it rises this much per unit of step times squared
+#: gradient norm above the lowest of the restart's recent accepted values
+ARMIJO_RISE = 1e-4
+#: how many of the last accepted values the Armijo test looks back over
+ARMIJO_MEMORY = 10
+#: a restart stops as stationary once its squared gradient norm falls below this
+STATIONARY = 1e-16
 #: largest supported local dimension; the parameter count grows as the sum of
 #: squared degeneracies (44 real parameters at dimension 4)
 MAX_LOCAL_DIM = 4
-
-#: the +step and -step candidates of a coordinate, in the order they are tried
-_SIGNS = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -60,10 +69,12 @@ class UnitarySearchConfig:
 class SearchOutcome:
     """Best gain found, the unitary achieving it, per-restart bests, and run telemetry.
 
-    ``evals``, ``accepted`` and ``step_shrinks`` total the objective
-    evaluations, accepted moves and step shrinks over all restarts;
-    ``stop_reasons`` says per restart whether it spent its evaluation budget
-    ("eval budget") or refined its step below ``STEP_FLOOR`` ("step floor").
+    ``evals``, ``accepted`` and ``backtracks`` total the objective
+    evaluations, accepted steps and rejected trials over all restarts;
+    ``stop_reasons`` says per restart whether it reached a stationary point
+    ("stationary") or spent its evaluation budget ("eval budget"), and
+    ``grad_norm`` is the gradient norm at the best restart's last point.
+    ``converged`` is True exactly when the best restart stopped stationary.
     """
 
     best_delta_m: float
@@ -72,8 +83,9 @@ class SearchOutcome:
     converged: bool
     evals: int = 0
     accepted: int = 0
-    step_shrinks: int = 0
+    backtracks: int = 0
     stop_reasons: tuple = ()
+    grad_norm: float = 0.0
 
     def __post_init__(self) -> None:
         if self.best_delta_m < -1e-12:
@@ -154,123 +166,54 @@ def random_allowed_unitary(gen: BipartiteGenerator, rng) -> AllowedUnitary:
     return AllowedUnitary(gen, blocks)
 
 
-class _StripeObjective:
-    """Local gap-j gain over the block parameters of a stack of points, paid per moved block.
+def _inner(g: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Frobenius inner products tr(G K), summed over the blocks, of stacks of Hermitian block sets."""
+    return (g.real * k.real + g.imag * k.imag).sum((-3, -2, -1))
 
-    The gain is ``modes._stripe_measure`` of U (rho x rho) U^dagger minus the
-    input's measure. Its pair c involves blocks c + j and c only, so a move
-    inside block b recomputes exp(i H_b) and the pairs b - j and b only.
 
-    ``start`` makes the rows of x current, one point per row; ``move``
-    evaluates candidates that change one coordinate of some of those points,
-    and ``accept`` makes chosen candidates current.
+def _ascend(objective, units: np.ndarray, max_iters: int) -> tuple:
+    """Lockstep gradient ascent from each row of ``units`` (restarts x padded blocks).
+
+    ``objective`` maps a stack of padded block unitaries to values and
+    gradients. Every live restart tries U_b <- exp(i alpha G_b) U_b in one
+    stacked call. A trial is accepted when its value reaches the lowest of the
+    restart's last ``ARMIJO_MEMORY`` accepted values plus
+    ``ARMIJO_RISE`` alpha |G|^2; the next step is then the Barzilai-Borwein
+    <s, s> / <s, y> with s = alpha G_old and y = G_old - G_new, clipped to
+    ``STEP_RANGE`` (its upper end when <s, y> <= 0). A rejected trial divides
+    alpha by ``BACKTRACK``. The start and every trial count as one evaluation;
+    a restart stops once |G|^2 < ``STATIONARY`` or its budget is spent. The
+    ascent is not monotone, so each restart keeps its best point. Returns per
+    restart the best blocks, accepted steps, rejected trials, stop reasons and
+    final gradient norms.
     """
-
-    def __init__(self, rho: DensityMatrix, gen: BipartiteGenerator, j: int) -> None:
-        self.sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
-        self.offsets = np.concatenate(([0], np.cumsum([n * n for n in self.sizes])))
-        self.block_of = np.repeat(np.arange(len(self.sizes)), [n * n for n in self.sizes])
-        self.pairs = _stripe_layout(gen.dim, j)
-        self.blocks = _stripe_blocks(self.pairs, np.kron(rho.matrix, rho.matrix))
-        self.width = gen.dim - j
-        self.touched = [
-            [c for c in (b - j, b) if 0 <= c < len(self.pairs)] for b in range(len(self.sizes))
-        ]
-        # the blocks that share a touched pair with block b
-        self.partners = [
-            [c + j if c == b else c for c in touched] for b, touched in enumerate(self.touched)
-        ]
-        self.baseline = _local_gap_measure(rho.matrix, j)
-
-    def start(self, x: np.ndarray) -> np.ndarray:
-        """Gains at the rows of x (points x parameters), which become current."""
-        self.units = [
-            _exp_ih(_hermitian_from_params(n, x[:, first : first + n * n]))
-            for n, first in zip(self.sizes, self.offsets)
-        ]
-        self.parts = np.zeros((len(x), len(self.pairs), self.width), dtype=complex)
-        return _stripe_measure(self.pairs, self.units, self.blocks, self.parts) - self.baseline
-
-    def move(self, x: np.ndarray, live: np.ndarray, i: int, trial: np.ndarray) -> np.ndarray:
-        """Gains at the points ``x[live]`` with coordinate i set to each row of ``trial``.
-
-        ``trial`` is (candidates, live points); so is the result.
-        """
-        b = self.block_of[i]
-        n, first = self.sizes[b], self.offsets[b]
-        params = x[live, first : first + n * n][None].repeat(len(trial), 0)
-        params[..., i - first] = trial
-        units = {k: self.units[k][live] for k in self.partners[b]}
-        units[b] = _exp_ih(_hermitian_from_params(n, params))
-        parts = self.parts[live][None].repeat(len(trial), 0)
-        self.moved = b, live, units[b], parts
-        return _stripe_measure(self.pairs, units, self.blocks, parts, self.touched[b]) - self.baseline
-
-    def accept(self, moved: np.ndarray, take: np.ndarray) -> None:
-        """Make candidate ``take[k]`` of moved point ``moved[k]`` (a place in ``live``) current."""
-        b, live, unit, parts = self.moved
-        self.units[b][live[moved]] = unit[take, moved]
-        self.parts[live[moved]] = parts[take, moved]
-
-
-def _pattern_search(objective: _StripeObjective, x0: np.ndarray, max_iters: int) -> tuple:
-    """Greedy coordinate search with geometric step decay on stall, one restart per row of x0.
-
-    The restarts run in lockstep: each walks the coordinates in the same order
-    sweep by sweep, so one stacked call evaluates the +step and -step
-    candidates of every live restart, and each then takes +, else -, else
-    nothing. ``max_iters`` counts a restart's evaluations as a restart run on
-    its own spends them: the - candidate counts only after + failed with
-    budget left. Only improving moves are taken, so each final point is its
-    restart's best. Returns the final values, the best-so-far curves (one
-    entry per evaluation; row r is valid up to its evaluation count), and per
-    restart the evaluation counts, accepted moves, step shrinks and why it
-    stopped.
-    """
-    x = x0.copy()
-    n_restarts, n_params = x.shape
-    fx = objective.start(x)
-    # written at the evaluations that moved only, then forward-filled; it grows
-    # a sweep ahead, so its size follows the evaluations made, not the budget
-    curve = fx[:, None].copy()
-    evals = np.ones(n_restarts, dtype=int)
-    accepted = np.zeros(n_restarts, dtype=int)
-    shrinks = np.zeros(n_restarts, dtype=int)
-    step = np.full(n_restarts, INITIAL_STEP)
-    live = np.flatnonzero(evals < max_iters)
-    while live.size:
-        swept = live
-        need = min(max_iters, int(evals.max()) + 2 * n_params)
-        if need > curve.shape[1]:
-            width = min(max_iters, max(need, 2 * curve.shape[1]))
-            curve = np.hstack((curve, np.full((n_restarts, width - curve.shape[1]), -np.inf)))
-        improved = np.zeros(n_restarts, dtype=bool)
-        for i in range(n_params):
-            xi, fl, spent = x[live, i], fx[live], evals[live]
-            trial = xi + _SIGNS * step[live]
-            f = objective.move(x, live, i, trial)
-            plus = f[0] > fl
-            tried = ~plus & (spent + 1 < max_iters)
-            minus = tried & (f[1] > fl)
-            moved = np.flatnonzero(plus | minus)
-            take = minus[moved].astype(int)
-            objective.accept(moved, take)
-            rows = live[moved]
-            x[rows, i] = trial[take, moved]
-            fx[rows] = f[take, moved]
-            curve[rows, spent[moved] + take] = fx[rows]
-            evals[live] = spent + 1 + tried
-            accepted[rows] += 1
-            improved[rows] = True
-            live = live[evals[live] < max_iters]
-            if not live.size:
-                break
-        stalled = swept[~improved[swept]]
-        step[stalled] *= STEP_DECAY
-        shrinks[stalled] += 1
-        live = live[step[live] >= STEP_FLOOR]
-    reasons = tuple("eval budget" if n >= max_iters else "step floor" for n in evals)
-    return fx, np.maximum.accumulate(curve, axis=1), evals, accepted, shrinks, reasons
+    mask, eye = _block_mask(units.shape[-1]), np.eye(units.shape[-1])
+    value, grad = objective(units)
+    norm2 = _inner(grad, grad)
+    best, best_units = value.copy(), units.copy()
+    recent = np.repeat(value[:, None], ARMIJO_MEMORY, axis=1)
+    step = np.full(len(units), FIRST_STEP)
+    accepted, backtracks = np.zeros((2, len(units)), dtype=int)
+    live = np.arange(len(units))
+    while (live := live[(norm2[live] >= STATIONARY) & (accepted[live] + backtracks[live] + 1 < max_iters)]).size:
+        alpha, g = step[live], grad[live]
+        trial = np.where(mask, _exp_ih(alpha[:, None, None, None] * g), eye) @ units[live]
+        t_value, t_grad = objective(trial)
+        ok = t_value >= recent[live].min(1) + ARMIJO_RISE * alpha * norm2[live]
+        rows, took = live[ok], np.flatnonzero(ok)
+        curvature = _inner(g[took], g[took] - t_grad[took])
+        bb = np.divide(alpha[took] * norm2[rows], curvature, out=np.full(took.size, np.inf), where=curvature > 0)
+        step[rows] = np.clip(bb, *STEP_RANGE)
+        units[rows], value[rows], grad[rows] = trial[took], t_value[took], t_grad[took]
+        norm2[rows] = _inner(grad[rows], grad[rows])
+        recent[rows, accepted[rows] % ARMIJO_MEMORY] = value[rows]
+        accepted[rows] += 1
+        up = rows[value[rows] > best[rows]]
+        best[up], best_units[up] = value[up], units[up]
+        step[live[~ok]] /= BACKTRACK
+        backtracks[live[~ok]] += 1
+    reasons = tuple("stationary" if n < STATIONARY else "eval budget" for n in norm2)
+    return best_units, accepted, backtracks, reasons, np.sqrt(norm2)
 
 
 def maximize_delta_m(
@@ -283,7 +226,8 @@ def maximize_delta_m(
 
     The objective reads the gap-``index`` stripe of the first-system marginal
     of the conjugated two-copy state and differences its measure against the
-    input's. The identity (all-zero parameters) seeds the first restart, so
+    input's. Restart r > 0 starts from exp(i H_b) with each generator's
+    parameters uniform in [-pi, pi]; the identity seeds the first restart, so
     the result is never below zero beyond roundoff.
     """
     cfg = config or UnitarySearchConfig()
@@ -294,24 +238,30 @@ def maximize_delta_m(
             f"search supports local dimension up to {MAX_LOCAL_DIM}, got {d}"
         )
     gen = BipartiteGenerator(op)
-    objective = _StripeObjective(rho, gen, index)
-    n_params = int(objective.offsets[-1])
+    sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
+    offsets = np.cumsum([0] + [n * n for n in sizes])
 
     rng = as_rng(cfg.seed)
-    x0 = np.zeros((cfg.restarts, n_params))
-    x0[1:] = rng.uniform(-math.pi, math.pi, (cfg.restarts - 1, n_params))
-    fx, curve, evals, accepted, shrinks, reasons = _pattern_search(objective, x0, cfg.max_iters)
-    best = int(np.argmax(fx))
-    best_curve = curve[best, : evals[best]]
-    stable_from = int(0.8 * (len(best_curve) - 1))
-    converged = bool(best_curve[-1] - best_curve[stable_from] <= CONVERGENCE_TOLERANCE)
+    x0 = np.zeros((cfg.restarts, int(offsets[-1])))
+    x0[1:] = rng.uniform(-math.pi, math.pi, (cfg.restarts - 1, int(offsets[-1])))
+    starts = [_exp_ih(_hermitian_from_params(n, x0[:, o : o + n * n])) for n, o in zip(sizes, offsets)]
+    blocks = _stripe_blocks(np.kron(rho.matrix, rho.matrix), d, index)
+    objective = functools.partial(_stripe_measure, blocks=blocks, index=index)
+    units, accepted, backtracks, reasons, norms = _ascend(objective, _padded_units(starts, d), cfg.max_iters)
+    # a product of many exponentials drifts off the unitary group by a few ulp,
+    # which the best value would pick up; report each best point's polar factor
+    w, _, vh = np.linalg.svd(units)
+    units = np.where(_block_mask(d), w @ vh, np.eye(d))
+    gains = objective(units)[0] - _local_gap_measure(rho.matrix, index)
+    top = int(np.argmax(gains))
     return SearchOutcome(
-        best_delta_m=float(fx[best]),
-        best_unitary=AllowedUnitary(gen, tuple(u[best] for u in objective.units)),
-        history=tuple(fx.tolist()),
-        converged=converged,
-        evals=int(evals.sum()),
+        best_delta_m=float(gains[top]),
+        best_unitary=AllowedUnitary(gen, tuple(units[top, b, :n, :n] for b, n in enumerate(sizes))),
+        history=tuple(gains.tolist()),
+        converged=reasons[top] == "stationary",
+        evals=int(len(reasons) + accepted.sum() + backtracks.sum()),
         accepted=int(accepted.sum()),
-        step_shrinks=int(shrinks.sum()),
+        backtracks=int(backtracks.sum()),
         stop_reasons=reasons,
+        grad_norm=float(norms[top]),
     )

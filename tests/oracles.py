@@ -3,7 +3,7 @@
 Everything here is implemented from first principles with plain numpy loops
 or textbook algorithms, deliberately avoiding the package's own code paths.
 The one exception is ``sequential_search``: it drives the search oracle's own
-objective one restart at a time, as a reference for the lockstep loop's
+kernels one restart at a time, as a reference for the lockstep loop's
 bookkeeping rather than for its kernels.
 """
 
@@ -118,94 +118,116 @@ def two_copy_step(nx: float, nz: float) -> tuple:
     return float(2.0 * red[0, 1].real), float(2.0 * red[0, 0].real - 1.0)
 
 
-def _sequential_restart(objective, x0: np.ndarray, max_iters: int) -> tuple:
-    """One restart of the greedy coordinate search: -step counts only after +step failed.
+def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
+    """One restart of the gradient ascent from padded blocks ``unit``, kept on a stack of one point.
 
-    Both candidates of a coordinate come from one ``move`` call, as in the
-    package: a lone candidate would send one-element products through
-    another numpy loop, which rounds differently.
+    The step rule is written out with scalars: a Barzilai-Borwein step after
+    each accepted trial, a division by the backtracking factor after each
+    rejected one, and the Armijo test against the last accepted values held
+    in a bounded deque.
     """
-    from coherence_lab.optimizer import INITIAL_STEP, STEP_DECAY, STEP_FLOOR
+    from collections import deque
 
-    only = np.zeros(1, dtype=int)
-    x = x0.copy()
-    fx = objective.start(x[None])[0]
-    curve = [fx]
-    accepted = shrinks = 0
-    step = INITIAL_STEP
-    while len(curve) < max_iters and step >= STEP_FLOOR:
-        improved = False
-        for i in range(x.size):
-            if len(curve) >= max_iters:
-                break
-            trial = np.array([[x[i] + step], [x[i] - step]])
-            values = objective.move(x[None], only, i, trial)[:, 0]
-            for k in (0, 1):
-                if values[k] > fx:
-                    objective.accept(only, np.array([k]))
-                    x = x.copy()
-                    x[i], fx = trial[k, 0], values[k]
-                    accepted += 1
-                    improved = True
-                    curve.append(fx)
-                    break
-                curve.append(fx)
-                if len(curve) >= max_iters:
-                    break
-        if not improved:
-            step *= STEP_DECAY
-            shrinks += 1
-    reason = "eval budget" if len(curve) >= max_iters else "step floor"
-    return x, fx, curve, accepted, shrinks, reason
+    from coherence_lab.modes import _block_mask
+    from coherence_lab.optimizer import (
+        ARMIJO_MEMORY,
+        ARMIJO_RISE,
+        BACKTRACK,
+        FIRST_STEP,
+        STATIONARY,
+        STEP_RANGE,
+        _exp_ih,
+        _inner,
+    )
+
+    mask, eye = _block_mask(unit.shape[-1]), np.eye(unit.shape[-1])
+    unit = unit[None]
+    value, grad = objective(unit)
+    norm2 = _inner(grad, grad)[0]
+    best, best_unit = value[0], unit
+    recent = deque([value[0]] * ARMIJO_MEMORY, maxlen=ARMIJO_MEMORY)
+    step = np.array([FIRST_STEP])
+    evals, accepted, backtracks = 1, 0, 0
+    while norm2 >= STATIONARY and evals < max_iters:
+        trial = np.where(mask, _exp_ih(step[:, None, None, None] * grad), eye) @ unit
+        t_value, t_grad = objective(trial)
+        evals += 1
+        if t_value[0] >= min(recent) + ARMIJO_RISE * step[0] * norm2:
+            curvature = _inner(grad, grad - t_grad)[0]
+            if curvature > 0:
+                step = np.array([min(max(step[0] * norm2 / curvature, STEP_RANGE[0]), STEP_RANGE[1])])
+            else:
+                step = np.array([STEP_RANGE[1]])
+            unit, value, grad = trial, t_value, t_grad
+            norm2 = _inner(grad, grad)[0]
+            recent.append(value[0])
+            accepted += 1
+            if value[0] > best:
+                best, best_unit = value[0], unit
+        else:
+            step = step / BACKTRACK
+            backtracks += 1
+    reason = "stationary" if norm2 < STATIONARY else "eval budget"
+    return best_unit[0], evals, accepted, backtracks, reason, math.sqrt(norm2)
 
 
 def sequential_search(rho, op, index: int, config) -> tuple:
-    """``maximize_delta_m`` run one restart after another on a stack of one point.
+    """``maximize_delta_m`` run one restart after another, each on a stack of one point.
 
-    Returns the ``SearchOutcome`` and each restart's evaluation count. The best
-    unitary is rebuilt from the best point's parameters, not taken from the
-    objective's cache.
+    Returns the ``SearchOutcome`` and each restart's evaluation count.
     """
-    from coherence_lab.optimizer import (
-        CONVERGENCE_TOLERANCE,
-        SearchOutcome,
-        _exp_ih,
-        _hermitian_from_params,
-        _StripeObjective,
+    import functools
+
+    from coherence_lab.modes import (
+        _block_mask,
+        _local_gap_measure,
+        _padded_units,
+        _stripe_blocks,
+        _stripe_measure,
     )
+    from coherence_lab.optimizer import SearchOutcome, _exp_ih, _hermitian_from_params
     from coherence_lab.states import AllowedUnitary, BipartiteGenerator
 
+    d = rho.dim
     gen = BipartiteGenerator(op)
-    objective = _StripeObjective(rho, gen, index)
-    n_params = int(objective.offsets[-1])
+    sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
+    n_params = sum(n * n for n in sizes)
+    blocks = _stripe_blocks(np.kron(rho.matrix, rho.matrix), d, index)
+    objective = functools.partial(_stripe_measure, blocks=blocks, index=index)
+    baseline = _local_gap_measure(rho.matrix, index)
     rng = np.random.default_rng(config.seed)
     best = None
     history, reasons, evals = [], [], []
-    accepted = shrinks = 0
+    accepted = backtracks = 0
     for restart in range(config.restarts):
         x0 = np.zeros(n_params) if restart == 0 else rng.uniform(-math.pi, math.pi, n_params)
-        x, fx, curve, n_accepted, n_shrinks, reason = _sequential_restart(objective, x0, config.max_iters)
-        history.append(float(fx))
+        starts, first = [], 0
+        for n in sizes:
+            starts.append(_exp_ih(_hermitian_from_params(n, x0[first : first + n * n])))
+            first += n * n
+        unit, n_evals, n_accepted, n_backtracks, reason, norm = _sequential_ascent(
+            objective, _padded_units(starts, d), config.max_iters
+        )
+        w, _, vh = np.linalg.svd(unit)
+        unit = np.where(_block_mask(d), w @ vh, np.eye(d))
+        gain = float(objective(unit[None])[0][0] - baseline)
+        history.append(gain)
         reasons.append(reason)
-        evals.append(len(curve))
+        evals.append(n_evals)
         accepted += n_accepted
-        shrinks += n_shrinks
-        if best is None or fx > best[1]:
-            best = x, fx, curve
-    best_x, best_f, best_curve = best
-    blocks = tuple(
-        _exp_ih(_hermitian_from_params(n, best_x[first : first + n * n]))
-        for n, first in zip(objective.sizes, objective.offsets)
-    )
-    stable_from = int(0.8 * (len(best_curve) - 1))
+        backtracks += n_backtracks
+        if best is None or gain > best[0]:
+            best = gain, unit, reason, norm
+    gain, unit, reason, norm = best
     outcome = SearchOutcome(
-        best_delta_m=float(best_f),
-        best_unitary=AllowedUnitary(gen, blocks),
+        best_delta_m=gain,
+        best_unitary=AllowedUnitary(gen, tuple(unit[b, :n, :n] for b, n in enumerate(sizes))),
         history=tuple(history),
-        converged=bool(best_curve[-1] - best_curve[stable_from] <= CONVERGENCE_TOLERANCE),
+        converged=reason == "stationary",
         evals=sum(evals),
         accepted=accepted,
-        step_shrinks=shrinks,
+        backtracks=backtracks,
         stop_reasons=tuple(reasons),
+        grad_norm=norm,
     )
     return outcome, evals

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -46,11 +47,18 @@ def _read_csv(path):
 
 
 class TestConcentrate:
-    def test_qubit_report(self, tmp_path):
+    def test_qubit_report(self, tmp_path, capsys):
         state = _qubit_state_file(tmp_path)
         out = tmp_path / "out"
         assert main(["concentrate", "--state", state, "--seed", "0", "--out", str(out)]) == 0
+        # the search telemetry goes to stdout only, never into the report
+        assert re.search(
+            r"^search: \d+ evaluations, restarts 8 stationary, 0 at eval budget, final gradient norm \S+$",
+            capsys.readouterr().out,
+            re.M,
+        )
         report = json.load(open(out / "concentrate_report.json"))
+        assert set(report["optimizer"]) == {"best_delta_m", "converged"}
         assert report["closed_form"]["delta_m"] == pytest.approx(0.028062484748656982, abs=1e-15)
         assert report["closed_form"]["simulated_delta_m"] == pytest.approx(
             report["closed_form"]["delta_m"], abs=1e-10

@@ -7,7 +7,11 @@ from coherence_lab.errors import StateValidationError, UnsupportedParameterError
 from coherence_lab.modes import (
     MODE_PRESENCE_THRESHOLD,
     ModeOperator,
+    _block_mask,
+    _padded_units,
+    _stripe_blocks,
     _stripe_layout,
+    _stripe_measure,
     bipartite_mode,
     bipartite_mode_set,
     lrd_decompose,
@@ -15,7 +19,7 @@ from coherence_lab.modes import (
     mode_measure,
     vin_projector,
 )
-from coherence_lab.optimizer import random_allowed_unitary
+from coherence_lab.optimizer import _exp_ih, random_allowed_unitary
 from coherence_lab.sampling import random_bloch, random_density_matrix
 from coherence_lab.states import (
     BipartiteGenerator,
@@ -290,6 +294,56 @@ class TestStripeLayout:
                     assert total == vin_projector(gen, j)
                 elif j >= d:
                     assert total == 0
+
+
+class TestStripeMeasure:
+    @staticmethod
+    def _setup(d, j, rng, stack=()):
+        gen = BipartiteGenerator(NumberOperator(d))
+        rho = random_density_matrix(d, d, rng)
+        joint = oracles.kron_loops(rho.matrix, rho.matrix)
+        units = [random_allowed_unitary(gen, rng) for _ in range(int(np.prod(stack)))]
+        padded = np.stack([_padded_units(u.blocks, d) for u in units]).reshape(*stack, 2 * d - 1, d, d)
+        return units, joint, padded, _stripe_blocks(joint, d, j)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_value_is_the_reduced_stripe_and_gradient_matches_central_differences(self, d):
+        rng = np.random.default_rng(60 + d)
+        mask = _block_mask(d)
+        for j in range(1, d):
+            (u,), joint, padded, blocks = self._setup(d, j, rng, (1,))
+            value, grad = _stripe_measure(padded[0], blocks, j)
+            reduced = oracles.partial_trace_b_loops(u.matrix @ joint @ u.matrix.conj().T, d, d)
+            assert value == pytest.approx(np.abs(np.diagonal(reduced, -j)).sum(), abs=1e-14)
+            assert np.all(grad[~mask] == 0)
+            np.testing.assert_allclose(grad, grad.conj().swapaxes(-1, -2), atol=1e-15)
+            for _ in range(3):
+                k = rng.normal(size=padded[0].shape) + 1j * rng.normal(size=padded[0].shape)
+                k = np.where(mask, k + k.conj().swapaxes(-1, -2), 0.0)
+                k /= np.linalg.norm(k)
+
+                def along(t):
+                    return _stripe_measure(np.where(mask, _exp_ih(t * k), np.eye(d)) @ padded[0], blocks, j)[0]
+
+                # five-point central difference along U_b <- exp(i t K_b) U_b
+                h = 1e-3
+                slope = (8 * (along(h) - along(-h)) - (along(2 * h) - along(-2 * h))) / (12 * h)
+                predicted = (grad.conj() * k).real.sum()
+                assert abs(slope - predicted) <= 1e-8 * abs(predicted)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_call_matches_points_called_alone(self, d):
+        rng = np.random.default_rng(70 + d)
+        for j in range(1, d):
+            _, _, padded, blocks = self._setup(d, j, rng, (2, 3))
+            values, grads = _stripe_measure(padded, blocks, j)
+            assert values.shape == (2, 3) and grads.shape == padded.shape
+            for idx in np.ndindex(2, 3):
+                # bit for bit, both for a lone point and for a stack of one
+                for alone, pick in ((padded[idx], ()), (padded[idx][None], 0)):
+                    value, grad = _stripe_measure(alone, blocks, j)
+                    assert values[idx] == value[pick]
+                    assert grads[idx].tobytes() == grad[pick].tobytes()
 
 
 class TestLrdDecomposition:
