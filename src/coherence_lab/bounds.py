@@ -23,7 +23,7 @@ from .modes import (
     _local_gap_measure,
     _pair_blocks_layout,
     _pair_spectra,
-    _stripe_layout,
+    _stripe_quotas,
     bipartite_mode_set,
 )
 from .states import BipartiteGenerator, DensityMatrix, NumberOperator
@@ -79,9 +79,9 @@ def _block_spectra(rho: DensityMatrix, op: NumberOperator, index: int) -> tuple:
     gather, gaps = _pair_blocks_layout(rho.dim)
     # the product of two validated states is a valid state; no re-validation
     spectra = _pair_spectra(np.kron(rho.matrix, rho.matrix), gather[gaps == index])
-    quotas = [span.stop - span.start for *_, span in _stripe_layout(rho.dim, index)]
+    quotas = _stripe_quotas(rho.dim, index)
     quota_total = sum(float(values[:quota].sum()) for values, quota in zip(spectra, quotas))
-    global_total = float(np.sort(spectra, axis=None)[::-1][: sum(quotas)].sum())
+    global_total = float(np.sort(spectra, axis=None)[::-1][: quotas.sum()].sum())
     baseline = _local_gap_measure(rho.matrix, index)
     return global_total - baseline, quota_total - baseline, baseline
 

@@ -259,10 +259,7 @@ def cmd_concat(p: dict, seed: int, out_dir: str) -> list:
 
 def cmd_field(p: dict, seed: int, out_dir: str) -> list:
     radial, angular = _converted(p["grid"], _grid, "parameter 'grid'")
-    rows = [
-        (state.nx, state.nz, delta[0], delta[1])
-        for state, delta in vector_field(radial, angular)
-    ]
+    rows = ((state.nx, state.nz, delta[0], delta[1]) for state, delta in vector_field(radial, angular))
     _write_csv(os.path.join(out_dir, "vector_field.csv"), ("n_x", "n_z", "dn_x", "dn_z"), rows)
     return ["vector_field.csv"]
 

@@ -90,48 +90,28 @@ def _check_joint_dim(joint, gen: BipartiteGenerator) -> None:
 
 
 @functools.cache
-def _stripe_layout(d: int, index: int) -> tuple:
-    """Eigenspace pairs (c + index, c) of the gap-``index`` stripe of two d-level systems.
-
-    Pair c is (c + index, upper, lower, rows, cols, span): the read-only tensor
-    indices of eigenspaces c + index and c, the places ``rows`` and ``cols`` in
-    them of the positions (|n + index, m>, |n, m>) with n + m = c that survive
-    the partial trace, and the n in ``span`` these feed. ``index`` runs over
-    [0, 2d - 2]; from d on no position survives, and every slice is empty.
-    """
-    blocks = _generator_layout(d)[0]
-    pairs = []
-    for c in range(2 * d - 1 - index):
-        lo = max(0, c - d + 1)
-        hi = max(lo - 1, min(d - 1 - index, c))
-        shift = index - max(0, c + index - d + 1)
-        rows, cols = slice(lo + shift, hi + 1 + shift), slice(0, hi + 1 - lo)
-        pairs.append((c + index, blocks[c + index], blocks[c], rows, cols, slice(lo, hi + 1)))
-    return tuple(pairs)
-
-
-@functools.cache
-def _stripe_positions(d: int, index: int) -> np.ndarray:
-    """Where the terms of z_n sit in the flattened padded pair products of the gap-``index`` stripe.
-
-    Row n lists, for m = 0..d-1, the place in (pairs, d, d) of the entry
-    ((n + index, m), (n, m)) of pair c = n + m; every place appears once.
-    """
-    where = np.empty((max(d - index, 0), d), dtype=int)
-    for c, (*_, rows, cols, span) in enumerate(_stripe_layout(d, index)):
-        for k, n in enumerate(range(span.start, span.stop)):
-            where[n, c - n] = (c * d + rows.start + k) * d + cols.start + k
-    where.setflags(write=False)
-    return where
-
-
-@functools.cache
 def _block_mask(d: int) -> np.ndarray:
-    """Where each eigenspace block b sits in a padded (2d - 1, d, d) stack: its top-left n_b x n_b corner."""
-    inside = np.arange(d) < np.array([idx.size for idx in _generator_layout(d)[0]])[:, None]
+    """Where each eigenspace block b sits in a padded (2d - 1, d, d) stack: at n with 0 <= b - n < d.
+
+    Row and column n of block b hold the ket |n, b - n>.
+    """
+    second = np.arange(2 * d - 1)[:, None] - np.arange(d)
+    inside = (0 <= second) & (second < d)
     mask = inside[:, :, None] & inside[:, None, :]
     mask.setflags(write=False)
     return mask
+
+
+@functools.cache
+def _stripe_quotas(d: int, index: int) -> np.ndarray:
+    """How many positions (|n + index, m>, |n, m>) of each stripe pair c survive the partial trace.
+
+    They are the n in [0, d - 1 - index] with m = c - n in [0, d - 1]: the
+    first d - index entries of the diagonal of block c's mask.
+    """
+    quotas = np.diagonal(_block_mask(d), axis1=1, axis2=2)[: 2 * d - 1 - index, : max(d - index, 0)].sum(1)
+    quotas.setflags(write=False)
+    return quotas
 
 
 def _padded_units(units, d: int) -> np.ndarray:
@@ -152,25 +132,25 @@ def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
     """Gap-``index`` measure f of the first marginal of U X U^dagger, and its gradient per block.
 
     ``units`` are padded block unitaries (``_padded_units``), whose leading
-    axes are stack axes; ``blocks`` are ``_stripe_blocks``. With
-    A_c = U_{c+j} X_c U_c^dagger, z_n sums A's entries at row n of
-    ``_stripe_positions`` and f = sum_n |z_n|. W_c holds conj(z_n) / |z_n| at
-    those places (0 where z_n = 0). Under U_b <- exp(i eps K) U_b, f rises by
+    axes are stack axes; ``blocks`` are ``_stripe_blocks``. Row and column n of
+    every padded block hold a ket of first-system level n, so with
+    A_c = U_{c+j} X_c U_c^dagger the marginal entry (n + j, n) is
+    z_n = sum_c A_c[n + j, n], and f = sum_n |z_n|. W holds conj(z_n) / |z_n|
+    at (n + j, n) (0 where z_n = 0). Under U_b <- exp(i eps K) U_b, f rises by
     eps tr(G_b K) to first order, with the Hermitian
-    G_b = herm(i A_{b-j} W_{b-j}^T) - herm(i W_b^T A_b). Products of padded
-    blocks vanish outside each block, and so does G. z_n adds its terms in order,
-    which ``sum(-1)`` does not at d = 4, so each point is the same bits in any stack.
+    G_b = herm(i A_{b-j} W^T) - herm(i W^T A_b). Products of padded blocks
+    vanish outside each block, and so does G. z_n adds its terms in order,
+    which ``sum`` over the pair axis does not at d = 4, so each point is the
+    same bits in any stack.
     """
-    pairs = len(blocks)
+    d, pairs = units.shape[-1], len(blocks)
     a = units[..., index : index + pairs, :, :] @ blocks @ units[..., :pairs, :, :].conj().swapaxes(-1, -2)
-    flat = a.reshape(*a.shape[:-3], -1)
-    where = _stripe_positions(units.shape[-1], index)
-    terms = flat[..., where.T]
-    z = sum((terms[..., k, :] for k in range(1, where.shape[1])), terms[..., 0, :])
+    stripe = np.diagonal(a, -index, -2, -1)
+    z = sum((stripe[..., c, :] for c in range(pairs)), np.zeros((*a.shape[:-3], max(d - index, 0)), complex))
     size = np.abs(z)
-    w = np.zeros_like(flat)
-    w[..., where] = (z.conj() / np.where(size > 0.0, size, 1.0))[..., None]
-    wt = w.reshape(a.shape).swapaxes(-1, -2)
+    wt = np.zeros((*a.shape[:-3], 1, d, d), dtype=complex)
+    level = np.arange(d - index)
+    wt[..., 0, level, level + index] = z.conj() / np.where(size > 0.0, size, 1.0)
     grad = np.zeros(units.shape, dtype=complex)
     grad[..., index : index + pairs, :, :] = 1j * (a @ wt)
     grad[..., :pairs, :, :] -= 1j * (wt @ a)
@@ -215,16 +195,17 @@ def _pair_blocks_layout(d: int) -> tuple:
     """Where to gather every eigenspace-pair block X_{c+g,c} of a d^2 x d^2 matrix, and its gap g.
 
     Block k of ``joint.ravel()`` appended with one zero is ``flat[index[k]]``,
-    zero-padded to d x d; padding adds only zero singular values. Blocks run
-    over g, then c, as in ``_stripe_layout(d, g)``; ``_pair_spectra`` and
-    ``_stripe_blocks`` read them.
+    padded as in ``_block_mask``: entry (n', n) is the coefficient of
+    (|n', c + g - n'>, |n, c - n>), or zero where either ket does not exist;
+    padding adds only zero singular values. Blocks run over g, then c;
+    ``_pair_spectra`` and ``_stripe_blocks`` read them.
     """
-    n = d * d
-    pairs = [(g, upper, lower) for g in range(2 * d - 1) for _, upper, lower, *_ in _stripe_layout(d, g)]
-    index = np.full((len(pairs), d, d), n * n)
-    for k, (_, rows, cols) in enumerate(pairs):
-        index[k, : rows.size, : cols.size] = rows[:, None] * n + cols
-    gaps = np.array([g for g, _, _ in pairs])
+    gaps, lows = np.array([(g, c) for g in range(2 * d - 1) for c in range(2 * d - 1 - g)]).T
+    uppers, inside = lows + gaps, np.diagonal(_block_mask(d), axis1=1, axis2=2)
+    # ket |n, b - n> of block b is tensor index n (d - 1) + b
+    kets = np.arange(d) * (d - 1)
+    gather = (kets + uppers[:, None])[:, :, None] * d * d + (kets + lows[:, None])[:, None, :]
+    index = np.where(inside[uppers][:, :, None] & inside[lows][:, None, :], gather, d**4)
     index.setflags(write=False)
     gaps.setflags(write=False)
     return index, gaps
@@ -268,7 +249,7 @@ def lrd_decompose(mode: ModeOperator, gen: BipartiteGenerator) -> list:
     pairs of gap -index transposed.
     """
     _check_joint_dim(mode, gen)
-    pairs = _stripe_layout(gen.dim, abs(mode.index))
+    blocks, gap = _generator_layout(gen.dim)[0], abs(mode.index)
     if mode.index < 0:
-        return [(up, mode.op[np.ix_(lower, upper)]) for up, upper, lower, *_ in pairs]
-    return [(c, mode.op[np.ix_(upper, lower)]) for c, (_, upper, lower, *_) in enumerate(pairs)]
+        return [(c + gap, mode.op[np.ix_(blocks[c], blocks[c + gap])]) for c in range(len(blocks) - gap)]
+    return [(c, mode.op[np.ix_(blocks[c + gap], blocks[c])]) for c in range(len(blocks) - gap)]

@@ -115,30 +115,10 @@ def _hermitian_from_params(n: int, params: np.ndarray) -> np.ndarray:
 
 
 def _exp_ih(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for a stack of Hermitian h; closed forms below 3x3, eigendecomposition above.
+    """exp(i h) for a stack of Hermitian h, from one eigendecomposition per matrix.
 
-    Each matrix of a stack comes out bit for bit as it would alone. For that
-    the 2x2 form takes |b|^2 as re^2 + im^2 (the complex product b b* is fused
-    differently on arrays) and sin(r)/r as a real quotient (complex / real
-    multiplies by a reciprocal).
+    Each matrix of a stack comes out bit for bit as it would alone.
     """
-    n = h.shape[-1]
-    if n == 1:
-        return np.exp(1j * h.real)
-    if n == 2:
-        a, c, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
-        mean, delta = (a + c) / 2.0, (a - c) / 2.0
-        r = np.sqrt(delta * delta + (b.real * b.real + b.imag * b.imag))
-        zero = r == 0.0
-        s = 1j * (np.sin(r) / np.where(zero, 1.0, r))
-        cos = np.cos(r)
-        core = np.empty(h.shape, dtype=complex)
-        core[..., 0, 0] = cos + s * delta
-        core[..., 0, 1] = s * b
-        core[..., 1, 0] = s * b.conj()
-        core[..., 1, 1] = cos - s * delta
-        core[zero] = np.eye(2)
-        return np.exp(1j * mean)[..., None, None] * core
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -251,12 +231,13 @@ def maximize_delta_m(
     # a product of many exponentials drifts off the unitary group by a few ulp,
     # which the best value would pick up; report each best point's polar factor
     w, _, vh = np.linalg.svd(units)
-    units = np.where(_block_mask(d), w @ vh, np.eye(d))
+    mask = _block_mask(d)
+    units = np.where(mask, w @ vh, np.eye(d))
     gains = objective(units)[0] - _local_gap_measure(rho.matrix, index)
     top = int(np.argmax(gains))
     return SearchOutcome(
         best_delta_m=float(gains[top]),
-        best_unitary=AllowedUnitary(gen, tuple(units[top, b, :n, :n] for b, n in enumerate(sizes))),
+        best_unitary=AllowedUnitary(gen, tuple(u[m].reshape(n, n) for u, m, n in zip(units[top], mask, sizes))),
         history=tuple(gains.tolist()),
         converged=reasons[top] == "stationary",
         evals=int(len(reasons) + accepted.sum() + backtracks.sum()),

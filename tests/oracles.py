@@ -39,6 +39,25 @@ def hermitian_from_params_loops(n: int, params: np.ndarray) -> np.ndarray:
     return h
 
 
+def expm_taylor(a: np.ndarray, terms: int = 30) -> np.ndarray:
+    """Matrix exponential by scaling and squaring: a truncated Taylor series of a / 2^s, squared s times.
+
+    s brings the 1-norm of a / 2^s to at most 1/2, where 30 terms leave a
+    truncation error far below double precision.
+    """
+    a = np.asarray(a, dtype=complex)
+    norm = max((sum(abs(a[r, c]) for r in range(a.shape[0])) for c in range(a.shape[1])), default=0.0)
+    squarings = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0.0 else 0
+    a = a / 2.0**squarings
+    out = term = np.eye(a.shape[0], dtype=complex)
+    for k in range(1, terms):
+        term = term @ a / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
 def density_to_json(rho) -> dict:
     """State-file form {"dim": d, "re": [[...]], "im": [[...]]} of a density matrix."""
     m = rho.matrix
@@ -221,7 +240,7 @@ def sequential_search(rho, op, index: int, config) -> tuple:
     gain, unit, reason, norm = best
     outcome = SearchOutcome(
         best_delta_m=gain,
-        best_unitary=AllowedUnitary(gen, tuple(unit[b, :n, :n] for b, n in enumerate(sizes))),
+        best_unitary=AllowedUnitary(gen, tuple(u[m].reshape(n, n) for u, m, n in zip(unit, _block_mask(d), sizes))),
         history=tuple(history),
         converged=reason == "stationary",
         evals=sum(evals),

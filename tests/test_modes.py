@@ -9,9 +9,10 @@ from coherence_lab.modes import (
     ModeOperator,
     _block_mask,
     _padded_units,
+    _pair_blocks_layout,
     _stripe_blocks,
-    _stripe_layout,
     _stripe_measure,
+    _stripe_quotas,
     bipartite_mode,
     bipartite_mode_set,
     lrd_decompose,
@@ -246,12 +247,9 @@ class TestVinProjector:
         for d in range(1, 6):
             gen = BipartiteGenerator(NumberOperator(d))
             for j in range(1, d):
-                pairs = _stripe_layout(d, j)
+                quotas = _stripe_quotas(d, j)
                 # blocks past the last surviving pair hold no positions
-                counts = [
-                    pairs[c][-1].stop - pairs[c][-1].start if c < len(pairs) else 0
-                    for c in range(gen.n_eigenvalues)
-                ]
+                counts = [quotas[c] if c < len(quotas) else 0 for c in range(gen.n_eigenvalues)]
                 assert sum(counts) == vin_projector(gen, j)
                 for c in range(gen.n_eigenvalues):
                     brute = sum(1 for n in range(d - j) if 0 <= c - n < d)
@@ -266,34 +264,51 @@ class TestVinProjector:
 
 class TestStripeLayout:
     def test_layout_is_cached_and_read_only(self):
-        pairs = _stripe_layout(3, 1)
-        assert _stripe_layout(3, 1) is pairs
-        for _, upper, lower, *_ in pairs:
-            for idx in (upper, lower):
-                with pytest.raises(ValueError):
-                    idx[0] = 99
+        index, gaps = _pair_blocks_layout(3)
+        assert _pair_blocks_layout(3)[0] is index
+        quotas = _stripe_quotas(3, 1)
+        assert _stripe_quotas(3, 1) is quotas
+        for cached in (index, gaps, quotas, _block_mask(3)):
+            with pytest.raises(ValueError):
+                cached[0] = 0
+
+    def test_gathered_blocks_match_brute_loop(self):
+        for d in range(1, 6):
+            # distinct nonzero entries, so padding (zero) cannot pass for a coefficient
+            joint = np.arange(1, d**4 + 1, dtype=float).reshape(d * d, d * d)
+            for g in range(2 * d - 1):
+                blocks = _stripe_blocks(joint, d, g)
+                assert blocks.shape == (2 * d - 1 - g, d, d)
+                for c, block in enumerate(blocks):
+                    for n_row in range(d):
+                        for n in range(d):
+                            # (|n', c + g - n'>, |n, c - n>), padding where a ket does not exist
+                            m_row, m = c + g - n_row, c - n
+                            if 0 <= m_row < d and 0 <= m < d:
+                                assert block[n_row, n] == joint[n_row * d + m_row, n * d + m]
+                            else:
+                                assert block[n_row, n] == 0
 
     def test_surviving_positions_sum_to_vin_projector(self):
         for d in range(1, 6):
             gen = BipartiteGenerator(NumberOperator(d))
+            joint = np.arange(1, d**4 + 1, dtype=float).reshape(d * d, d * d)
             for j in range(2 * d - 1):
-                pairs = _stripe_layout(d, j)
-                assert len(pairs) == 2 * d - 1 - j
-                for c, (up, upper, lower, rows, cols, span) in enumerate(pairs):
-                    assert up == c + j
+                quotas = _stripe_quotas(d, j)
+                assert len(quotas) == 2 * d - 1 - j
+                # (|n + j, m>, |n, m>) with m = c - n sits at (n + j, n) of pair c
+                stripe = np.diagonal(_stripe_blocks(joint, d, j), -j, 1, 2)
+                for c in range(2 * d - 1 - j):
                     # n in [0, d - 1 - j] with m = c - n in [0, d - 1]
                     brute = sum(1 for n in range(d - j) if 0 <= c - n < d)
-                    assert span.stop - span.start == brute
-                    assert len(upper[rows]) == len(lower[cols]) == brute
-                    ns = range(span.start, span.stop)
-                    # (|n + j, m>, |n, m>) with m = c - n, as tensor indices
-                    assert list(upper[rows]) == [(n + j) * d + c - n for n in ns]
-                    assert list(lower[cols]) == [n * d + c - n for n in ns]
-                total = sum(span.stop - span.start for *_, span in pairs)
+                    assert quotas[c] == brute
+                    assert list(stripe[c][stripe[c] != 0]) == [
+                        joint[(n + j) * d + c - n, n * d + c - n] for n in range(d - j) if 0 <= c - n < d
+                    ]
                 if 1 <= j < d:
-                    assert total == vin_projector(gen, j)
+                    assert quotas.sum() == vin_projector(gen, j)
                 elif j >= d:
-                    assert total == 0
+                    assert quotas.sum() == 0
 
 
 class TestStripeMeasure:

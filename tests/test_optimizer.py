@@ -59,12 +59,20 @@ class TestParameterizeBlock:
         with pytest.raises(ValueError, match="expected 4 parameters"):
             parameterize_block(GEN2, 1, [0.0, 0.0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_exponential_matches_taylor_reference(self, n):
+        rng = np.random.default_rng(50 + n)
+        generators = [oracles.hermitian_from_params_loops(n, rng.uniform(-3, 3, n * n)) for _ in range(10)]
+        diagonal = np.diag(rng.uniform(-3, 3, n)).astype(complex)
+        generators += [np.zeros((n, n), dtype=complex), diagonal, 1e-170 * generators[0]]
+        for h in generators:
+            np.testing.assert_allclose(_exp_ih(h), oracles.expm_taylor(1j * h), rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stacked_exponential_matches_row_by_row_bitwise(self, n):
         rng = np.random.default_rng(40 + n)
         params = rng.uniform(-3, 3, (2, 6, n * n))
         params[0, 0] = 0.0
-        # diagonal only: at n = 2 both give r = 0 in the closed form
         params[0, 1, n:] = 0.0
         params[1, 2, :n] = params[1, 2, 0]
         params[1, 2, n:] = 0.0

@@ -1,4 +1,4 @@
-"""Every public name in the package is used by something other than its own unit tests."""
+"""Every name the package defines is used by something other than its own unit tests."""
 
 import ast
 import pathlib
@@ -10,12 +10,13 @@ SOURCES = sorted((ROOT / "src" / "coherence_lab").glob("*.py"))
 USERS = [ROOT / "README.md", *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 
-def _public_definitions(path: pathlib.Path) -> list:
+def _definitions(path: pathlib.Path, private: bool) -> list:
+    """Module-level functions and classes of one source file, either the ``_``-prefixed ones or the rest."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [
         node.name
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") == private
     ]
 
 
@@ -24,9 +25,20 @@ def test_no_public_name_is_used_only_by_tests():
     user_text = "\n".join(path.read_text(encoding="utf-8") for path in USERS)
     unused = []
     for path in SOURCES:
-        for name in _public_definitions(path):
+        for name in _definitions(path, private=False):
             word = re.compile(rf"\b{name}\b")
             # the definition itself is one occurrence in src/
             if len(word.findall(src_text)) < 2 and not word.search(user_text):
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"public names used only by their tests: {unused}"
+
+
+def test_no_private_helper_is_used_only_by_tests():
+    src_text = "\n".join(path.read_text(encoding="utf-8") for path in SOURCES)
+    unused = []
+    for path in SOURCES:
+        for name in _definitions(path, private=True):
+            # the definition itself is one occurrence in src/
+            if len(re.findall(rf"\b{name}\b", src_text)) < 2:
+                unused.append(f"{path.stem}.{name}")
+    assert not unused, f"private helpers named nowhere in src/ but their definition: {unused}"
