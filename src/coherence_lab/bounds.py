@@ -21,8 +21,7 @@ from .modes import (
     _check_joint_dim,
     _check_local_index,
     _local_gap_measure,
-    _pair_blocks_layout,
-    _pair_spectra,
+    _stripe_blocks,
     _stripe_quotas,
     bipartite_mode_set,
 )
@@ -76,9 +75,8 @@ def _block_spectra(rho: DensityMatrix, op: NumberOperator, index: int) -> tuple:
     the padding changes neither sum. Returns (bound1, bound2, baseline).
     """
     _check_local_index(op, index, rho)
-    gather, gaps = _pair_blocks_layout(rho.dim)
     # the product of two validated states is a valid state; no re-validation
-    spectra = _pair_spectra(np.kron(rho.matrix, rho.matrix), gather[gaps == index])
+    spectra = np.linalg.svd(_stripe_blocks(np.kron(rho.matrix, rho.matrix), rho.dim, index), compute_uv=False)
     quotas = _stripe_quotas(rho.dim, index)
     quota_total = sum(float(values[:quota].sum()) for values, quota in zip(spectra, quotas))
     global_total = float(np.sort(spectra, axis=None)[::-1][: quotas.sum()].sum())

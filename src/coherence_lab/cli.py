@@ -37,6 +37,8 @@ from .states import (
     DensityMatrix,
     NumberOperator,
     _converted,
+    _float,
+    _int,
     bloch_from_json,
     bloch_to_density,
     density_from_json,
@@ -106,20 +108,6 @@ def _load_state(path: str) -> DensityMatrix:
     if "nx" in obj or "nz" in obj:
         return bloch_to_density(bloch_from_json(obj))
     raise StateValidationError("state file has neither matrix keys (dim/re/im) nor Bloch keys (nx/ny/nz)")
-
-
-def _int(value) -> int:
-    """An integer or integer text; ``2.5``, ``"2.5"`` and booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _float(value) -> float:
-    """A number or number text, ``"nan"`` included; booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def _seed(value) -> int:
@@ -220,39 +208,38 @@ def cmd_concat(p: dict, seed: int, out_dir: str) -> list:
     steps = p["steps"]
     outputs = []
     summary = []
-    for nx in p["nx"]:
-        for nz in p["nz"]:
-            start = BlochState(nx, 0.0, nz)
-            trace = run_concatenation(start, max_steps=steps, convergence_eps=p["eps"])
-            ceiling = purity_ceiling(bloch_to_density(trace.steps[0]))
-            name = f"concat_nx{nx:g}_nz{nz:g}.csv"
-            # step m consumes 2^m copies; the exponent is written, since past
-            # step 14,284 the integer 2^m exceeds Python's int-to-str digit limit
-            rows = (
-                (m, state.nx, state.nz, m, abs(state.nx), ceiling)
-                for m, state in enumerate(trace.steps)
-            )
-            _write_csv(
-                os.path.join(out_dir, name),
-                ("step", "n_x", "n_z", "log2_copies", "m1", "purity_ceiling"),
-                rows,
-            )
-            outputs.append(name)
-            converged = trace.converged_at is not None
-            if not converged:
-                print(f"warning: start (nx={nx:g}, nz={nz:g}) not converged within {steps} steps")
-            summary.append(
-                {
-                    "nx": nx,
-                    "nz": nz,
-                    "status": "converged" if converged else "not converged",
-                    "steps": trace.converged_at,
-                    "log2_copies": trace.converged_at,
-                    "final_nx": trace.steps[-1].nx,
-                    "final_nz": trace.steps[-1].nz,
-                    "purity_ceiling": ceiling,
-                }
-            )
+    # every start is validated before any trajectory runs
+    for start in [BlochState(nx, 0.0, nz) for nx in p["nx"] for nz in p["nz"]]:
+        trace = run_concatenation(start, max_steps=steps, convergence_eps=p["eps"])
+        ceiling = purity_ceiling(bloch_to_density(trace.steps[0]))
+        name = f"concat_nx{start.nx:g}_nz{start.nz:g}.csv"
+        # step m consumes 2^m copies; the exponent is written, since past
+        # step 14,284 the integer 2^m exceeds Python's int-to-str digit limit
+        rows = (
+            (m, state.nx, state.nz, m, abs(state.nx), ceiling)
+            for m, state in enumerate(trace.steps)
+        )
+        _write_csv(
+            os.path.join(out_dir, name),
+            ("step", "n_x", "n_z", "log2_copies", "m1", "purity_ceiling"),
+            rows,
+        )
+        outputs.append(name)
+        converged = trace.converged_at is not None
+        if not converged:
+            print(f"warning: start (nx={start.nx:g}, nz={start.nz:g}) not converged within {steps} steps")
+        summary.append(
+            {
+                "nx": start.nx,
+                "nz": start.nz,
+                "status": "converged" if converged else "not converged",
+                "steps": trace.converged_at,
+                "log2_copies": trace.converged_at,
+                "final_nx": trace.steps[-1].nx,
+                "final_nz": trace.steps[-1].nz,
+                "purity_ceiling": ceiling,
+            }
+        )
     _write_json(os.path.join(out_dir, "concat_summary.json"), summary)
     return outputs + ["concat_summary.json"]
 

@@ -91,12 +91,11 @@ def _check_joint_dim(joint, gen: BipartiteGenerator) -> None:
 
 @functools.cache
 def _block_mask(d: int) -> np.ndarray:
-    """Where each eigenspace block b sits in a padded (2d - 1, d, d) stack: at n with 0 <= b - n < d.
+    """Where each eigenspace block b sits in a padded (2d - 1, d, d) stack: where ket |n, b - n> exists.
 
-    Row and column n of block b hold the ket |n, b - n>.
+    Row and column n of block b hold that ket (``_generator_layout``'s table).
     """
-    second = np.arange(2 * d - 1)[:, None] - np.arange(d)
-    inside = (0 <= second) & (second < d)
+    inside = _generator_layout(d)[0] < d * d
     mask = inside[:, :, None] & inside[:, None, :]
     mask.setflags(write=False)
     return mask
@@ -106,10 +105,10 @@ def _block_mask(d: int) -> np.ndarray:
 def _stripe_quotas(d: int, index: int) -> np.ndarray:
     """How many positions (|n + index, m>, |n, m>) of each stripe pair c survive the partial trace.
 
-    They are the n in [0, d - 1 - index] with m = c - n in [0, d - 1]: the
-    first d - index entries of the diagonal of block c's mask.
+    They are the n in [0, d - 1 - index] with m = c - n in [0, d - 1]: the kets
+    that exist among the first d - index of row c of ``_generator_layout``'s table.
     """
-    quotas = np.diagonal(_block_mask(d), axis1=1, axis2=2)[: 2 * d - 1 - index, : max(d - index, 0)].sum(1)
+    quotas = (_generator_layout(d)[0][: 2 * d - 1 - index, : max(d - index, 0)] < d * d).sum(1)
     quotas.setflags(write=False)
     return quotas
 
@@ -198,22 +197,15 @@ def _pair_blocks_layout(d: int) -> tuple:
     padded as in ``_block_mask``: entry (n', n) is the coefficient of
     (|n', c + g - n'>, |n, c - n>), or zero where either ket does not exist;
     padding adds only zero singular values. Blocks run over g, then c;
-    ``_pair_spectra`` and ``_stripe_blocks`` read them.
+    ``_stripe_blocks`` and ``bipartite_mode_set`` read them.
     """
     gaps, lows = np.array([(g, c) for g in range(2 * d - 1) for c in range(2 * d - 1 - g)]).T
-    uppers, inside = lows + gaps, np.diagonal(_block_mask(d), axis1=1, axis2=2)
-    # ket |n, b - n> of block b is tensor index n (d - 1) + b
-    kets = np.arange(d) * (d - 1)
-    gather = (kets + uppers[:, None])[:, :, None] * d * d + (kets + lows[:, None])[:, None, :]
-    index = np.where(inside[uppers][:, :, None] & inside[lows][:, None, :], gather, d**4)
+    kets = _generator_layout(d)[0]
+    rows, cols = kets[lows + gaps][:, :, None], kets[lows][:, None, :]
+    index = np.where((rows < d * d) & (cols < d * d), rows * d * d + cols, d**4)
     index.setflags(write=False)
     gaps.setflags(write=False)
     return index, gaps
-
-
-def _pair_spectra(joint: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """One stacked SVD: row k is block ``index[k]``'s values, decreasing and zero-padded to d."""
-    return np.linalg.svd(np.append(joint.ravel(), 0.0)[index], compute_uv=False)
 
 
 def bipartite_mode_set(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> set:
@@ -225,7 +217,8 @@ def bipartite_mode_set(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> set:
     """
     _check_joint_dim(rho_ab, gen)
     index, gaps = _pair_blocks_layout(gen.dim)
-    norms = np.bincount(gaps, _pair_spectra(rho_ab.matrix, index).sum(-1))
+    spectra = np.linalg.svd(np.append(rho_ab.matrix.ravel(), 0.0)[index], compute_uv=False)
+    norms = np.bincount(gaps, spectra.sum(-1))
     return {g for g, norm in enumerate(norms) if norm > MODE_PRESENCE_THRESHOLD}
 
 
@@ -249,7 +242,7 @@ def lrd_decompose(mode: ModeOperator, gen: BipartiteGenerator) -> list:
     pairs of gap -index transposed.
     """
     _check_joint_dim(mode, gen)
-    blocks, gap = _generator_layout(gen.dim)[0], abs(mode.index)
+    blocks, gap = [gen.block_indices(c) for c in range(gen.n_eigenvalues)], abs(mode.index)
     if mode.index < 0:
         return [(c + gap, mode.op[np.ix_(blocks[c], blocks[c + gap])]) for c in range(len(blocks) - gap)]
     return [(c, mode.op[np.ix_(blocks[c + gap], blocks[c])]) for c in range(len(blocks) - gap)]

@@ -29,7 +29,7 @@ from .modes import (
     _stripe_blocks,
     _stripe_measure,
 )
-from .sampling import as_rng, haar_unitary
+from .sampling import haar_unitary
 from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator
 
 #: first step of every restart
@@ -141,7 +141,7 @@ def parameterize_block(gen: BipartiteGenerator, eigenvalue_index: int, params) -
 
 def random_allowed_unitary(gen: BipartiteGenerator, rng) -> AllowedUnitary:
     """Independent Haar block per eigenspace; reproducible for a fixed seed."""
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     blocks = tuple(haar_unitary(gen.block_dim(c), rng) for c in range(gen.n_eigenvalues))
     return AllowedUnitary(gen, blocks)
 
@@ -221,7 +221,7 @@ def maximize_delta_m(
     sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
     offsets = np.cumsum([0] + [n * n for n in sizes])
 
-    rng = as_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     x0 = np.zeros((cfg.restarts, int(offsets[-1])))
     x0[1:] = rng.uniform(-math.pi, math.pi, (cfg.restarts - 1, int(offsets[-1])))
     starts = [_exp_ih(_hermitian_from_params(n, x0[:, o : o + n * n])) for n, o in zip(sizes, offsets)]

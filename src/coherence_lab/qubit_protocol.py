@@ -206,12 +206,14 @@ def amplification_state(n_layers: int, epsilon: float) -> BlochState:
         raise UnsupportedParameterError(f"epsilon must be positive, got {epsilon}")
     nx, nz = _amplification_components(n_layers, epsilon)
     if nx < AMPLIFICATION_FLOOR:
-        feasible = n_layers
-        while feasible > 1 and _amplification_components(feasible, epsilon)[0] < AMPLIFICATION_FLOOR:
+        # 4.0 ** -n is 0.0 for every n >= 538, so no larger count is feasible at any epsilon
+        feasible = min(n_layers, 537)
+        while feasible > 0 and _amplification_components(feasible, epsilon)[0] < AMPLIFICATION_FLOOR:
             feasible -= 1
+        found = f"the largest feasible layer count is {feasible}" if feasible else "no layer count is feasible"
         raise UnsupportedParameterError(
             f"transverse component underflows double precision for {n_layers} layers; "
-            f"the largest feasible layer count at epsilon={epsilon} is {feasible}"
+            f"{found} at epsilon={epsilon}"
         )
     if not nx < 2.0 ** (-n_layers):
         raise RuntimeError("constructed state violates its own coherence budget")

@@ -8,16 +8,9 @@ from .errors import UnsupportedParameterError
 from .states import BlochState, DensityMatrix
 
 
-def as_rng(seed) -> np.random.Generator:
-    """Pass a Generator through, or build one from an integer seed."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix with phase fixing."""
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r).copy()
@@ -32,7 +25,7 @@ def random_density_matrix(dim: int, rank: int | None = None, rng=0) -> DensityMa
     the reduced state of a uniformly random pure state on a system enlarged by
     a rank-dimensional partner.
     """
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     if rank is None:
         rank = dim
     if not 1 <= rank <= dim:
@@ -44,7 +37,7 @@ def random_density_matrix(dim: int, rank: int | None = None, rng=0) -> DensityMa
 
 def random_bloch(rng) -> BlochState:
     """Bloch vector uniform over the unit ball."""
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     direction = rng.standard_normal(3)
     direction /= np.linalg.norm(direction)
     radius = rng.uniform() ** (1.0 / 3.0)

@@ -118,30 +118,18 @@ class BlochState:
 
 @functools.cache
 def _generator_layout(d: int) -> tuple:
-    """Eigenspace index blocks and per-index eigenvalues of L (x) I + I (x) L, once per d.
+    """Eigenspace ket table and per-index eigenvalues of L (x) I + I (x) L, once per d.
 
-    Every generator of one dimension shares these arrays, so they are read-only.
+    ``kets[b, n]`` is the tensor index n d + (b - n) of |n, b - n>, or d^2 where that
+    ket does not exist. Every generator of one dimension shares these read-only arrays.
     """
-    blocks = []
-    for c in range(2 * d - 1):
-        lo, hi = max(0, c - d + 1), min(d - 1, c)
-        idx = np.array([n * d + (c - n) for n in range(lo, hi + 1)], dtype=int)
-        expected = c + 1 if c < d - 1 else 2 * d - 1 - c
-        if idx.size != expected:
-            raise StateValidationError(
-                f"eigenspace {c} has {idx.size} basis kets, expected {expected}"
-            )
-        idx.setflags(write=False)
-        blocks.append(idx)
-    rebuilt = np.zeros((d * d, d * d))
-    for c, idx in enumerate(blocks):
-        rebuilt[idx, idx] = c
-    target = np.kron(np.diag(np.arange(d)), np.eye(d)) + np.kron(np.eye(d), np.diag(np.arange(d)))
-    if not np.array_equal(rebuilt, target):
-        raise StateValidationError("eigenspace projectors do not reassemble the total number operator")
-    lam = (np.arange(d)[:, None] + np.arange(d)[None, :]).ravel()
+    levels = np.arange(d)
+    second = np.arange(2 * d - 1)[:, None] - levels
+    kets = np.where((0 <= second) & (second < d), levels * d + second, d * d)
+    lam = (levels[:, None] + levels).ravel()
+    kets.setflags(write=False)
     lam.setflags(write=False)
-    return tuple(blocks), lam
+    return kets, lam
 
 
 @dataclass(frozen=True)
@@ -175,11 +163,16 @@ class BipartiteGenerator:
 
     def block_dim(self, c: int) -> int:
         """Degeneracy of eigenvalue c."""
-        return _generator_layout(self.local.dim)[0][c].size
+        return self._blocks[c].size
 
     def block_indices(self, c: int) -> np.ndarray:
         """Tensor-basis indices spanning the eigenvalue-c subspace, ordered by first index."""
-        return _generator_layout(self.local.dim)[0][c].copy()
+        return self._blocks[c].copy()
+
+    @functools.cached_property
+    def _blocks(self) -> tuple:
+        """Row c of the ket table without its missing kets, for every eigenvalue c."""
+        return tuple(row[row < self.total_dim] for row in _generator_layout(self.local.dim)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +180,8 @@ class AllowedUnitary:
     """Unitary commuting with a total number operator: one free unitary per degenerate eigenspace.
 
     It commutes by construction: [U, N] = (lambda_c - lambda_r) U at entry (r, c)
-    is zero inside each eigenspace block, and ``_generator_layout`` checks that
-    the blocks tile N.
+    is zero inside each eigenspace block, and the blocks' kets, read from
+    ``_generator_layout``'s table, tile the tensor basis.
     """
 
     generator: BipartiteGenerator
@@ -250,6 +243,20 @@ def isotropic_state(p: float) -> DensityMatrix:
     return DensityMatrix(p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0)
 
 
+def _int(value) -> int:
+    """An integer or integer text; ``2.5``, ``"2.5"`` and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A number or number text, ``"nan"`` included; booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _converted(value, convert, name: str):
     """``convert(value)``; a value it rejects is a validation error naming ``name``."""
     try:
@@ -263,7 +270,7 @@ def density_from_json(obj: dict) -> DensityMatrix:
     for key in ("dim", "re", "im"):
         if key not in obj:
             raise StateValidationError(f"state object missing key '{key}'")
-    dim = _converted(obj["dim"], int, "state key 'dim'")
+    dim = _converted(obj["dim"], _int, "state key 'dim'")
     re, im = (
         _converted(obj[key], functools.partial(np.asarray, dtype=float), f"state key '{key}'")
         for key in ("re", "im")
@@ -280,5 +287,5 @@ def bloch_from_json(obj: dict) -> BlochState:
         if key not in obj:
             raise StateValidationError(f"Bloch object missing key '{key}'")
     return BlochState(
-        *(_converted(obj.get(key, 0.0), float, f"Bloch key '{key}'") for key in ("nx", "ny", "nz"))
+        *(_converted(obj.get(key, 0.0), _float, f"Bloch key '{key}'") for key in ("nx", "ny", "nz"))
     )

@@ -153,9 +153,11 @@ class TestConcat:
         assert rows[-1][3] == rows[-1][0] == str(len(rows) - 1)
 
     def test_nan_start_is_rejected_before_running(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["concat", "--nx", "nan", "--nz", "0.5", "--out", str(out)]) == 1
-        assert not [f for f in os.listdir(out) if f.endswith(".csv")]
+        # a bad second start is rejected before the first one's trajectory is written
+        for nx, nz in (("nan", "0.5"), ("0.1,nan", "0.5"), ("0.1,0.9", "0.7")):
+            out = tmp_path / f"out_{nx}_{nz}"
+            assert main(["concat", "--nx", nx, "--nz", nz, "--out", str(out)]) == 1
+            assert not [f for f in os.listdir(out) if f.endswith(".csv")]
 
     def test_huge_finite_start_is_rejected_by_norm(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -305,6 +307,10 @@ class TestNogo:
         # a key that is not a parameter of the command
         (["amplify", "--steps", "3"], "--config", {"stepz": 3}, "stepz"),
         (["nogo", "--p", "0.5"], "--config", {"nx": [0.1]}, "nx"),
+        # a state file follows the same type rules as the flags
+        (["concentrate"], "--state", {"dim": 2.7, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim"),
+        (["concentrate"], "--state", {"dim": True, "re": [[1]], "im": [[0]]}, "dim"),
+        (["concentrate"], "--state", {"nx": True, "nz": 0}, "nx"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):

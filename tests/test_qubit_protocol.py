@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from coherence_lab import linalg
+from coherence_lab import linalg, qubit_protocol
 from coherence_lab.errors import UnsupportedParameterError
 from coherence_lab.modes import mode_measure
 from coherence_lab.optimizer import random_allowed_unitary
@@ -229,6 +229,23 @@ class TestAmplification:
     def test_layer_budget_respects_double_precision(self):
         with pytest.raises(UnsupportedParameterError, match="largest feasible layer count"):
             amplification_state(1500, 0.1)
+        with pytest.raises(UnsupportedParameterError, match="no layer count is feasible"):
+            amplification_state(1, 1e-20)
+
+    def test_feasibility_scan_does_not_grow_with_the_layer_count(self, monkeypatch):
+        calls, components = [], qubit_protocol._amplification_components
+
+        def counted(*args):
+            calls.append(args)
+            return components(*args)
+
+        monkeypatch.setattr(qubit_protocol, "_amplification_components", counted)
+        for n_layers in (1500, 10**9):
+            calls.clear()
+            with pytest.raises(UnsupportedParameterError, match="largest feasible layer count is 521 "):
+                amplification_state(n_layers, 0.1)
+            # 4.0 ** -n underflows to 0.0 from n = 538 on, so the scan starts at 537 at most
+            assert len(calls) <= 540
 
     def test_parameter_validation(self):
         with pytest.raises(UnsupportedParameterError, match="layer count"):

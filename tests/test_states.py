@@ -119,13 +119,32 @@ class TestBipartiteGenerator:
     def test_layout_is_shared_and_read_only(self):
         gen, again = BipartiteGenerator(NumberOperator(3)), BipartiteGenerator(NumberOperator(3))
         assert gen.index_eigenvalues is again.index_eigenvalues
-        with pytest.raises(ValueError):
-            gen.index_eigenvalues[0] = 7
-        for idx in _generator_layout(3)[0]:
-            assert not idx.flags.writeable
+        assert _generator_layout(3)[0] is _generator_layout(3)[0]
+        for cached in (gen.index_eigenvalues, _generator_layout(3)[0]):
+            with pytest.raises(ValueError):
+                cached[0] = 7
         idx = gen.block_indices(2)
         idx[0] = 99
         np.testing.assert_array_equal(again.block_indices(2), [2, 4, 6])
+
+    def test_ket_table_rows_count_each_eigenspace(self):
+        for d in range(1, 9):
+            kets = _generator_layout(d)[0]
+            assert kets.shape == (2 * d - 1, d)
+            for b, row in enumerate(kets):
+                assert (row < d * d).sum() == min(b + 1, 2 * d - 1 - b)
+                # a missing ket is marked d^2 at the level n whose partner b - n is out of range
+                for n in range(d):
+                    assert row[n] == (n * d + b - n if 0 <= b - n < d else d * d)
+
+    def test_ket_table_reassembles_the_total_number_operator(self):
+        for d in range(1, 9):
+            kets = _generator_layout(d)[0]
+            rebuilt = np.full(d * d, -1)
+            for b, row in enumerate(kets):
+                rebuilt[row[row < d * d]] = b
+            local = np.diag(np.arange(d))
+            np.testing.assert_array_equal(np.diag(rebuilt), np.kron(local, np.eye(d)) + np.kron(np.eye(d), local))
 
 
 class TestAllowedUnitary:
