@@ -1,20 +1,23 @@
 """Command-line frontend: experiments, data export, reproducible CSV/JSON artifacts.
 
 Each subcommand's parameters are declared once, in ``COMMANDS``, which builds
-the parser, resolves every value and names the manifest entries. Every run
-writes a manifest next to its outputs echoing the resolved parameters, the
-package version, and the seed, so a run can be reproduced by pointing
---config at the manifest. Numeric CSV fields use 17 significant digits, which
-round-trips doubles losslessly.
+the parser, resolves every value and names the manifest entries. A command
+yields its outputs and ``main`` writes them, then a manifest listing exactly
+those files and echoing the resolved parameters, the package version, and the
+seed, so a run can be reproduced by pointing --config at the manifest.
+Numeric CSV fields use 17 significant digits, which round-trips doubles
+losslessly.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -60,54 +63,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _json_object(path: str, name: str) -> dict:
+    """The JSON object in the file that parameter ``name`` points to."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if isinstance(obj, dict) and "params" in obj and isinstance(obj["params"], dict):
-        return obj["params"]
     if not isinstance(obj, dict):
-        raise StateValidationError("config file must hold a JSON object")
+        raise StateValidationError(f"parameter '{name}': {path} must hold a JSON object")
     return obj
 
 
-def _write_manifest(out_dir: str, command: str, params: dict, outputs) -> None:
-    _write_json(
-        os.path.join(out_dir, f"{command.replace('-', '_')}_manifest.json"),
-        {
-            "command": command,
-            "artifact_version": __version__,
-            "seed": params.get("seed"),
-            "params": params,
-            "outputs": sorted(outputs),
-        },
-    )
-
-
 def _load_state(path: str) -> DensityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise StateValidationError("state file must hold a JSON object")
+    obj = _json_object(path, "state")
     if "re" in obj or "im" in obj or "dim" in obj:
         return density_from_json(obj)
     if "nx" in obj or "nz" in obj:
         return bloch_to_density(bloch_from_json(obj))
-    raise StateValidationError("state file has neither matrix keys (dim/re/im) nor Bloch keys (nx/ny/nz)")
+    raise StateValidationError(
+        f"parameter 'state': {path} has neither matrix keys (dim/re/im) nor Bloch keys (nx/ny/nz)"
+    )
 
 
 def _seed(value) -> int:
@@ -146,23 +119,29 @@ def _grid(text: str) -> tuple:
     return radial, angular
 
 
-def _local_dim(rho: DensityMatrix) -> int:
-    """Local dimension d of a joint state of two d-dimensional systems."""
+def _mode_structure(rho: DensityMatrix) -> tuple:
+    """Generator, no-go verdict, sorted modes present (one mode set) and marginal product distance."""
     local_dim = math.isqrt(rho.dim)
     if local_dim * local_dim != rho.dim:
         raise UnsupportedParameterError(
             f"state dimension {rho.dim} is not the square of a local dimension"
         )
-    return local_dim
-
-
-def _mode_structure(rho: DensityMatrix, gen: BipartiteGenerator) -> tuple:
-    """No-go verdict, sorted modes present and marginal product distance, from one mode set."""
+    gen = BipartiteGenerator(NumberOperator(local_dim))
     present = bipartite_mode_set(rho, gen)
-    return _nogo_verdict(present, gen.dim), sorted(present), marginal_product_distance(rho, gen)
+    return gen, _nogo_verdict(present, local_dim), sorted(present), marginal_product_distance(rho, gen)
 
 
-def cmd_concentrate(p: dict, seed: int, out_dir: str) -> list:
+def _trajectory_csv(trace, **constants) -> tuple:
+    """Header and rows of a recurrence trajectory; each keyword adds a constant column.
+
+    Step m consumes 2^m copies; the exponent is written, since past step
+    14,284 the integer 2^m exceeds Python's int-to-str digit limit.
+    """
+    rows = ((m, state.nx, state.nz, m, abs(state.nx), *constants.values()) for m, state in enumerate(trace.steps))
+    return ("step", "n_x", "n_z", "log2_copies", "m1", *constants), rows
+
+
+def cmd_concentrate(p: dict) -> Iterator[tuple]:
     if p["state"] is None:
         raise UnsupportedParameterError("concentrate requires --state")
     rho = _load_state(p["state"])
@@ -170,12 +149,11 @@ def cmd_concentrate(p: dict, seed: int, out_dir: str) -> list:
     report: dict = {"input_dim": rho.dim, "j": j}
 
     if p["bipartite"]:
-        gen = BipartiteGenerator(NumberOperator(_local_dim(rho)))
-        verdict, modes, distance = _mode_structure(rho, gen)
+        _, verdict, modes, distance = _mode_structure(rho)
         report.update(nogo_verdict=verdict, modes_present=modes, marginal_product_distance=distance)
         print(f"verdict: {verdict}")
     else:
-        cfg = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"], seed=seed)
+        cfg = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"], seed=p["seed"])
         outcome = maximize_delta_m(rho, NumberOperator(rho.dim), j, cfg)
         rep = bound_report(rho, NumberOperator(rho.dim), j, achieved=outcome.best_delta_m)
         report["optimizer"] = {
@@ -200,31 +178,25 @@ def cmd_concentrate(p: dict, seed: int, out_dir: str) -> list:
             print(f"closed-form delta_m: {result.delta_m:.6e}  theta_opt: {result.theta_opt:.6f}")
             print(f"simulated delta_m: {simulated:.6e}")
 
-    _write_json(os.path.join(out_dir, "concentrate_report.json"), report)
-    return ["concentrate_report.json"]
+    yield "concentrate_report.json", report
 
 
-def cmd_concat(p: dict, seed: int, out_dir: str) -> list:
+def cmd_concat(p: dict) -> Iterator[tuple]:
     steps = p["steps"]
-    outputs = []
-    summary = []
-    # every start is validated before any trajectory runs
+    # every start is validated and named before any trajectory runs
+    starts: dict = {}
     for start in [BlochState(nx, 0.0, nz) for nx in p["nx"] for nz in p["nz"]]:
+        name = f"concat_nx{start.nx:g}_nz{start.nz:g}.csv"
+        if (other := starts.setdefault(name, start)) is not start:
+            raise StateValidationError(
+                f"starts (nx={other.nx!r}, nz={other.nz!r}) and (nx={start.nx!r}, nz={start.nz!r}) "
+                f"would both write {name}"
+            )
+    summary = []
+    for name, start in starts.items():
         trace = run_concatenation(start, max_steps=steps, convergence_eps=p["eps"])
         ceiling = purity_ceiling(bloch_to_density(trace.steps[0]))
-        name = f"concat_nx{start.nx:g}_nz{start.nz:g}.csv"
-        # step m consumes 2^m copies; the exponent is written, since past
-        # step 14,284 the integer 2^m exceeds Python's int-to-str digit limit
-        rows = (
-            (m, state.nx, state.nz, m, abs(state.nx), ceiling)
-            for m, state in enumerate(trace.steps)
-        )
-        _write_csv(
-            os.path.join(out_dir, name),
-            ("step", "n_x", "n_z", "log2_copies", "m1", "purity_ceiling"),
-            rows,
-        )
-        outputs.append(name)
+        yield name, _trajectory_csv(trace, purity_ceiling=ceiling)
         converged = trace.converged_at is not None
         if not converged:
             print(f"warning: start (nx={start.nx:g}, nz={start.nz:g}) not converged within {steps} steps")
@@ -240,18 +212,16 @@ def cmd_concat(p: dict, seed: int, out_dir: str) -> list:
                 "purity_ceiling": ceiling,
             }
         )
-    _write_json(os.path.join(out_dir, "concat_summary.json"), summary)
-    return outputs + ["concat_summary.json"]
+    yield "concat_summary.json", summary
 
 
-def cmd_field(p: dict, seed: int, out_dir: str) -> list:
+def cmd_field(p: dict) -> Iterator[tuple]:
     radial, angular = _converted(p["grid"], _grid, "parameter 'grid'")
     rows = ((state.nx, state.nz, delta[0], delta[1]) for state, delta in vector_field(radial, angular))
-    _write_csv(os.path.join(out_dir, "vector_field.csv"), ("n_x", "n_z", "dn_x", "dn_z"), rows)
-    return ["vector_field.csv"]
+    yield "vector_field.csv", (("n_x", "n_z", "dn_x", "dn_z"), rows)
 
 
-def cmd_bound_compare(p: dict, seed: int, out_dir: str) -> list:
+def cmd_bound_compare(p: dict) -> Iterator[tuple]:
     dim = p["dim"]
     if dim not in (3, 4):
         raise UnsupportedParameterError(f"bound-compare supports dimension 3 or 4, got {dim}")
@@ -261,45 +231,36 @@ def cmd_bound_compare(p: dict, seed: int, out_dir: str) -> list:
     for rank in ranks:
         if not 1 <= rank <= dim:
             raise UnsupportedParameterError(f"rank {rank} outside [1, {dim}]")
+    # a bad search budget exits before the CSV's first byte
+    budget = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"]) if p["with_achieved"] else None
     op = NumberOperator(dim)
-    rows = []
     wins: dict = {}
-    counter = 0
-    for rank in ranks:
-        for _ in range(p["samples"]):
-            sample_seed = seed + counter
-            counter += 1
+
+    def rows():
+        per_sample = (rank for rank in ranks for _ in range(p["samples"]))
+        for sample_seed, rank in enumerate(per_sample, start=p["seed"]):
             rho = random_density_matrix(dim, rank, np.random.default_rng(sample_seed))
             for j in range(1, dim):
                 achieved = None
-                if p["with_achieved"]:
-                    cfg = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"], seed=sample_seed)
+                if budget is not None:
+                    cfg = dataclasses.replace(budget, seed=sample_seed)
                     achieved = maximize_delta_m(rho, op, j, cfg).best_delta_m
                 rep = bound_report(rho, op, j, achieved=achieved)
-                rows.append(
-                    (sample_seed, rank, j, rep.bound1, rep.bound2, achieved, rep.tighter)
-                )
-                key = (rank, j)
-                tally = wins.setdefault(key, {"bound1": 0, "bound2": 0, "tie": 0})
-                tally[rep.tighter] += 1
-    _write_csv(
-        os.path.join(out_dir, "bound_compare.csv"),
-        ("seed", "rank", "j", "bound1", "bound2", "achieved", "tighter"),
-        rows,
-    )
-    summary = [
-        {"rank": rank, "j": j, **tally} for (rank, j), tally in sorted(wins.items())
-    ]
-    _write_json(os.path.join(out_dir, "bound_compare_summary.json"), summary)
+                wins.setdefault((rank, j), {"bound1": 0, "bound2": 0, "tie": 0})[rep.tighter] += 1
+                yield sample_seed, rank, j, rep.bound1, rep.bound2, achieved, rep.tighter
+
+    yield "bound_compare.csv", (("seed", "rank", "j", "bound1", "bound2", "achieved", "tighter"), rows())
+    # main has written every row before this generator resumes, so the tally is complete
+    summary = [{"rank": rank, "j": j, **tally} for (rank, j), tally in sorted(wins.items())]
+    yield "bound_compare_summary.json", summary
     for entry in summary:
         print(
             f"rank {entry['rank']} j {entry['j']}: "
             f"bound1 wins {entry['bound1']}, bound2 wins {entry['bound2']}, ties {entry['tie']}"
         )
-    return ["bound_compare.csv", "bound_compare_summary.json"]
 
 
-def cmd_nogo(p: dict, seed: int, out_dir: str) -> list:
+def cmd_nogo(p: dict) -> Iterator[tuple]:
     state_path, samples = p["state"], p["samples"]
     if (state_path is None) == (p["p"] is None):
         raise UnsupportedParameterError("nogo requires exactly one of --state or --p")
@@ -311,16 +272,14 @@ def cmd_nogo(p: dict, seed: int, out_dir: str) -> list:
     else:
         rho = isotropic_state(p["p"])
         source = f"isotropic(p={p['p']})"
-    local_dim = _local_dim(rho)
-    gen = BipartiteGenerator(NumberOperator(local_dim))
-    verdict, modes_present, distance = _mode_structure(rho, gen)
-    before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, local_dim, local_dim), 1)
-    blocks = _stripe_blocks(rho.matrix, local_dim, 1)
-    rng = np.random.default_rng(seed)
+    gen, verdict, modes_present, distance = _mode_structure(rho)
+    before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, gen.dim, gen.dim), 1)
+    blocks = _stripe_blocks(rho.matrix, gen.dim, 1)
+    rng = np.random.default_rng(p["seed"])
     max_gain = -math.inf
     for _ in range(samples):
         u = random_allowed_unitary(gen, rng)
-        max_gain = max(max_gain, float(_stripe_measure(_padded_units(u.blocks, local_dim), blocks, 1)[0]) - before)
+        max_gain = max(max_gain, float(_stripe_measure(_padded_units(u.blocks, gen.dim), blocks, 1)[0]) - before)
     report = {
         "source": source,
         "verdict": verdict,
@@ -331,12 +290,11 @@ def cmd_nogo(p: dict, seed: int, out_dir: str) -> list:
         "marginal_product_distance": distance,
         "note": "dynamical check samples covariant unitaries only; the verdict itself covers all covariant operations",
     }
-    _write_json(os.path.join(out_dir, "nogo_report.json"), report)
+    yield "nogo_report.json", report
     print(f"verdict: {verdict}  max local m1 gain over {samples} unitaries: {max_gain:.3e}")
-    return ["nogo_report.json"]
 
 
-def cmd_amplify(p: dict, seed: int, out_dir: str) -> list:
+def cmd_amplify(p: dict) -> Iterator[tuple]:
     layers, eps = p["steps"], p["eps"]
     start = amplification_state(layers, eps)
     trace = run_concatenation(start, max_steps=layers, convergence_eps=0.0)
@@ -344,9 +302,7 @@ def cmd_amplify(p: dict, seed: int, out_dir: str) -> list:
     final = abs(trace.steps[-1].nx)
     ratio = final / initial
     threshold = 2.0 ** (-eps) * math.sqrt(2.0**layers)
-    name = f"amplify_N{layers}.csv"
-    rows = ((m, state.nx, state.nz, m, abs(state.nx)) for m, state in enumerate(trace.steps))
-    _write_csv(os.path.join(out_dir, name), ("step", "n_x", "n_z", "log2_copies", "m1"), rows)
+    yield f"amplify_N{layers}.csv", _trajectory_csv(trace)
     summary = {
         "layers": layers,
         "eps": eps,
@@ -359,9 +315,8 @@ def cmd_amplify(p: dict, seed: int, out_dir: str) -> list:
         "exceeds_threshold": ratio > threshold,
         "initial_m1_below_2^-N": initial < 2.0 ** (-layers),
     }
-    _write_json(os.path.join(out_dir, "amplify_summary.json"), summary)
+    yield "amplify_summary.json", summary
     print(f"ratio after {layers} layers: {ratio:.4f}  threshold: {threshold:.4f}")
-    return [name, "amplify_summary.json"]
 
 
 #: Parameters every subcommand takes, as (name, converter, default, help).
@@ -429,18 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: resolve its parameters, run it, and write its manifest.
+    """Run one subcommand: resolve its parameters, write its outputs, and then its manifest.
 
     Each parameter is its flag, else its ``--config`` entry, else its default
     (for ``seed``, ``$COHERENCE_LAB_SEED`` first), through its converter; a
     value the converter rejects, or a config key that names no parameter,
-    exits 1 naming it. ``cmd_*`` gets the resolved dict, writes its outputs
-    into the output directory and returns their names; the manifest echoes it.
+    exits 1 naming it. ``cmd_*`` gets the resolved dict and yields its outputs
+    as (name, content): ``(header, rows)`` for a ``.csv`` name, where ``rows``
+    may be a generator, else a JSON value. This is the one place that writes
+    a file; the manifest echoes the parameters and lists exactly the names written.
     """
     args = build_parser().parse_args(argv)
     func, _, params = COMMANDS[args.command]
     try:
-        config = _load_config(args.config)
+        config = _json_object(args.config, "config") if args.config else {}
+        if isinstance(config.get("params"), dict):  # a manifest
+            config = config["params"]
         if unknown := sorted(set(config) - {name for name, *_ in (*params, *_COMMON)}):
             raise StateValidationError(f"config keys that are not parameters of '{args.command}': {unknown}")
         p = {}
@@ -450,8 +409,33 @@ def main(argv=None) -> int:
             value = next((v for v in (getattr(args, name), config.get(name), default) if v is not None), None)
             p[name] = None if value is None else _converted(value, convert, f"parameter '{name}'")
         os.makedirs(p["out"], exist_ok=True)
-        outputs = func(p, p["seed"], p["out"])
-        _write_manifest(p["out"], args.command, p, outputs)
+
+        def write(name: str, content) -> None:
+            with open(os.path.join(p["out"], name), "w", encoding="utf-8", newline="\n") as fh:
+                if name.endswith(".csv"):
+                    header, rows = content
+                    fh.write(",".join(header) + "\n")
+                    fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+                else:
+                    json.dump(content, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+
+        written = []
+        # each output, its rows included, is written before the command
+        # resumes, so a command may read what its rows generator tallied
+        for name, content in func(p):
+            write(name, content)
+            written.append(name)
+        write(
+            f"{args.command.replace('-', '_')}_manifest.json",
+            {
+                "command": args.command,
+                "artifact_version": __version__,
+                "seed": p["seed"],
+                "params": p,
+                "outputs": sorted(written),
+            },
+        )
         return EXIT_OK
     except UnsupportedParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

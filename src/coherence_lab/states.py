@@ -257,6 +257,14 @@ def _float(value) -> float:
     return float(value)
 
 
+def _entries(value) -> np.ndarray:
+    """Nested lists of numbers as a float array; numpy alone would read a boolean as 1.0 or 0.0."""
+    entries = np.asarray(value, dtype=float)
+    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
+        raise TypeError("expected numbers, got a boolean")
+    return entries
+
+
 def _converted(value, convert, name: str):
     """``convert(value)``; a value it rejects is a validation error naming ``name``."""
     try:
@@ -271,10 +279,7 @@ def density_from_json(obj: dict) -> DensityMatrix:
         if key not in obj:
             raise StateValidationError(f"state object missing key '{key}'")
     dim = _converted(obj["dim"], _int, "state key 'dim'")
-    re, im = (
-        _converted(obj[key], functools.partial(np.asarray, dtype=float), f"state key '{key}'")
-        for key in ("re", "im")
-    )
+    re, im = (_converted(obj[key], _entries, f"state key '{key}'") for key in ("re", "im"))
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise StateValidationError(
             f"entry arrays have shapes {re.shape} and {im.shape}, expected ({dim}, {dim})"

@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import io
 import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +161,17 @@ class TestConcat:
             assert main(["concat", "--nx", nx, "--nz", nz, "--out", str(out)]) == 1
             assert not [f for f in os.listdir(out) if f.endswith(".csv")]
 
+    def test_starts_sharing_a_file_name_are_rejected_before_running(self, tmp_path, capsys, monkeypatch):
+        # 0.1000001 prints as 0.1 in the file name, so both starts would write one CSV
+        monkeypatch.setattr(cli, "run_concatenation", lambda *args, **kwargs: pytest.fail("a trajectory ran"))
+        for nx in ("0.1,0.1000001", "0.1,0.1"):
+            out = tmp_path / nx
+            assert main(["concat", "--nx", nx, "--nz", "0.7", "--out", str(out)]) == 1
+            assert os.listdir(out) == []
+            err = capsys.readouterr().err
+            assert "concat_nx0.1_nz0.7.csv" in err
+            assert all(f"(nx={value}, nz=0.7)" in err for value in nx.split(","))
+
     def test_huge_finite_start_is_rejected_by_norm(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["concat", "--nx", "1e200", "--nz", "0", "--out", str(out)]) == 1
@@ -232,6 +245,20 @@ class TestBoundCompare:
         assert header == ["seed", "rank", "j", "bound1", "bound2", "achieved", "tighter"]
         assert len(rows) == 3 * 2  # two mode indices per sampled state
         assert {row[6] for row in rows} <= {"bound1", "bound2", "tie"}
+
+    def test_memory_does_not_grow_with_the_samples(self, tmp_path):
+        # time-free: rows stream to the CSV and only the (rank, j) tally is
+        # kept, so 20x the samples must not allocate more
+        args = ["bound-compare", "--dim", "3", "--ranks", "2", "--seed", "1"]
+        assert main(args + ["--samples", "2", "--out", str(tmp_path / "warm")]) == 0
+        peaks = []
+        for samples in (50, 1000):
+            gc.collect()
+            tracemalloc.start()
+            assert main(args + ["--samples", str(samples), "--out", str(tmp_path / str(samples))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 200_000
 
 
 class TestNogo:
@@ -311,6 +338,13 @@ class TestNogo:
         (["concentrate"], "--state", {"dim": 2.7, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim"),
         (["concentrate"], "--state", {"dim": True, "re": [[1]], "im": [[0]]}, "dim"),
         (["concentrate"], "--state", {"nx": True, "nz": 0}, "nx"),
+        # numpy alone would read a boolean entry as 1.0 or 0.0
+        (["concentrate"], "--state", {"dim": 2, "re": [[True, 0], [0, False]], "im": [[0, 0], [0, 0]]}, "re"),
+        (["concentrate"], "--state", {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [False, 0]]}, "im"),
+        # a file that holds no JSON object, or a state object of neither form
+        (["amplify"], "--config", [{"steps": 3}], "config"),
+        (["concentrate"], "--state", [[1, 0], [0, 0]], "state"),
+        (["nogo"], "--state", {"matrix": [[1]]}, "state"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):
@@ -342,6 +376,9 @@ def test_negative_seed_exits_1_naming_it(tmp_path, capsys, monkeypatch, command)
         ["concat", "--eps=-0.5"],
         ["nogo", "--p", "0.5", "--samples", "0"],
         ["bound-compare", "--samples=-3"],
+        ["concentrate"],
+        # the search budget is checked before the CSV is opened
+        ["bound-compare", "--with-achieved", "--restarts", "0"],
     ],
 )
 def test_unsupported_value_exits_2_before_writing(tmp_path, argv):

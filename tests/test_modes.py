@@ -381,11 +381,13 @@ class TestLrdDecomposition:
     def test_reassembly_is_exact(self):
         rng = np.random.default_rng(21)
         rho_ab = random_density_matrix(4, 4, rng)
-        mode = bipartite_mode(rho_ab, GEN2, 1)
-        rebuilt = np.zeros((4, 4), dtype=complex)
-        for c, block in lrd_decompose(mode, GEN2):
-            rebuilt[np.ix_(GEN2.block_indices(c + 1), GEN2.block_indices(c))] = block
-        np.testing.assert_array_equal(rebuilt, mode.op)
+        # a block is labelled by its column eigenspace c; its rows lie in c + index
+        for index in (1, 2, -1, -2):
+            mode = bipartite_mode(rho_ab, GEN2, index)
+            rebuilt = np.zeros((4, 4), dtype=complex)
+            for c, block in lrd_decompose(mode, GEN2):
+                rebuilt[np.ix_(GEN2.block_indices(c + index), GEN2.block_indices(c))] = block
+            np.testing.assert_array_equal(rebuilt, mode.op)
 
 
 class TestCovariance:

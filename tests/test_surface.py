@@ -33,6 +33,20 @@ def test_no_public_name_is_used_only_by_tests():
     assert not unused, f"public names used only by their tests: {unused}"
 
 
+def test_commands_leave_writing_to_main():
+    """Each ``cmd_*`` takes the resolved parameters alone and yields its outputs; ``main`` writes them."""
+    tree = ast.parse((ROOT / "src" / "coherence_lab" / "cli.py").read_text(encoding="utf-8"))
+    writers = {"_write_csv", "_write_json", "open", "os.path.join"}
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            if [arg.arg for arg in node.args.args] != ["p"]:
+                found.append(f"{node.name} takes {ast.unparse(node.args)}")
+            calls = {ast.unparse(call.func) for call in ast.walk(node) if isinstance(call, ast.Call)}
+            found += [f"{node.name} calls {name}" for name in sorted(calls & writers)]
+    assert not found, found
+
+
 def test_no_private_helper_is_used_only_by_tests():
     src_text = "\n".join(path.read_text(encoding="utf-8") for path in SOURCES)
     unused = []
