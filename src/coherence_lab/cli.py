@@ -54,6 +54,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_UNSUPPORTED = 2
 
+#: trajectory steps converted to text per chunk, so a long trajectory's rows are never all in memory
+_TRAJECTORY_CHUNK = 4096
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -135,10 +138,21 @@ def _trajectory_csv(trace, **constants) -> tuple:
     """Header and rows of a recurrence trajectory; each keyword adds a constant column.
 
     Step m consumes 2^m copies; the exponent is written, since past step
-    14,284 the integer 2^m exceeds Python's int-to-str digit limit.
+    14,284 the integer 2^m exceeds Python's int-to-str digit limit. Rows are
+    lines of text, made from the arrays one chunk of steps at a time: each
+    float is formatted once as ``_fmt`` would (``m1`` = |n_x| is the
+    canonical n_x itself), and the constants once per file.
     """
-    rows = ((m, state.nx, state.nz, m, abs(state.nx), *constants.values()) for m, state in enumerate(trace.steps))
-    return ("step", "n_x", "n_z", "log2_copies", "m1", *constants), rows
+    tail = "".join(f",{_fmt(value)}" for value in constants.values())
+
+    def rows():
+        for first in range(0, len(trace.nx), _TRAJECTORY_CHUNK):
+            chunk = slice(first, first + _TRAJECTORY_CHUNK)
+            for m, (nx, nz) in enumerate(zip(trace.nx[chunk].tolist(), trace.nz[chunk].tolist()), start=first):
+                nx_text = f"{nx:.16e}"
+                yield f"{m},{nx_text},{nz:.16e},{m},{nx_text}{tail}\n"
+
+    return ("step", "n_x", "n_z", "log2_copies", "m1", *constants), rows()
 
 
 def cmd_concentrate(p: dict) -> Iterator[tuple]:
@@ -205,6 +219,7 @@ def cmd_concat(p: dict) -> Iterator[tuple]:
                 "nx": start.nx,
                 "nz": start.nz,
                 "status": "converged" if converged else "not converged",
+                "stop_reason": trace.stop_reason,
                 "steps": trace.converged_at,
                 "log2_copies": trace.converged_at,
                 "final_nx": trace.steps[-1].nx,
@@ -391,7 +406,8 @@ def main(argv=None) -> int:
     value the converter rejects, or a config key that names no parameter,
     exits 1 naming it. ``cmd_*`` gets the resolved dict and yields its outputs
     as (name, content): ``(header, rows)`` for a ``.csv`` name, where ``rows``
-    may be a generator, else a JSON value. This is the one place that writes
+    may be a generator and a row is a tuple of values or a finished line of
+    text, else a JSON value. This is the one place that writes
     a file; the manifest echoes the parameters and lists exactly the names written.
     """
     args = build_parser().parse_args(argv)
@@ -415,7 +431,7 @@ def main(argv=None) -> int:
                 if name.endswith(".csv"):
                     header, rows = content
                     fh.write(",".join(header) + "\n")
-                    fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+                    fh.writelines(row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n" for row in rows)
                 else:
                     json.dump(content, fh, indent=2, sort_keys=True)
                     fh.write("\n")

@@ -12,6 +12,8 @@ output/input coherence ratio grows without bound.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,31 +57,78 @@ class ConcentrationResult:
             raise ValueError(f"rotation angle {self.theta_opt} outside [0, pi/2]")
 
 
-@dataclass(frozen=True)
-class ConcatTrace:
-    """Trajectory of the concatenation protocol through the Bloch sphere."""
+class _Steps(Sequence):
+    """Read-only view of a trajectory's arrays: indexing builds a ``BlochState``, slicing gives a view."""
 
-    steps: tuple
+    __slots__ = ("_nx", "_nz")
+
+    def __init__(self, nx: np.ndarray, nz: np.ndarray) -> None:
+        self._nx, self._nz = nx, nz
+
+    def __len__(self) -> int:
+        return len(self._nx)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Steps(self._nx[index], self._nz[index])
+        return BlochState(float(self._nx[index]), 0.0, float(self._nz[index]))
+
+
+def _readonly_floats(values) -> np.ndarray:
+    out = np.asarray(values, dtype=float)
+    if out.flags.writeable:
+        out = out.copy()
+        out.setflags(write=False)
+    return out
+
+
+def _rises(values: np.ndarray) -> bool:
+    """Whether some entry exceeds the one before it by more than the monotonicity slack."""
+    return bool(np.any(values[1:] > values[:-1] + MONOTONE_ATOL))
+
+
+@dataclass(frozen=True, eq=False)
+class ConcatTrace:
+    """Trajectory of the concatenation protocol through the Bloch sphere.
+
+    ``nx`` and ``nz`` hold the canonical components (ny = 0) after every
+    layer, step 0 being the start; ``steps`` views them as ``BlochState``s.
+    ``stop_reason`` is "converged" (|nz| fell below the threshold at step
+    ``converged_at``), "fixed point" (a step left the state unchanged) or
+    "step cap".
+    """
+
+    nx: np.ndarray
+    nz: np.ndarray
     converged_at: int | None
+    stop_reason: str
 
     def __post_init__(self) -> None:
-        for prev, cur in zip(self.steps, self.steps[1:]):
-            if abs(cur.nx) < abs(prev.nx) - MONOTONE_ATOL:
-                raise ValueError("transverse component decreased along the trace")
-            if cur.nz**2 > prev.nz**2 + MONOTONE_ATOL:
-                raise ValueError("squared z component increased along the trace")
-            if cur.norm() > prev.norm() + MONOTONE_ATOL:
-                raise ValueError("Bloch norm increased along the trace")
+        nx, nz = _readonly_floats(self.nx), _readonly_floats(self.nz)
+        if nx.ndim != 1 or nx.shape != nz.shape or not nx.size:
+            raise ValueError(
+                f"trajectory arrays must be 1-D, non-empty and of equal length, got {nx.shape} and {nz.shape}"
+            )
+        if self.stop_reason not in ("converged", "fixed point", "step cap"):
+            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
+        if _rises(-np.abs(nx)):
+            raise ValueError("transverse component decreased along the trace")
+        if _rises(np.square(nz)):
+            raise ValueError("squared z component increased along the trace")
+        if _rises(np.hypot(nx, nz)):
+            raise ValueError("Bloch norm increased along the trace")
+        object.__setattr__(self, "nx", nx)
+        object.__setattr__(self, "nz", nz)
+
+    @property
+    def steps(self) -> Sequence:
+        """The trajectory as a read-only sequence of ``BlochState``s, built on indexing."""
+        return _Steps(self.nx, self.nz)
 
     @property
     def copies_consumed(self) -> tuple:
         """Input copies used by each step: 2^m at step m."""
-        return tuple(1 << m for m in range(len(self.steps)))
-
-
-def _canonical(b: BlochState) -> BlochState:
-    # absorb the free z-rotation: nx <- |transverse component|, ny <- 0
-    return BlochState(math.hypot(b.nx, b.ny), 0.0, b.nz)
+        return tuple(1 << m for m in range(len(self.nx)))
 
 
 def optimal_unitary(p00: float) -> AllowedUnitary:
@@ -132,11 +181,9 @@ def recurrence_step(state: BlochState) -> BlochState:
         nx <- nx sqrt(1 + nz^2).
     Matches the direct two-copy simulation under the optimal unitary.
     """
-    b = _canonical(state)
-    denom = 1.0 + b.nz * b.nz
-    nz = b.nz - b.nz * b.nx * b.nx / denom
-    nx = b.nx * math.sqrt(denom)
-    return BlochState(nx, 0.0, nz)
+    x, z = math.hypot(state.nx, state.ny), state.nz
+    denom = 1.0 + z * z
+    return BlochState(x * math.sqrt(denom), 0.0, z - z * x * x / denom)
 
 
 def run_concatenation(
@@ -148,27 +195,32 @@ def run_concatenation(
 
     Records the canonicalized state after every layer. ``converged_at`` is the
     first step whose |nz| falls below ``convergence_eps``; it stays None when
-    the step cap is reached first (near-axis starting points converge slowly).
+    the step cap or a fixed point is reached first (near-axis starting points
+    converge slowly), and ``stop_reason`` says which.
     """
     if max_steps < 1:
         raise UnsupportedParameterError(f"max_steps must be at least 1, got {max_steps}")
     if not convergence_eps >= 0.0:
         raise UnsupportedParameterError(f"convergence_eps must be non-negative, got {convergence_eps}")
-    current = _canonical(start)
-    steps = [current]
-    converged_at = 0 if abs(current.nz) < convergence_eps else None
+    current = BlochState(math.hypot(start.nx, start.ny), 0.0, start.nz)
+    nx, nz = array("d", [current.nx]), array("d", [current.nz])
+    stop_reason = "converged" if abs(current.nz) < convergence_eps else None
     m = 0
-    while converged_at is None and m < max_steps:
+    while stop_reason is None and m < max_steps:
         nxt = recurrence_step(current)
         m += 1
-        steps.append(nxt)
+        nx.append(nxt.nx)
+        nz.append(nxt.nz)
         if abs(nxt.nz) < convergence_eps:
-            converged_at = m
+            stop_reason = "converged"
         elif nxt == current:
             # exact fixed point: no further progress is possible
-            break
+            stop_reason = "fixed point"
         current = nxt
-    return ConcatTrace(tuple(steps), converged_at)
+    views = np.frombuffer(nx), np.frombuffer(nz)
+    for view in views:
+        view.setflags(write=False)
+    return ConcatTrace(*views, m if stop_reason == "converged" else None, stop_reason or "step cap")
 
 
 def purity_ceiling(rho: DensityMatrix) -> float:

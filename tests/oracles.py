@@ -137,6 +137,22 @@ def two_copy_step(nx: float, nz: float) -> tuple:
     return float(2.0 * red[0, 1].real), float(2.0 * red[0, 0].real - 1.0)
 
 
+def concat_trajectory(nx: float, nz: float, max_steps: int, eps: float) -> list:
+    """Points (nx, nz) of the concatenation recurrence iterated in plain floats, start included.
+
+    Stops after the first point with |nz| < eps, at the first step that
+    leaves the point unchanged, or after ``max_steps`` steps.
+    """
+    points = [(abs(nx), nz)]
+    while abs(points[-1][1]) >= eps and len(points) <= max_steps:
+        x, z = points[-1]
+        denom = 1.0 + z * z
+        points.append((x * math.sqrt(denom), z - z * x * x / denom))
+        if points[-1] == points[-2]:
+            break
+    return points
+
+
 def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
     """One restart of the gradient ascent from padded blocks ``unit``, kept on a stack of one point.
 

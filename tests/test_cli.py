@@ -122,6 +122,7 @@ class TestConcat:
         assert len(rows) == 1
         summary = json.load(open(out / "concat_summary.json"))
         assert summary[0]["status"] == "converged"
+        assert summary[0]["stop_reason"] == "converged"
         assert summary[0]["steps"] == 0
 
     def test_sweep_writes_one_csv_per_start(self, tmp_path):
@@ -184,6 +185,38 @@ class TestConcat:
         assert "not converged" in capsys.readouterr().out
         summary = json.load(open(out / "concat_summary.json"))
         assert summary[0]["status"] == "not converged"
+        assert summary[0]["stop_reason"] == "fixed point"
+
+    def test_capped_start_reports_the_step_cap(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["concat", "--nx", "1e-5", "--nz", "0.001001", "--steps", "50", "--out", str(out)]) == 0
+        summary = json.load(open(out / "concat_summary.json"))
+        assert (summary[0]["status"], summary[0]["stop_reason"]) == ("not converged", "step cap")
+
+    @pytest.mark.parametrize(
+        "nx, nz, eps, stop_reason",
+        [("0.019", "0.09", "0.001", "converged"), ("0.3", "0.5", "0", "fixed point")],
+    )
+    def test_trajectory_csv_matches_a_plain_float_reference(self, tmp_path, nx, nz, eps, stop_reason):
+        out = tmp_path / "out"
+        assert main(["concat", "--nx", nx, "--nz", nz, "--eps", eps, "--out", str(out)]) == 0
+        (summary,) = json.load(open(out / "concat_summary.json"))
+        assert summary["stop_reason"] == stop_reason
+        points = oracles.concat_trajectory(float(nx), float(nz), 1_000_000, float(eps))
+        lines = open(out / f"concat_nx{nx}_nz{nz}.csv", encoding="utf-8").read().splitlines()[1:]
+        assert len(lines) == len(points) > 1000
+        ceiling = "%.16e" % summary["purity_ceiling"]
+        for m, (line, (x, z)) in enumerate(zip(lines, points)):
+            assert line == "%d,%.16e,%.16e,%d,%.16e,%s" % (m, x, z, m, x, ceiling)
+
+    def test_amplify_csv_matches_a_plain_float_reference(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["amplify", "--steps", "40", "--out", str(out)]) == 0
+        summary = json.load(open(out / "amplify_summary.json"))
+        points = oracles.concat_trajectory(summary["start_nx"], summary["start_nz"], 40, 0.0)
+        lines = open(out / "amplify_N40.csv", encoding="utf-8").read().splitlines()[1:]
+        assert lines == ["%d,%.16e,%.16e,%d,%.16e" % (m, x, z, m, x) for m, (x, z) in enumerate(points)]
+        assert summary["final_m1"] == points[-1][0]
 
 
 class TestField:

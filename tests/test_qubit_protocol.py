@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +179,16 @@ class TestConcatenation:
         trace = run_concatenation(BlochState(0.0, 0.0, 0.5), max_steps=50)
         assert trace.converged_at is None
 
+    def test_stop_reasons(self):
+        converged = run_concatenation(BlochState(0.4, 0.0, 0.0))
+        assert (converged.stop_reason, converged.converged_at) == ("converged", 0)
+        fixed = run_concatenation(BlochState(0.0, 0.0, 0.5))
+        assert (fixed.stop_reason, fixed.converged_at, len(fixed.steps)) == ("fixed point", None, 2)
+        capped = run_concatenation(BlochState(1e-5, 0.0, 0.001001), max_steps=50)
+        assert (capped.stop_reason, capped.converged_at, len(capped.steps)) == ("step cap", None, 51)
+        amplified = run_concatenation(amplification_state(10, 0.1), max_steps=10, convergence_eps=0.0)
+        assert (amplified.stop_reason, len(amplified.steps)) == ("step cap", 11)
+
     def test_step_cap_validation(self):
         with pytest.raises(UnsupportedParameterError, match="max_steps"):
             run_concatenation(BlochState(0.1, 0.0, 0.1), max_steps=0)
@@ -186,12 +198,82 @@ class TestConcatenation:
         with pytest.raises(UnsupportedParameterError, match="convergence_eps"):
             run_concatenation(BlochState(0.1, 0.0, 0.1), convergence_eps=eps)
 
+    def test_trace_holds_read_only_arrays(self):
+        ConcatTrace([0.1, 0.2], [0.5, 0.4], None, "step cap")
+        nx = np.array([0.1, 0.2])
+        trace = ConcatTrace(nx, np.array([0.5, 0.4]), None, "step cap")
+        nx[0] = 0.3
+        assert trace.nx.tolist() == [0.1, 0.2]
+        with pytest.raises(ValueError):
+            trace.nz[0] = 0.0
+        computed = run_concatenation(BlochState(0.1, 0.0, 0.7))
+        assert not computed.nx.flags.writeable and not computed.nz.flags.writeable
+
     def test_trace_invariants_enforced(self):
-        good = (BlochState(0.1, 0.0, 0.5), BlochState(0.2, 0.0, 0.4))
-        ConcatTrace(good, None)
-        bad = (BlochState(0.3, 0.0, 0.5), BlochState(0.2, 0.0, 0.4))
+        ConcatTrace(np.array([0.1, 0.2]), np.array([0.5, 0.4]), None, "step cap")
         with pytest.raises(ValueError, match="transverse component decreased"):
-            ConcatTrace(bad, None)
+            ConcatTrace(np.array([0.3, 0.2]), np.array([0.5, 0.4]), None, "step cap")
+
+    @pytest.mark.parametrize(
+        "nx, nz, message",
+        [
+            ([0.1, 0.2], [0.4, -0.5], "squared z component increased"),
+            ([0.1, 0.5], [0.5, 0.4], "Bloch norm increased"),
+            ([0.1, 0.2], [0.5], "equal length"),
+            ([], [], "non-empty"),
+        ],
+    )
+    def test_trace_rejects_other_broken_arrays(self, nx, nz, message):
+        with pytest.raises(ValueError, match=message):
+            ConcatTrace(np.array(nx), np.array(nz), None, "step cap")
+
+    def test_trace_rejects_an_unknown_stop_reason(self):
+        with pytest.raises(ValueError, match="stop reason"):
+            ConcatTrace(np.array([0.1]), np.array([0.5]), None, "stalled")
+
+    def test_steps_view_matches_a_recurrence_chain(self):
+        start = BlochState(0.1, 0.0, 0.7)
+        trace = run_concatenation(start)
+        chain = [start]
+        while len(chain) < len(trace.nx):
+            chain.append(recurrence_step(chain[-1]))
+        steps = trace.steps
+        assert len(steps) == len(chain) == trace.converged_at + 1
+        assert list(steps) == chain
+        assert steps[-1] == chain[-1] and steps[-len(chain)] == chain[0]
+        assert type(steps[0].nx) is float
+        assert list(steps[2:7:2]) == chain[2:7:2]
+        assert list(steps[::-1]) == chain[::-1]
+        assert len(steps[5:]) == len(chain) - 5
+        with pytest.raises(IndexError):
+            steps[len(chain)]
+
+    def test_one_state_object_per_step(self, monkeypatch):
+        built = []
+        check = BlochState.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        start = BlochState(0.01, 0.0, 0.1)
+        monkeypatch.setattr(BlochState, "__post_init__", counted)
+        trace = run_concatenation(start)
+        assert trace.converged_at > 1000
+        assert len(built) <= len(trace.steps)
+
+    def test_memory_per_step_is_bounded(self):
+        # time-free: the trajectory is two float arrays, so a capped run holds
+        # 16 B per step and the invariant check a few float arrays more
+        start = BlochState(1e-5, 0.0, 0.001001)
+        run_concatenation(start, max_steps=10)
+        gc.collect()
+        tracemalloc.start()
+        trace = run_concatenation(start, max_steps=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(trace.steps) == 200_001
+        assert peak / len(trace.steps) < 64
 
 
 class TestPurityCeiling:
