@@ -2,7 +2,7 @@
 
 The package namespace holds the names that the README's library quick start
 and the acceptance suite use, plus the two error types; every other name is
-reached through its module (``coherence_lab.modes.lrd_decompose``).
+reached through its module (``coherence_lab.modes.bipartite_mode_set``).
 """
 
 from types import ModuleType as _ModuleType

@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__, linalg
 from .bounds import _nogo_verdict, bound_report, marginal_product_distance
 from .errors import StateValidationError, UnsupportedParameterError
-from .modes import _local_gap_measure, _padded_units, _stripe_blocks, _stripe_measure, bipartite_mode_set
-from .optimizer import UnitarySearchConfig, maximize_delta_m, random_allowed_unitary
+from .modes import _local_gap_measure, bipartite_mode_set
+from .optimizer import UnitarySearchConfig, _search, maximize_delta_m
 from .qubit_protocol import (
     amplification_state,
     optimal_concentration,
@@ -126,12 +126,17 @@ def _mode_structure(rho: DensityMatrix) -> tuple:
     """Generator, no-go verdict, sorted modes present (one mode set) and marginal product distance."""
     local_dim = math.isqrt(rho.dim)
     if local_dim * local_dim != rho.dim:
-        raise UnsupportedParameterError(
-            f"state dimension {rho.dim} is not the square of a local dimension"
-        )
+        raise UnsupportedParameterError(f"state dimension {rho.dim} is not the square of a local dimension")
     gen = BipartiteGenerator(NumberOperator(local_dim))
     present = bipartite_mode_set(rho, gen)
     return gen, _nogo_verdict(present, local_dim), sorted(present), marginal_product_distance(rho, gen)
+
+
+def _search_line(outcome) -> str:
+    """One line of search telemetry: evaluations, how the restarts stopped, the final gradient norm."""
+    stationary = outcome.stop_reasons.count("stationary")
+    return (f"search: {outcome.evals} evaluations, restarts {stationary} stationary, "
+            f"{len(outcome.stop_reasons) - stationary} at eval budget, final gradient norm {outcome.grad_norm:.3e}")
 
 
 def _trajectory_csv(trace, **constants) -> tuple:
@@ -176,9 +181,7 @@ def cmd_concentrate(p: dict) -> Iterator[tuple]:
         }
         report["bound_report"] = rep.to_json()
         print(f"optimizer delta_m: {outcome.best_delta_m:.6e}")
-        stationary = outcome.stop_reasons.count("stationary")
-        print(f"search: {outcome.evals} evaluations, restarts {stationary} stationary, "
-              f"{cfg.restarts - stationary} at eval budget, final gradient norm {outcome.grad_norm:.3e}")
+        print(_search_line(outcome))
         print(f"bound1: {rep.bound1:.6e}  bound2: {rep.bound2:.6e}  tighter: {rep.tighter}")
         if rho.dim == 2:
             result = optimal_concentration(rho)
@@ -196,7 +199,6 @@ def cmd_concentrate(p: dict) -> Iterator[tuple]:
 
 
 def cmd_concat(p: dict) -> Iterator[tuple]:
-    steps = p["steps"]
     # every start is validated and named before any trajectory runs
     starts: dict = {}
     for start in [BlochState(nx, 0.0, nz) for nx in p["nx"] for nz in p["nz"]]:
@@ -208,12 +210,13 @@ def cmd_concat(p: dict) -> Iterator[tuple]:
             )
     summary = []
     for name, start in starts.items():
-        trace = run_concatenation(start, max_steps=steps, convergence_eps=p["eps"])
+        trace = run_concatenation(start, max_steps=p["steps"], convergence_eps=p["eps"])
         ceiling = purity_ceiling(bloch_to_density(trace.steps[0]))
         yield name, _trajectory_csv(trace, purity_ceiling=ceiling)
         converged = trace.converged_at is not None
         if not converged:
-            print(f"warning: start (nx={start.nx:g}, nz={start.nz:g}) not converged within {steps} steps")
+            print(f"warning: start (nx={start.nx:g}, nz={start.nz:g}) not converged: "
+                  f"{trace.stop_reason} at step {len(trace.nx) - 1}")
         summary.append(
             {
                 "nx": start.nx,
@@ -276,37 +279,30 @@ def cmd_bound_compare(p: dict) -> Iterator[tuple]:
 
 
 def cmd_nogo(p: dict) -> Iterator[tuple]:
-    state_path, samples = p["state"], p["samples"]
-    if (state_path is None) == (p["p"] is None):
+    if (p["state"] is None) == (p["p"] is None):
         raise UnsupportedParameterError("nogo requires exactly one of --state or --p")
-    if samples < 1:
-        raise UnsupportedParameterError(f"nogo requires --samples >= 1, got {samples}")
-    if state_path is not None:
-        rho = _load_state(state_path)
-        source = state_path
+    cfg = UnitarySearchConfig(restarts=p["restarts"], seed=p["seed"])
+    if p["state"] is None:
+        rho, source = isotropic_state(p["p"]), f"isotropic(p={p['p']})"
     else:
-        rho = isotropic_state(p["p"])
-        source = f"isotropic(p={p['p']})"
+        rho, source = _load_state(p["state"]), p["state"]
     gen, verdict, modes_present, distance = _mode_structure(rho)
     before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, gen.dim, gen.dim), 1)
-    blocks = _stripe_blocks(rho.matrix, gen.dim, 1)
-    rng = np.random.default_rng(p["seed"])
-    max_gain = -math.inf
-    for _ in range(samples):
-        u = random_allowed_unitary(gen, rng)
-        max_gain = max(max_gain, float(_stripe_measure(_padded_units(u.blocks, gen.dim), blocks, 1)[0]) - before)
+    outcome = _search(rho.matrix, gen.dim, 1, before, cfg)
     report = {
         "source": source,
         "verdict": verdict,
         "modes_present": modes_present,
         "initial_local_m1": before,
-        "max_local_m1_gain": max_gain,
-        "unitary_samples": samples,
+        "max_local_m1_gain": outcome.best_delta_m,
+        "restarts": cfg.restarts,
+        "converged": outcome.converged,
         "marginal_product_distance": distance,
-        "note": "dynamical check samples covariant unitaries only; the verdict itself covers all covariant operations",
+        "note": "gain searched over covariant unitaries, not sampled; the verdict covers every covariant operation",
     }
     yield "nogo_report.json", report
-    print(f"verdict: {verdict}  max local m1 gain over {samples} unitaries: {max_gain:.3e}")
+    print(f"verdict: {verdict}  max local m1 gain: {outcome.best_delta_m:.3e}")
+    print(_search_line(outcome))
 
 
 def cmd_amplify(p: dict) -> Iterator[tuple]:
@@ -368,10 +364,10 @@ COMMANDS = {
         ("restarts", _int, 3, "oracle restarts when enabled"),
         ("iters", _int, 500, "oracle evaluations per restart"),
     )),
-    "nogo": (cmd_nogo, "mode-structure verdict plus a randomized dynamical check", (
+    "nogo": (cmd_nogo, "mode-structure verdict plus a search for the largest local m1 gain", (
         ("state", os.fspath, None, "JSON joint-state file"),
         ("p", _float, None, "build the two-qubit isotropic state instead"),
-        ("samples", _int, 500, "random unitaries to try, at least 1"),
+        ("restarts", _int, UnitarySearchConfig.restarts, "search restarts"),
     )),
     "amplify": (cmd_amplify, "construct and run an unbounded-ratio amplification state", (
         ("steps", _int, 10, "number of doubling layers N"),

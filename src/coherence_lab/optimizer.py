@@ -1,15 +1,16 @@
 """Riemannian gradient ascent of the local coherence gain over block-diagonal unitaries.
 
 This is the ground-truth oracle at small dimension. The gain is the local
-mode measure of one system after conjugating two copies of the state by a
-unitary with one free block per degenerate eigenspace, read from the gap-j
+mode measure of one system after conjugating a joint state of two systems by
+a unitary with one free block per degenerate eigenspace, read from the gap-j
 stripe of that marginal (``modes._stripe_measure``), which also gives its
-gradient per block in closed form. Each restart climbs along the product of
-block unitary groups, U_b <- exp(i alpha G_b) U_b (Abrudan, Eriksson &
-Koivunen, IEEE TSP 56, 2008), with Barzilai-Borwein steps guarded by a
-non-monotone Armijo test. The restarts run in lockstep, so one stacked
-exponential and one stacked value-and-gradient call per iteration serve all
-of them.
+gradient per block in closed form. Any joint state will do (``nogo`` checks a
+correlated one); two copies of a state are the case rho (x) rho. Each restart
+climbs along the product of block unitary groups, U_b <- exp(i alpha G_b) U_b
+(Abrudan, Eriksson & Koivunen, IEEE TSP 56, 2008), with Barzilai-Borwein
+steps guarded by a non-monotone Armijo test. The restarts run in lockstep, so
+one stacked exponential and one stacked value-and-gradient call per iteration
+serve all of them.
 """
 
 from __future__ import annotations
@@ -202,22 +203,25 @@ def maximize_delta_m(
     index: int,
     config: UnitarySearchConfig | None = None,
 ) -> SearchOutcome:
-    """Search the block-diagonal unitaries for the largest local mode-measure gain.
-
-    The objective reads the gap-``index`` stripe of the first-system marginal
-    of the conjugated two-copy state and differences its measure against the
-    input's. Restart r > 0 starts from exp(i H_b) with each generator's
-    parameters uniform in [-pi, pi]; the identity seeds the first restart, so
-    the result is never below zero beyond roundoff.
-    """
-    cfg = config or UnitarySearchConfig()
-    d = rho.dim
+    """Largest local gap-``index`` mode-measure gain from two copies of ``rho``: ``_search`` on rho (x) rho."""
     _check_local_index(op, index, rho)
+    if rho.dim > MAX_LOCAL_DIM:  # as in _search, but before the d^4 two-copy matrix is built
+        raise UnsupportedParameterError(f"search supports local dimension up to {MAX_LOCAL_DIM}, got {rho.dim}")
+    cfg = config or UnitarySearchConfig()
+    return _search(np.kron(rho.matrix, rho.matrix), rho.dim, index, _local_gap_measure(rho.matrix, index), cfg)
+
+
+def _search(joint: np.ndarray, d: int, index: int, baseline: float, cfg: UnitarySearchConfig) -> SearchOutcome:
+    """Largest gap-``index`` measure of the first marginal of U joint U^dagger over covariant U, minus ``baseline``.
+
+    ``joint`` is any d^2 x d^2 state of two d-level systems. Restart r > 0
+    starts from exp(i H_b) with each generator's parameters uniform in
+    [-pi, pi]; the identity seeds the first restart, so when ``baseline`` is
+    the input's own measure the result is never below zero beyond roundoff.
+    """
     if d > MAX_LOCAL_DIM:
-        raise UnsupportedParameterError(
-            f"search supports local dimension up to {MAX_LOCAL_DIM}, got {d}"
-        )
-    gen = BipartiteGenerator(op)
+        raise UnsupportedParameterError(f"search supports local dimension up to {MAX_LOCAL_DIM}, got {d}")
+    gen = BipartiteGenerator(NumberOperator(d))
     sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
     offsets = np.cumsum([0] + [n * n for n in sizes])
 
@@ -225,15 +229,14 @@ def maximize_delta_m(
     x0 = np.zeros((cfg.restarts, int(offsets[-1])))
     x0[1:] = rng.uniform(-math.pi, math.pi, (cfg.restarts - 1, int(offsets[-1])))
     starts = [_exp_ih(_hermitian_from_params(n, x0[:, o : o + n * n])) for n, o in zip(sizes, offsets)]
-    blocks = _stripe_blocks(np.kron(rho.matrix, rho.matrix), d, index)
-    objective = functools.partial(_stripe_measure, blocks=blocks, index=index)
+    objective = functools.partial(_stripe_measure, blocks=_stripe_blocks(joint, d, index), index=index)
     units, accepted, backtracks, reasons, norms = _ascend(objective, _padded_units(starts, d), cfg.max_iters)
     # a product of many exponentials drifts off the unitary group by a few ulp,
     # which the best value would pick up; report each best point's polar factor
     w, _, vh = np.linalg.svd(units)
     mask = _block_mask(d)
     units = np.where(mask, w @ vh, np.eye(d))
-    gains = objective(units)[0] - _local_gap_measure(rho.matrix, index)
+    gains = objective(units)[0] - baseline
     top = int(np.argmax(gains))
     return SearchOutcome(
         best_delta_m=float(gains[top]),

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 import oracles
 from coherence_lab import bounds, cli
 from coherence_lab.cli import main
-from coherence_lab.optimizer import random_allowed_unitary
+from coherence_lab.optimizer import MAX_LOCAL_DIM, UnitarySearchConfig, _search, random_allowed_unitary
 from coherence_lab.qubit_protocol import recurrence_step
 from coherence_lab.sampling import random_density_matrix
 from coherence_lab.states import (
     BipartiteGenerator,
     BlochState,
+    DensityMatrix,
     NumberOperator,
     isotropic_state,
 )
@@ -187,6 +188,20 @@ class TestConcat:
         assert summary[0]["status"] == "not converged"
         assert summary[0]["stop_reason"] == "fixed point"
 
+    @pytest.mark.parametrize(
+        "argv, warning",
+        [
+            (["--nx", "0", "--nz", "0.5"], "warning: start (nx=0, nz=0.5) not converged: fixed point at step 1"),
+            (
+                ["--nx", "1e-5", "--nz", "0.001001", "--steps", "50"],
+                "warning: start (nx=1e-05, nz=0.001001) not converged: step cap at step 50",
+            ),
+        ],
+    )
+    def test_warning_names_the_stop_reason_and_step(self, tmp_path, capsys, argv, warning):
+        assert main(["concat", *argv, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines() == [warning]
+
     def test_capped_start_reports_the_step_cap(self, tmp_path):
         out = tmp_path / "out"
         assert main(["concat", "--nx", "1e-5", "--nz", "0.001001", "--steps", "50", "--out", str(out)]) == 0
@@ -294,15 +309,42 @@ class TestBoundCompare:
         assert peaks[1] - peaks[0] <= 200_000
 
 
+def _psi_mixture(p):
+    """p |psi><psi| + (1 - p) I/9 with |psi> = (|00> + |22>)/sqrt(2): coherent only across total gap 4."""
+    psi = np.zeros(9)
+    psi[[0, 8]] = 1.0 / math.sqrt(2.0)
+    return DensityMatrix(p * np.outer(psi, psi) + (1.0 - p) * np.eye(9) / 9.0)
+
+
 class TestNogo:
-    def test_isotropic_no_go_with_zero_gain(self, tmp_path):
+    def test_isotropic_no_go_with_zero_gain(self, tmp_path, capsys):
         out = tmp_path / "out"
-        rc = main(["nogo", "--p", "0.5", "--samples", "50", "--seed", "3", "--out", str(out)])
+        rc = main(["nogo", "--p", "0.5", "--restarts", "4", "--seed", "3", "--out", str(out)])
         assert rc == 0
         report = json.load(open(out / "nogo_report.json"))
         assert report["verdict"] == "no_go"
         assert report["max_local_m1_gain"] <= 1e-9
         assert report["marginal_product_distance"] > 1e-8
+        assert (report["restarts"], report["converged"]) == (4, True)
+        assert "unitary_samples" not in report and "search" in report["note"]
+        # the same search line as concentrate's, on stdout only
+        assert re.search(
+            r"^search: 4 evaluations, restarts 4 stationary, 0 at eval budget, final gradient norm \S+$",
+            capsys.readouterr().out,
+            re.M,
+        )
+
+    @pytest.mark.parametrize(
+        "state, j",
+        [(isotropic_state(p), 1) for p in (0.1, 0.5, 0.9)]
+        + [(_psi_mixture(p), j) for p in (0.05, 0.5, 1.0) for j in (1, 2)],
+    )
+    def test_search_never_beats_a_no_go_verdict(self, state, j):
+        d = math.isqrt(state.dim)
+        assert bounds.nogo_check(state, BipartiteGenerator(NumberOperator(d))) == "no_go"
+        before = np.abs(np.diagonal(oracles.partial_trace_b_loops(state.matrix, d, d), -j)).sum()
+        outcome = _search(state.matrix, d, j, before, UnitarySearchConfig(seed=3))
+        assert outcome.best_delta_m <= 1e-9
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["nogo", "--out", str(tmp_path)]) == 2
@@ -312,9 +354,11 @@ class TestNogo:
         rho = random_density_matrix(d * d, 3, np.random.default_rng(5))
         state = _write_state(tmp_path / "joint.json", oracles.density_to_json(rho))
         out = tmp_path / "out"
-        args = ["nogo", "--state", state, "--samples", "20", "--seed", "7", "--out", str(out)]
+        args = ["nogo", "--state", state, "--restarts", "3", "--seed", "7", "--out", str(out)]
         assert main(args) == 0
         report = json.load(open(out / "nogo_report.json"))
+        outcome = _search(rho.matrix, d, 1, report["initial_local_m1"], UnitarySearchConfig(restarts=3, seed=7))
+        assert report["max_local_m1_gain"] == outcome.best_delta_m
 
         def m1(joint):
             reduced = oracles.partial_trace_b_loops(joint, d, d)
@@ -326,32 +370,45 @@ class TestNogo:
         gen = BipartiteGenerator(NumberOperator(d))
         rng = np.random.default_rng(7)
         before = m1(rho.matrix)
-        gain = -math.inf
+        sampled = -math.inf
         for _ in range(20):
             u = random_allowed_unitary(gen, rng).matrix
-            gain = max(gain, m1(u @ rho.matrix @ u.conj().T) - before)
-        assert gain > 0.01
+            sampled = max(sampled, m1(u @ rho.matrix @ u.conj().T) - before)
+        assert sampled > 0.01
         assert abs(report["initial_local_m1"] - before) <= 1e-12
-        assert abs(report["max_local_m1_gain"] - gain) <= 1e-12
+        u = outcome.best_unitary.matrix
+        assert abs(report["max_local_m1_gain"] - (m1(u @ rho.matrix @ u.conj().T) - before)) <= 1e-12
+        # the search finds at least the best of the 20 random draws
+        assert report["max_local_m1_gain"] >= sampled
 
     def test_one_dimensional_joint_state_has_zero_gain(self, tmp_path):
-        # d = 1: the stripe has no eigenspace pair and no entry
+        # d = 1: the stripe has no eigenspace pair and no entry, so every restart is stationary at once
         state = _write_state(tmp_path / "joint.json", {"dim": 1, "re": [[1.0]], "im": [[0.0]]})
         out = tmp_path / "out"
-        assert main(["nogo", "--state", state, "--samples", "5", "--out", str(out)]) == 0
+        assert main(["nogo", "--state", state, "--restarts", "5", "--out", str(out)]) == 0
         report = json.load(open(out / "nogo_report.json"))
         assert report["max_local_m1_gain"] == 0.0
         assert report["initial_local_m1"] == 0.0
+        assert report["converged"] is True
+
+    def test_joint_state_beyond_the_search_cap_exits_2(self, tmp_path, capsys):
+        d = MAX_LOCAL_DIM + 1
+        rho = random_density_matrix(d * d, 2, np.random.default_rng(1))
+        state = _write_state(tmp_path / "joint.json", oracles.density_to_json(rho))
+        out = tmp_path / "out"
+        assert main(["nogo", "--state", state, "--out", str(out)]) == 2
+        assert f"local dimension up to {MAX_LOCAL_DIM}, got {d}" in capsys.readouterr().err
+        assert "nogo_report.json" not in os.listdir(out)
 
 
 @pytest.mark.parametrize(
     "command, flag, obj, key",
     [
-        (["nogo", "--p", "0.5"], "--config", {"samples": {}}, "samples"),
+        (["bound-compare"], "--config", {"samples": {}}, "samples"),
         (["concentrate"], "--state", {"dim": [2], "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim"),
         (["concentrate"], "--state", {"nx": [0.1], "nz": 0.5}, "nx"),
         (["concentrate"], "--config", {"bipartite": "false"}, "bipartite"),
-        (["nogo", "--p", "0.5"], "--config", {"samples": 2.5}, "samples"),
+        (["bound-compare"], "--config", {"samples": 2.5}, "samples"),
         (["amplify", "--steps", "abc"], "--config", {}, "steps"),
         (["concat"], "--config", {"eps": True}, "eps"),
         (["concat"], "--config", {"nx": [True]}, "nx"),
@@ -378,6 +435,10 @@ class TestNogo:
         (["amplify"], "--config", [{"steps": 3}], "config"),
         (["concentrate"], "--state", [[1, 0], [0, 0]], "state"),
         (["nogo"], "--state", {"matrix": [[1]]}, "state"),
+        (["nogo", "--p", "0.5"], "--config", {"restarts": {}}, "restarts"),
+        (["nogo", "--p", "0.5"], "--config", {"restarts": 2.5}, "restarts"),
+        # a nogo manifest written when the dynamical check sampled
+        (["nogo"], "--config", {"params": {"p": 0.5, "samples": 500}}, "samples"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):
@@ -407,7 +468,7 @@ def test_negative_seed_exits_1_naming_it(tmp_path, capsys, monkeypatch, command)
         ["amplify", "--eps", "nan"],
         ["concat", "--eps", "nan"],
         ["concat", "--eps=-0.5"],
-        ["nogo", "--p", "0.5", "--samples", "0"],
+        ["nogo", "--p", "0.5", "--restarts", "0"],
         ["bound-compare", "--samples=-3"],
         ["concentrate"],
         # the search budget is checked before the CSV is opened
@@ -421,7 +482,7 @@ def test_unsupported_value_exits_2_before_writing(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["nogo", "--p", "0.5", "--samples", "3"], ["concentrate", "--bipartite", "--state"]]
+    "argv", [["nogo", "--p", "0.5", "--restarts", "3"], ["concentrate", "--bipartite", "--state"]]
 )
 def test_one_mode_set_per_command(tmp_path, monkeypatch, argv):
     if argv[-1] == "--state":
@@ -467,8 +528,8 @@ class TestManifestReproduction:
         "argv",
         [
             ["concat", "--nx", "0.01,0.3", "--nz", "0.7,0.2", "--eps", "0.01"],
-            ["nogo", "--p", "0.5", "--samples", "20", "--seed", "4"],
-            ["nogo", "--state", "JOINT", "--samples", "10", "--seed", "6"],
+            ["nogo", "--p", "0.5", "--restarts", "4", "--seed", "4"],
+            ["nogo", "--state", "JOINT", "--restarts", "2", "--seed", "6"],
             ["amplify", "--steps", "12", "--eps", "0.15"],
             ["field", "--grid", "4x7"],
             ["concentrate", "--state", "JOINT", "--bipartite"],
@@ -513,7 +574,8 @@ class TestManifestReproduction:
 # invalid files). An example sets at most one parameter to an odd text or to a
 # config value of the wrong JSON type, so every odd value is reached on its own.
 # Every number is small (grids <= 20, steps <= 50, samples <= 5, one restart of
-# ten evaluations), so an example runs in milliseconds. PRESENT stands for a
+# ten evaluations for concentrate and bound-compare, at most five restarts of a
+# qutrit search for nogo), so an example runs in at most tens of milliseconds. PRESENT stands for a
 # bare boolean flag, None for a parameter left to its default, and a name in
 # STATE_FILES for a file the sweep writes.
 PRESENT = object()
@@ -547,7 +609,7 @@ SWEEP = {
     "nogo": {
         "state": ([None, "iso.json", "joint.json"], ["qubit.json", "bad.json", "missing.json", ""]),
         "p": ([None, "0.5", "0", "1"], ["1.5", "-0.1", "nan", "inf", ""]),
-        "samples": (["1", "5"], ["0", "-2", "x", "nan"]),
+        "restarts": (["1", "5"], ["0", "-2", "x", "nan"]),
     },
     "amplify": {
         "steps": ([None, "1", "6", "50"], ["0", "-1", "x", "", "2.5"]),

@@ -364,7 +364,9 @@ class TestObjectiveInvariance:
 
 
 class TestRangeGuards:
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        # refused before the d^4 two-copy matrix is built, which at large d would not fit in memory
+        monkeypatch.setattr(optimizer.np, "kron", lambda *args: pytest.fail("two-copy matrix built"))
         rho = DensityMatrix(np.eye(5) / 5)
         with pytest.raises(UnsupportedParameterError, match="up to 4"):
             maximize_delta_m(rho, NumberOperator(5), 1)
