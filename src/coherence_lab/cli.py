@@ -25,7 +25,7 @@ from . import __version__, linalg
 from .bounds import _nogo_verdict, bound_report, marginal_product_distance
 from .errors import StateValidationError, UnsupportedParameterError
 from .modes import _local_gap_measure, bipartite_mode_set
-from .optimizer import UnitarySearchConfig, _search, maximize_delta_m
+from .optimizer import MAX_LOCAL_DIM, UnitarySearchConfig, _search, maximize_delta_m
 from .qubit_protocol import (
     amplification_state,
     optimal_concentration,
@@ -122,16 +122,6 @@ def _grid(text: str) -> tuple:
     return radial, angular
 
 
-def _mode_structure(rho: DensityMatrix) -> tuple:
-    """Generator, no-go verdict, sorted modes present (one mode set) and marginal product distance."""
-    local_dim = math.isqrt(rho.dim)
-    if local_dim * local_dim != rho.dim:
-        raise UnsupportedParameterError(f"state dimension {rho.dim} is not the square of a local dimension")
-    gen = BipartiteGenerator(NumberOperator(local_dim))
-    present = bipartite_mode_set(rho, gen)
-    return gen, _nogo_verdict(present, local_dim), sorted(present), marginal_product_distance(rho, gen)
-
-
 def _search_line(outcome) -> str:
     """One line of search telemetry: evaluations, how the restarts stopped, the final gradient norm."""
     stationary = outcome.stop_reasons.count("stationary")
@@ -166,35 +156,28 @@ def cmd_concentrate(p: dict) -> Iterator[tuple]:
     rho = _load_state(p["state"])
     j = p["j"]
     report: dict = {"input_dim": rho.dim, "j": j}
-
-    if p["bipartite"]:
-        _, verdict, modes, distance = _mode_structure(rho)
-        report.update(nogo_verdict=verdict, modes_present=modes, marginal_product_distance=distance)
-        print(f"verdict: {verdict}")
-    else:
-        cfg = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"], seed=p["seed"])
-        outcome = maximize_delta_m(rho, NumberOperator(rho.dim), j, cfg)
-        rep = bound_report(rho, NumberOperator(rho.dim), j, achieved=outcome.best_delta_m)
-        report["optimizer"] = {
-            "best_delta_m": outcome.best_delta_m,
-            "converged": outcome.converged,
+    cfg = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"], seed=p["seed"])
+    outcome = maximize_delta_m(rho, NumberOperator(rho.dim), j, cfg)
+    rep = bound_report(rho, NumberOperator(rho.dim), j, achieved=outcome.best_delta_m)
+    report["optimizer"] = {
+        "best_delta_m": outcome.best_delta_m,
+        "converged": outcome.converged,
+    }
+    report["bound_report"] = rep.to_json()
+    print(f"optimizer delta_m: {outcome.best_delta_m:.6e}")
+    print(_search_line(outcome))
+    print(f"bound1: {rep.bound1:.6e}  bound2: {rep.bound2:.6e}  tighter: {rep.tighter}")
+    if rho.dim == 2:
+        result = optimal_concentration(rho)
+        out_state = result.output_state
+        simulated = math.hypot(out_state.nx, out_state.ny) / 2.0 - abs(complex(rho.matrix[0, 1]))
+        report["closed_form"] = {
+            "delta_m": result.delta_m,
+            "theta_opt": result.theta_opt,
+            "simulated_delta_m": simulated,
         }
-        report["bound_report"] = rep.to_json()
-        print(f"optimizer delta_m: {outcome.best_delta_m:.6e}")
-        print(_search_line(outcome))
-        print(f"bound1: {rep.bound1:.6e}  bound2: {rep.bound2:.6e}  tighter: {rep.tighter}")
-        if rho.dim == 2:
-            result = optimal_concentration(rho)
-            out_state = result.output_state
-            simulated = math.hypot(out_state.nx, out_state.ny) / 2.0 - abs(complex(rho.matrix[0, 1]))
-            report["closed_form"] = {
-                "delta_m": result.delta_m,
-                "theta_opt": result.theta_opt,
-                "simulated_delta_m": simulated,
-            }
-            print(f"closed-form delta_m: {result.delta_m:.6e}  theta_opt: {result.theta_opt:.6f}")
-            print(f"simulated delta_m: {simulated:.6e}")
-
+        print(f"closed-form delta_m: {result.delta_m:.6e}  theta_opt: {result.theta_opt:.6f}")
+        print(f"simulated delta_m: {simulated:.6e}")
     yield "concentrate_report.json", report
 
 
@@ -250,7 +233,7 @@ def cmd_bound_compare(p: dict) -> Iterator[tuple]:
         if not 1 <= rank <= dim:
             raise UnsupportedParameterError(f"rank {rank} outside [1, {dim}]")
     # a bad search budget exits before the CSV's first byte
-    budget = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"]) if p["with_achieved"] else None
+    budget = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"])
     op = NumberOperator(dim)
     wins: dict = {}
 
@@ -260,7 +243,7 @@ def cmd_bound_compare(p: dict) -> Iterator[tuple]:
             rho = random_density_matrix(dim, rank, np.random.default_rng(sample_seed))
             for j in range(1, dim):
                 achieved = None
-                if budget is not None:
+                if p["with_achieved"]:
                     cfg = dataclasses.replace(budget, seed=sample_seed)
                     achieved = maximize_delta_m(rho, op, j, cfg).best_delta_m
                 rep = bound_report(rho, op, j, achieved=achieved)
@@ -286,23 +269,37 @@ def cmd_nogo(p: dict) -> Iterator[tuple]:
         rho, source = isotropic_state(p["p"]), f"isotropic(p={p['p']})"
     else:
         rho, source = _load_state(p["state"]), p["state"]
-    gen, verdict, modes_present, distance = _mode_structure(rho)
-    before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, gen.dim, gen.dim), 1)
-    outcome = _search(rho.matrix, gen.dim, 1, before, cfg)
+    d = math.isqrt(rho.dim)
+    if d * d != rho.dim:
+        raise UnsupportedParameterError(f"state dimension {rho.dim} is not the square of a local dimension")
+    gen = BipartiteGenerator(NumberOperator(d))
+    present = bipartite_mode_set(rho, gen)
+    verdict = _nogo_verdict(present, d)
+    before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, d, d), 1)
+    # the verdict covers every local dimension; the search runs up to its cap
+    if d > MAX_LOCAL_DIM:
+        outcome, searched = None, f"no gain search above local dimension {MAX_LOCAL_DIM}"
+    else:
+        outcome = _search(rho.matrix, d, 1, before, cfg)
+        searched = "gain searched over covariant unitaries, not sampled"
     report = {
         "source": source,
         "verdict": verdict,
-        "modes_present": modes_present,
+        "modes_present": sorted(present),
         "initial_local_m1": before,
-        "max_local_m1_gain": outcome.best_delta_m,
+        "max_local_m1_gain": None if outcome is None else outcome.best_delta_m,
         "restarts": cfg.restarts,
-        "converged": outcome.converged,
-        "marginal_product_distance": distance,
-        "note": "gain searched over covariant unitaries, not sampled; the verdict covers every covariant operation",
+        "converged": None if outcome is None else outcome.converged,
+        "marginal_product_distance": marginal_product_distance(rho, gen),
+        "note": f"{searched}; the verdict covers every covariant operation",
     }
     yield "nogo_report.json", report
-    print(f"verdict: {verdict}  max local m1 gain: {outcome.best_delta_m:.3e}")
-    print(_search_line(outcome))
+    if outcome is None:
+        print(f"verdict: {verdict}")
+        print(f"search: skipped, local dimension {d} is above the search cap of {MAX_LOCAL_DIM}")
+    else:
+        print(f"verdict: {verdict}  max local m1 gain: {outcome.best_delta_m:.3e}")
+        print(_search_line(outcome))
 
 
 def cmd_amplify(p: dict) -> Iterator[tuple]:
@@ -339,11 +336,10 @@ _COMMON = (
 
 #: Subcommand -> (function, help, parameters as (name, converter, default, help)).
 COMMANDS = {
-    "concentrate": (cmd_concentrate, "closed form, search oracle, and bounds for one state", (
+    "concentrate": (cmd_concentrate, "closed form, search oracle, and bounds for one system's state "
+                    "(for a joint state, use nogo)", (
         ("state", os.fspath, None, "JSON state file (matrix or Bloch form)"),
         ("j", _int, 1, "mode index"),
-        ("bipartite", _bool, False,
-         "treat the state as a joint two-system state and run the no-go analysis"),
         ("restarts", _int, 8, "search restarts"),
         ("iters", _int, 2000, "evaluations per restart"),
     )),
@@ -365,7 +361,7 @@ COMMANDS = {
         ("iters", _int, 500, "oracle evaluations per restart"),
     )),
     "nogo": (cmd_nogo, "mode-structure verdict plus a search for the largest local m1 gain", (
-        ("state", os.fspath, None, "JSON joint-state file"),
+        ("state", os.fspath, None, f"JSON joint-state file, any local dimension (search up to {MAX_LOCAL_DIM})"),
         ("p", _float, None, "build the two-qubit isotropic state instead"),
         ("restarts", _int, UnitarySearchConfig.restarts, "search restarts"),
     )),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,20 +272,23 @@ def amplification_state(n_layers: int, epsilon: float) -> BlochState:
     return BlochState(nx, 0.0, nz)
 
 
-def vector_field(radial: int, angular: int) -> list:
+def vector_field(radial: int, angular: int) -> Iterator[tuple]:
     """Displacement of one recurrence step on a polar grid over the quarter disc.
 
     Grid points are r in [0, 1] (``radial`` values) by angle in [0, pi/2]
     (``angular`` values) measured from the nx axis, so every point satisfies
-    nx, nz >= 0 and norm <= 1, and both bounding axes are included. Returns
-    (state, (dnx, dnz)) rows in row-major grid order.
+    nx, nz >= 0 and norm <= 1, and both bounding axes are included. The grid
+    is checked at once; the (state, (dnx, dnz)) rows are then made one at a
+    time, in row-major grid order, so a large grid is never held in memory.
     """
     if radial < 1 or angular < 1:
         raise UnsupportedParameterError("grid resolution must be at least 1 in each direction")
-    rows = []
+    return _field_rows(radial, angular)
+
+
+def _field_rows(radial: int, angular: int) -> Iterator[tuple]:
     for r in np.linspace(0.0, 1.0, radial):
         for phi in np.linspace(0.0, math.pi / 2.0, angular):
             state = BlochState(float(r * math.cos(phi)), 0.0, float(r * math.sin(phi)))
             nxt = recurrence_step(state)
-            rows.append((state, (nxt.nx - state.nx, nxt.nz - state.nz)))
-    return rows
+            yield state, (nxt.nx - state.nx, nxt.nz - state.nz)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from coherence_lab import bounds, cli
 from coherence_lab.cli import main
+from coherence_lab.modes import bipartite_mode_set
 from coherence_lab.optimizer import MAX_LOCAL_DIM, UnitarySearchConfig, _search, random_allowed_unitary
 from coherence_lab.qubit_protocol import recurrence_step
 from coherence_lab.sampling import random_density_matrix
@@ -83,14 +84,6 @@ class TestConcentrate:
         report = json.load(open(out / "concentrate_report.json"))
         assert report["closed_form"]["delta_m"] == 0.0
         assert report["optimizer"]["best_delta_m"] <= 1e-8
-
-    def test_isotropic_bipartite_reports_no_go(self, tmp_path):
-        state = _write_state(tmp_path / "iso.json", oracles.density_to_json(isotropic_state(0.5)))
-        out = tmp_path / "out"
-        assert main(["concentrate", "--state", state, "--bipartite", "--out", str(out)]) == 0
-        report = json.load(open(out / "concentrate_report.json"))
-        assert report["nogo_verdict"] == "no_go"
-        assert report["modes_present"] == [0, 2]
 
     def test_unsupported_dimension_exit_code(self, tmp_path):
         obj = {
@@ -261,6 +254,18 @@ class TestField:
             assert dnx == pytest.approx(nxt.nx - nx, abs=1e-15)
             assert dnz == pytest.approx(nxt.nz - nz, abs=1e-15)
 
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # time-free: rows stream from the grid to the CSV, so 16x the rows must not allocate more
+        assert main(["field", "--grid", "2", "--out", str(tmp_path / "warm")]) == 0
+        peaks = []
+        for grid in (50, 200):
+            gc.collect()
+            tracemalloc.start()
+            assert main(["field", "--grid", str(grid), "--out", str(tmp_path / str(grid))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 200_000
+
 
 class TestBoundCompare:
     def test_pure_states_always_tie(self, tmp_path):
@@ -346,6 +351,14 @@ class TestNogo:
         outcome = _search(state.matrix, d, j, before, UnitarySearchConfig(seed=3))
         assert outcome.best_delta_m <= 1e-9
 
+    def test_isotropic_state_file_reports_no_go(self, tmp_path):
+        state = _write_state(tmp_path / "iso.json", oracles.density_to_json(isotropic_state(0.5)))
+        out = tmp_path / "out"
+        assert main(["nogo", "--state", state, "--out", str(out)]) == 0
+        report = json.load(open(out / "nogo_report.json"))
+        assert report["verdict"] == "no_go"
+        assert report["modes_present"] == [0, 2]
+
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["nogo", "--out", str(tmp_path)]) == 2
 
@@ -391,14 +404,23 @@ class TestNogo:
         assert report["initial_local_m1"] == 0.0
         assert report["converged"] is True
 
-    def test_joint_state_beyond_the_search_cap_exits_2(self, tmp_path, capsys):
+    def test_joint_state_beyond_the_search_cap_gets_a_verdict_only(self, tmp_path, capsys, monkeypatch):
         d = MAX_LOCAL_DIM + 1
         rho = random_density_matrix(d * d, 2, np.random.default_rng(1))
         state = _write_state(tmp_path / "joint.json", oracles.density_to_json(rho))
         out = tmp_path / "out"
-        assert main(["nogo", "--state", state, "--out", str(out)]) == 2
-        assert f"local dimension up to {MAX_LOCAL_DIM}, got {d}" in capsys.readouterr().err
-        assert "nogo_report.json" not in os.listdir(out)
+        monkeypatch.setattr(cli, "_search", lambda *args: pytest.fail("the search ran above its cap"))
+        assert main(["nogo", "--state", state, "--out", str(out)]) == 0
+        report = json.load(open(out / "nogo_report.json"))
+        gen = BipartiteGenerator(NumberOperator(d))
+        assert report["verdict"] == bounds.nogo_check(rho, gen)
+        assert report["modes_present"] == sorted(bipartite_mode_set(rho, gen))
+        assert report["max_local_m1_gain"] is None and report["converged"] is None
+        assert report["note"].startswith(f"no gain search above local dimension {MAX_LOCAL_DIM};")
+        assert report["marginal_product_distance"] == bounds.marginal_product_distance(rho, gen)
+        assert f"search: skipped, local dimension {d} is above the search cap of {MAX_LOCAL_DIM}" in (
+            capsys.readouterr().out
+        )
 
 
 @pytest.mark.parametrize(
@@ -407,7 +429,8 @@ class TestNogo:
         (["bound-compare"], "--config", {"samples": {}}, "samples"),
         (["concentrate"], "--state", {"dim": [2], "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim"),
         (["concentrate"], "--state", {"nx": [0.1], "nz": 0.5}, "nx"),
-        (["concentrate"], "--config", {"bipartite": "false"}, "bipartite"),
+        # a concentrate manifest written when it had the joint-state branch
+        (["concentrate"], "--config", {"params": {"state": "joint.json", "bipartite": True}}, "bipartite"),
         (["bound-compare"], "--config", {"samples": 2.5}, "samples"),
         (["amplify", "--steps", "abc"], "--config", {}, "steps"),
         (["concat"], "--config", {"eps": True}, "eps"),
@@ -439,6 +462,8 @@ class TestNogo:
         (["nogo", "--p", "0.5"], "--config", {"restarts": 2.5}, "restarts"),
         # a nogo manifest written when the dynamical check sampled
         (["nogo"], "--config", {"params": {"p": 0.5, "samples": 500}}, "samples"),
+        # a boolean is JSON true or false, never a string
+        (["bound-compare"], "--config", {"with_achieved": "false"}, "with_achieved"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):
@@ -473,6 +498,11 @@ def test_negative_seed_exits_1_naming_it(tmp_path, capsys, monkeypatch, command)
         ["concentrate"],
         # the search budget is checked before the CSV is opened
         ["bound-compare", "--with-achieved", "--restarts", "0"],
+        # and so is it when no search runs
+        ["bound-compare", "--restarts", "0"],
+        ["bound-compare", "--iters", "-1"],
+        # the grid is checked before the field's rows are made
+        ["field", "--grid", "0x5"],
     ],
 )
 def test_unsupported_value_exits_2_before_writing(tmp_path, argv):
@@ -481,13 +511,12 @@ def test_unsupported_value_exits_2_before_writing(tmp_path, argv):
     assert os.listdir(out) == []
 
 
-@pytest.mark.parametrize(
-    "argv", [["nogo", "--p", "0.5", "--restarts", "3"], ["concentrate", "--bipartite", "--state"]]
-)
+@pytest.mark.parametrize("argv", [["nogo", "--p", "0.5", "--restarts", "3"], ["nogo", "--state"]])
 def test_one_mode_set_per_command(tmp_path, monkeypatch, argv):
     if argv[-1] == "--state":
-        iso = oracles.density_to_json(isotropic_state(0.5))
-        argv = argv + [_write_state(tmp_path / "iso.json", iso)]
+        # a joint state above the search cap, so the verdict is the whole run
+        joint = random_density_matrix((MAX_LOCAL_DIM + 1) ** 2, 2, np.random.default_rng(3))
+        argv = argv + [_write_state(tmp_path / "joint.json", oracles.density_to_json(joint))]
     calls = []
     original = cli.bipartite_mode_set
 
@@ -532,7 +561,7 @@ class TestManifestReproduction:
             ["nogo", "--state", "JOINT", "--restarts", "2", "--seed", "6"],
             ["amplify", "--steps", "12", "--eps", "0.15"],
             ["field", "--grid", "4x7"],
-            ["concentrate", "--state", "JOINT", "--bipartite"],
+            ["nogo", "--state", "JOINT5"],
             ["concentrate", "--state", "QUBIT", "--j", "1", "--restarts", "2", "--iters", "60", "--seed", "3"],
         ],
     )
@@ -541,6 +570,10 @@ class TestManifestReproduction:
             "JOINT": _write_state(
                 tmp_path / "joint.json",
                 oracles.density_to_json(random_density_matrix(9, 2, np.random.default_rng(1))),
+            ),
+            "JOINT5": _write_state(
+                tmp_path / "joint5.json",
+                oracles.density_to_json(random_density_matrix(25, 2, np.random.default_rng(1))),
             ),
             "QUBIT": _qubit_state_file(tmp_path),
         }
@@ -575,17 +608,17 @@ class TestManifestReproduction:
 # config value of the wrong JSON type, so every odd value is reached on its own.
 # Every number is small (grids <= 20, steps <= 50, samples <= 5, one restart of
 # ten evaluations for concentrate and bound-compare, at most five restarts of a
-# qutrit search for nogo), so an example runs in at most tens of milliseconds. PRESENT stands for a
+# qutrit search for nogo, whose d = 5 joint state gets a verdict and no search),
+# so an example runs in at most tens of milliseconds. PRESENT stands for a
 # bare boolean flag, None for a parameter left to its default, and a name in
 # STATE_FILES for a file the sweep writes.
 PRESENT = object()
-STATE_FILES = ("qubit.json", "bloch.json", "iso.json", "joint.json", "bad.json")
+STATE_FILES = ("qubit.json", "bloch.json", "iso.json", "joint.json", "bad.json", "joint5.json")
 SEED_TEXTS = ([None, "0", "7"], ["-1", "2.5", "x", ""])
 SWEEP = {
     "concentrate": {
         "state": (["qubit.json", "bloch.json", "iso.json"], ["bad.json", "missing.json", ""]),
         "j": ([None, "1", "2"], ["0", "-1", "4", "nan", ""]),
-        "bipartite": ([None, PRESENT], []),
         "restarts": (["1"], ["0", "-2"]),
         "iters": (["10"], ["0", "inf"]),
     },
@@ -607,7 +640,7 @@ SWEEP = {
         "iters": (["10"], ["-1", ""]),
     },
     "nogo": {
-        "state": ([None, "iso.json", "joint.json"], ["qubit.json", "bad.json", "missing.json", ""]),
+        "state": ([None, "iso.json", "joint.json", "joint5.json"], ["qubit.json", "bad.json", "missing.json", ""]),
         "p": ([None, "0.5", "0", "1"], ["1.5", "-0.1", "nan", "inf", ""]),
         "restarts": (["1", "5"], ["0", "-2", "x", "nan"]),
     },
@@ -634,6 +667,7 @@ def sweep_dir(tmp_path_factory):
             oracles.density_to_json(isotropic_state(0.5)),
             oracles.density_to_json(joint),
             {"dim": 2, "re": [[1.5, 0.0], [0.0, -0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+            oracles.density_to_json(random_density_matrix(25, 2, np.random.default_rng(2))),
         ),
     ):
         _write_state(root / name, obj)

@@ -340,7 +340,7 @@ class TestAmplification:
 
 class TestVectorField:
     def test_row_count_matches_grid(self):
-        assert len(vector_field(20, 20)) == 400
+        assert len(list(vector_field(20, 20))) == 400
 
     def test_axis_points_are_fixed(self):
         for state, delta in vector_field(6, 6):
