@@ -224,8 +224,8 @@ def cmd_field(p: dict) -> Iterator[tuple]:
 
 def cmd_bound_compare(p: dict) -> Iterator[tuple]:
     dim = p["dim"]
-    if dim not in (3, 4):
-        raise UnsupportedParameterError(f"bound-compare supports dimension 3 or 4, got {dim}")
+    if not 3 <= dim <= MAX_LOCAL_DIM:
+        raise UnsupportedParameterError(f"bound-compare supports dimension 3 to {MAX_LOCAL_DIM}, got {dim}")
     if p["samples"] < 1:
         raise UnsupportedParameterError(f"bound-compare requires --samples >= 1, got {p['samples']}")
     ranks = range(1, dim + 1) if p["ranks"] is None else p["ranks"]
@@ -340,8 +340,8 @@ COMMANDS = {
                     "(for a joint state, use nogo)", (
         ("state", os.fspath, None, "JSON state file (matrix or Bloch form)"),
         ("j", _int, 1, "mode index"),
-        ("restarts", _int, 8, "search restarts"),
-        ("iters", _int, 2000, "evaluations per restart"),
+        ("restarts", _int, UnitarySearchConfig.restarts, "search restarts"),
+        ("iters", _int, UnitarySearchConfig.max_iters, "evaluations per restart"),
     )),
     "concat": (cmd_concat, "run the concatenation recurrence from Bloch starting points", (
         ("nx", _list(_float), "0.1", "comma-separated transverse components"),
@@ -353,7 +353,7 @@ COMMANDS = {
         ("grid", str, "20x20", "resolution, e.g. 20 or 20x30 (radial x angular)"),
     )),
     "bound-compare": (cmd_bound_compare, "sample states and compare the two upper bounds", (
-        ("dim", _int, 3, "local dimension, 3 or 4"),
+        ("dim", _int, 3, f"local dimension, 3 to {MAX_LOCAL_DIM}"),
         ("ranks", _list(_int), None, "comma-separated ranks (default all)"),
         ("samples", _int, 100, "samples per rank, at least 1"),
         ("with_achieved", _bool, False, "also run the search oracle per sample (slow)"),

@@ -135,12 +135,12 @@ def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
     every padded block hold a ket of first-system level n, so with
     A_c = U_{c+j} X_c U_c^dagger the marginal entry (n + j, n) is
     z_n = sum_c A_c[n + j, n], and f = sum_n |z_n|. W holds conj(z_n) / |z_n|
-    at (n + j, n) (0 where z_n = 0). Under U_b <- exp(i eps K) U_b, f rises by
-    eps tr(G_b K) to first order, with the Hermitian
-    G_b = herm(i A_{b-j} W^T) - herm(i W^T A_b). Products of padded blocks
-    vanish outside each block, and so does G. z_n adds its terms in order,
-    which ``sum`` over the pair axis does not at d = 4, so each point is the
-    same bits in any stack.
+    at (n + j, n), or conj(z_n) where |z_n| is 0 or subnormal (1 / |z_n|
+    overflows). Under U_b <- exp(i eps K) U_b, f rises by eps tr(G_b K) to
+    first order, with G_b = herm(i A_{b-j} W^T) - herm(i W^T A_b), Hermitian.
+    Products of padded blocks vanish outside each block, and so does G. z_n
+    adds its terms in order, which ``sum`` over the pair axis does not at
+    d = 4, so each point is the same bits in any stack.
     """
     d, pairs = units.shape[-1], len(blocks)
     a = units[..., index : index + pairs, :, :] @ blocks @ units[..., :pairs, :, :].conj().swapaxes(-1, -2)
@@ -149,7 +149,7 @@ def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
     size = np.abs(z)
     wt = np.zeros((*a.shape[:-3], 1, d, d), dtype=complex)
     level = np.arange(d - index)
-    wt[..., 0, level, level + index] = z.conj() / np.where(size > 0.0, size, 1.0)
+    wt[..., 0, level, level + index] = z.conj() / np.where(size < np.finfo(float).tiny, 1.0, size)
     grad = np.zeros(units.shape, dtype=complex)
     grad[..., index : index + pairs, :, :] = 1j * (a @ wt)
     grad[..., :pairs, :, :] -= 1j * (wt @ a)

@@ -68,29 +68,39 @@ class UnitarySearchConfig:
 
 @dataclass(frozen=True, eq=False)
 class SearchOutcome:
-    """Best gain found, the unitary achieving it, per-restart bests, and run telemetry.
+    """The best restart's unitary, per-restart bests, and run telemetry.
 
-    ``evals``, ``accepted`` and ``backtracks`` total the objective
-    evaluations, accepted steps and rejected trials over all restarts;
-    ``stop_reasons`` says per restart whether it reached a stationary point
-    ("stationary") or spent its evaluation budget ("eval budget"), and
+    ``history`` holds each restart's best gain and ``stop_reasons`` how it
+    stopped: "stationary" or "eval budget". ``accepted`` and ``backtracks``
+    total the accepted steps and rejected trials over all restarts;
     ``grad_norm`` is the gradient norm at the best restart's last point.
-    ``converged`` is True exactly when the best restart stopped stationary.
     """
 
-    best_delta_m: float
     best_unitary: AllowedUnitary
     history: tuple
-    converged: bool
-    evals: int = 0
-    accepted: int = 0
-    backtracks: int = 0
-    stop_reasons: tuple = ()
-    grad_norm: float = 0.0
+    accepted: int
+    backtracks: int
+    stop_reasons: tuple
+    grad_norm: float
 
     def __post_init__(self) -> None:
         if self.best_delta_m < -1e-12:
             raise ValueError(f"best gain {self.best_delta_m} below the identity baseline")
+
+    @property
+    def best_delta_m(self) -> float:
+        """The best restart's gain (``np.argmax`` picks the first largest, or the first NaN)."""
+        return self.history[np.argmax(self.history)]
+
+    @property
+    def converged(self) -> bool:
+        """Whether the best restart stopped stationary."""
+        return self.stop_reasons[np.argmax(self.history)] == "stationary"
+
+    @property
+    def evals(self) -> int:
+        """Objective evaluations over all restarts: each start, accepted step and rejected trial."""
+        return len(self.stop_reasons) + self.accepted + self.backtracks
 
 
 @functools.cache
@@ -205,7 +215,7 @@ def maximize_delta_m(
 ) -> SearchOutcome:
     """Largest local gap-``index`` mode-measure gain from two copies of ``rho``: ``_search`` on rho (x) rho."""
     _check_local_index(op, index, rho)
-    if rho.dim > MAX_LOCAL_DIM:  # as in _search, but before the d^4 two-copy matrix is built
+    if rho.dim > MAX_LOCAL_DIM:  # before the d^4 two-copy matrix is built
         raise UnsupportedParameterError(f"search supports local dimension up to {MAX_LOCAL_DIM}, got {rho.dim}")
     cfg = config or UnitarySearchConfig()
     return _search(np.kron(rho.matrix, rho.matrix), rho.dim, index, _local_gap_measure(rho.matrix, index), cfg)
@@ -218,9 +228,8 @@ def _search(joint: np.ndarray, d: int, index: int, baseline: float, cfg: Unitary
     starts from exp(i H_b) with each generator's parameters uniform in
     [-pi, pi]; the identity seeds the first restart, so when ``baseline`` is
     the input's own measure the result is never below zero beyond roundoff.
+    Callers check ``d`` against ``MAX_LOCAL_DIM``.
     """
-    if d > MAX_LOCAL_DIM:
-        raise UnsupportedParameterError(f"search supports local dimension up to {MAX_LOCAL_DIM}, got {d}")
     gen = BipartiteGenerator(NumberOperator(d))
     sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
     offsets = np.cumsum([0] + [n * n for n in sizes])
@@ -239,11 +248,8 @@ def _search(joint: np.ndarray, d: int, index: int, baseline: float, cfg: Unitary
     gains = objective(units)[0] - baseline
     top = int(np.argmax(gains))
     return SearchOutcome(
-        best_delta_m=float(gains[top]),
         best_unitary=AllowedUnitary(gen, tuple(u[m].reshape(n, n) for u, m, n in zip(units[top], mask, sizes))),
         history=tuple(gains.tolist()),
-        converged=reasons[top] == "stationary",
-        evals=int(len(reasons) + accepted.sum() + backtracks.sum()),
         accepted=int(accepted.sum()),
         backtracks=int(backtracks.sum()),
         stop_reasons=reasons,

@@ -93,14 +93,13 @@ class ConcatTrace:
 
     ``nx`` and ``nz`` hold the canonical components (ny = 0) after every
     layer, step 0 being the start; ``steps`` views them as ``BlochState``s.
-    ``stop_reason`` is "converged" (|nz| fell below the threshold at step
-    ``converged_at``), "fixed point" (a step left the state unchanged) or
-    "step cap".
+    ``stop_reason`` is "converged" (|nz| fell below the threshold at the
+    last step, ``converged_at``), "fixed point" (a step left the state
+    unchanged) or "step cap".
     """
 
     nx: np.ndarray
     nz: np.ndarray
-    converged_at: int | None
     stop_reason: str
 
     def __post_init__(self) -> None:
@@ -119,6 +118,11 @@ class ConcatTrace:
             raise ValueError("Bloch norm increased along the trace")
         object.__setattr__(self, "nx", nx)
         object.__setattr__(self, "nz", nz)
+
+    @property
+    def converged_at(self) -> int | None:
+        """The last step when the trace converged, else None."""
+        return len(self.nx) - 1 if self.stop_reason == "converged" else None
 
     @property
     def steps(self) -> Sequence:
@@ -205,10 +209,8 @@ def run_concatenation(
     current = BlochState(math.hypot(start.nx, start.ny), 0.0, start.nz)
     nx, nz = array("d", [current.nx]), array("d", [current.nz])
     stop_reason = "converged" if abs(current.nz) < convergence_eps else None
-    m = 0
-    while stop_reason is None and m < max_steps:
+    while stop_reason is None and len(nx) <= max_steps:
         nxt = recurrence_step(current)
-        m += 1
         nx.append(nxt.nx)
         nz.append(nxt.nz)
         if abs(nxt.nz) < convergence_eps:
@@ -220,7 +222,7 @@ def run_concatenation(
     views = np.frombuffer(nx), np.frombuffer(nz)
     for view in views:
         view.setflags(write=False)
-    return ConcatTrace(*views, m if stop_reason == "converged" else None, stop_reason or "step cap")
+    return ConcatTrace(*views, stop_reason or "step cap")
 
 
 def purity_ceiling(rho: DensityMatrix) -> float:

@@ -255,14 +255,16 @@ def sequential_search(rho, op, index: int, config) -> tuple:
             best = gain, unit, reason, norm
     gain, unit, reason, norm = best
     outcome = SearchOutcome(
-        best_delta_m=gain,
         best_unitary=AllowedUnitary(gen, tuple(u[m].reshape(n, n) for u, m, n in zip(unit, _block_mask(d), sizes))),
         history=tuple(history),
-        converged=reason == "stationary",
-        evals=sum(evals),
         accepted=accepted,
         backtracks=backtracks,
         stop_reasons=tuple(reasons),
         grad_norm=norm,
     )
+    # the outcome derives these from its fields; they must agree with this
+    # loop's own choice of the first strictly best restart and its count
+    assert outcome.best_delta_m == gain
+    assert outcome.converged is (reason == "stationary")
+    assert outcome.evals == sum(evals)
     return outcome, evals

@@ -7,6 +7,7 @@ import oracles
 from coherence_lab import linalg
 from coherence_lab.bounds import (
     NO_GO,
+    TIE_ATOL,
     BoundReport,
     bound_kyfan_global,
     bound_kyfan_lrd,
@@ -263,7 +264,24 @@ class TestBoundReport:
 
     def test_soundness_guard(self):
         with pytest.raises(ValueError, match="fell below the achieved value"):
-            BoundReport(index=1, bound1=0.1, bound2=0.3, baseline=0.0, achieved=0.2, tighter="bound1")
+            BoundReport(index=1, bound1=0.1, bound2=0.3, baseline=0.0, achieved=0.2)
+
+    @pytest.mark.parametrize(
+        "bound1, bound2, tighter",
+        [
+            (0.5, 0.5 + TIE_ATOL / 2, "tie"),
+            (0.5 + TIE_ATOL / 2, 0.5, "tie"),
+            (0.5, 0.5 + 2 * TIE_ATOL, "bound1"),
+            (0.5 + 2 * TIE_ATOL, 0.5, "bound2"),
+        ],
+    )
+    def test_tighter_is_derived_from_the_bounds(self, bound1, bound2, tighter):
+        report = BoundReport(index=1, bound1=bound1, bound2=bound2, baseline=0.0, achieved=None)
+        assert report.tighter == report.to_json()["tighter"] == tighter
+        with pytest.raises(AttributeError):
+            report.tighter = "tie"
+        with pytest.raises(TypeError):
+            BoundReport(index=1, bound1=bound1, bound2=bound2, baseline=0.0, achieved=None, tighter=tighter)
 
     def test_json_fields(self):
         rng = np.random.default_rng(7)

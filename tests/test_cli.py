@@ -51,6 +51,10 @@ def _read_csv(path):
 
 
 class TestConcentrate:
+    def test_search_defaults_come_from_the_search_config(self):
+        defaults = {name: default for name, _, default, _ in cli.COMMANDS["concentrate"][2]}
+        assert (defaults["restarts"], defaults["iters"]) == (UnitarySearchConfig.restarts, UnitarySearchConfig.max_iters)
+
     def test_qubit_report(self, tmp_path, capsys):
         state = _qubit_state_file(tmp_path)
         out = tmp_path / "out"
@@ -288,8 +292,10 @@ class TestBoundCompare:
         data2 = open(out2 / "bound_compare.csv", "rb").read()
         assert data1 == data2
 
-    def test_unsupported_dimension(self, tmp_path):
-        assert main(["bound-compare", "--dim", "5", "--out", str(tmp_path)]) == 2
+    def test_unsupported_dimension(self, tmp_path, capsys):
+        for dim in (2, MAX_LOCAL_DIM + 1):
+            assert main(["bound-compare", "--dim", str(dim), "--out", str(tmp_path)]) == 2
+            assert f"dimension 3 to {MAX_LOCAL_DIM}, got {dim}" in capsys.readouterr().err
 
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "out"

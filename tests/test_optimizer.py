@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -379,8 +381,62 @@ class TestRangeGuards:
     def test_outcome_floor_guard(self):
         with pytest.raises(ValueError, match="below the identity baseline"):
             SearchOutcome(
-                best_delta_m=-1.0,
                 best_unitary=random_allowed_unitary(GEN2, 0),
                 history=(-1.0,),
-                converged=True,
+                accepted=0,
+                backtracks=0,
+                stop_reasons=("stationary",),
+                grad_norm=0.0,
             )
+
+
+class TestDerivedFields:
+    FIELDS = {
+        "best_unitary": random_allowed_unitary(GEN2, 0),
+        "history": (0.1, 0.3, 0.3),
+        "accepted": 5,
+        "backtracks": 2,
+        "stop_reasons": ("stationary", "eval budget", "stationary"),
+        "grad_norm": 1e-3,
+    }
+
+    def test_best_gain_converged_and_evals_come_from_the_fields(self):
+        # of two tied best restarts the first decides, as np.argmax picks it
+        outcome = SearchOutcome(**self.FIELDS)
+        assert (outcome.best_delta_m, outcome.converged, outcome.evals) == (0.3, False, 3 + 5 + 2)
+        for name in ("best_delta_m", "converged", "evals"):
+            with pytest.raises(AttributeError):
+                setattr(outcome, name, 0)
+
+    @pytest.mark.parametrize("name, value", [("best_delta_m", 0.3), ("converged", True), ("evals", 10)])
+    def test_constructor_takes_no_derived_field(self, name, value):
+        with pytest.raises(TypeError):
+            SearchOutcome(**self.FIELDS, **{name: value})
+
+    def test_no_field_has_a_default(self):
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(SearchOutcome))
+
+
+def _subnormal_qutrit() -> DensityMatrix:
+    m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    m[0, 1] = m[1, 0] = 1e-310
+    m[1, 2] = m[2, 1] = 1e-312
+    return DensityMatrix(m)
+
+
+class TestSubnormalCoherence:
+    # 1 / |z_n| overflows below the smallest normal double; the gradient must
+    # not turn into NaN and leave every restart at its budget after one evaluation
+    @pytest.mark.parametrize(
+        "rho",
+        [bloch_to_density(BlochState(1e-310, 0.0, 0.2)), bloch_to_density(BlochState(1e-308, 0.0, 0.2)),
+         _subnormal_qutrit()],
+        ids=["qubit-1e-310", "qubit-1e-308", "qutrit"],
+    )
+    def test_search_stays_finite_and_stationary(self, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            outcome = maximize_delta_m(rho, NumberOperator(rho.dim), 1)
+        assert math.isfinite(outcome.grad_norm)
+        assert outcome.stop_reasons == ("stationary",) * 8
+        assert outcome.best_delta_m >= 0.0

@@ -182,6 +182,9 @@ class TestConcatenation:
     def test_stop_reasons(self):
         converged = run_concatenation(BlochState(0.4, 0.0, 0.0))
         assert (converged.stop_reason, converged.converged_at) == ("converged", 0)
+        later = run_concatenation(BlochState(0.1, 0.0, 0.7))
+        assert (later.stop_reason, later.converged_at) == ("converged", len(later.nx) - 1)
+        assert later.converged_at > 0 and abs(later.nz[-1]) < 1e-3 <= abs(later.nz[-2])
         fixed = run_concatenation(BlochState(0.0, 0.0, 0.5))
         assert (fixed.stop_reason, fixed.converged_at, len(fixed.steps)) == ("fixed point", None, 2)
         capped = run_concatenation(BlochState(1e-5, 0.0, 0.001001), max_steps=50)
@@ -199,9 +202,9 @@ class TestConcatenation:
             run_concatenation(BlochState(0.1, 0.0, 0.1), convergence_eps=eps)
 
     def test_trace_holds_read_only_arrays(self):
-        ConcatTrace([0.1, 0.2], [0.5, 0.4], None, "step cap")
+        ConcatTrace([0.1, 0.2], [0.5, 0.4], "step cap")
         nx = np.array([0.1, 0.2])
-        trace = ConcatTrace(nx, np.array([0.5, 0.4]), None, "step cap")
+        trace = ConcatTrace(nx, np.array([0.5, 0.4]), "step cap")
         nx[0] = 0.3
         assert trace.nx.tolist() == [0.1, 0.2]
         with pytest.raises(ValueError):
@@ -210,9 +213,9 @@ class TestConcatenation:
         assert not computed.nx.flags.writeable and not computed.nz.flags.writeable
 
     def test_trace_invariants_enforced(self):
-        ConcatTrace(np.array([0.1, 0.2]), np.array([0.5, 0.4]), None, "step cap")
+        ConcatTrace(np.array([0.1, 0.2]), np.array([0.5, 0.4]), "step cap")
         with pytest.raises(ValueError, match="transverse component decreased"):
-            ConcatTrace(np.array([0.3, 0.2]), np.array([0.5, 0.4]), None, "step cap")
+            ConcatTrace(np.array([0.3, 0.2]), np.array([0.5, 0.4]), "step cap")
 
     @pytest.mark.parametrize(
         "nx, nz, message",
@@ -225,11 +228,20 @@ class TestConcatenation:
     )
     def test_trace_rejects_other_broken_arrays(self, nx, nz, message):
         with pytest.raises(ValueError, match=message):
-            ConcatTrace(np.array(nx), np.array(nz), None, "step cap")
+            ConcatTrace(np.array(nx), np.array(nz), "step cap")
+
+    @pytest.mark.parametrize("reason, converged_at", [("converged", 1), ("fixed point", None), ("step cap", None)])
+    def test_converged_at_follows_the_stop_reason(self, reason, converged_at):
+        trace = ConcatTrace(np.array([0.1, 0.2]), np.array([0.5, 0.4]), reason)
+        assert trace.converged_at == converged_at
+        with pytest.raises(AttributeError):
+            trace.converged_at = 0
+        with pytest.raises(TypeError):
+            ConcatTrace(np.array([0.1, 0.2]), np.array([0.5, 0.4]), reason, converged_at=converged_at)
 
     def test_trace_rejects_an_unknown_stop_reason(self):
         with pytest.raises(ValueError, match="stop reason"):
-            ConcatTrace(np.array([0.1]), np.array([0.5]), None, "stalled")
+            ConcatTrace(np.array([0.1]), np.array([0.5]), "stalled")
 
     def test_steps_view_matches_a_recurrence_chain(self):
         start = BlochState(0.1, 0.0, 0.7)
