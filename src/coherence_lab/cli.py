@@ -3,8 +3,8 @@
 Each subcommand's parameters are declared once, in ``COMMANDS``, which builds
 the parser, resolves every value and names the manifest entries. A command
 yields its outputs and ``main`` writes them, then a manifest listing exactly
-those files and echoing the resolved parameters, the package version, and the
-seed, so a run can be reproduced by pointing --config at the manifest.
+those files and echoing the resolved parameters and the package version, so a
+run can be reproduced by pointing --config at the manifest.
 Numeric CSV fields use 17 significant digits, which round-trips doubles
 losslessly.
 """
@@ -27,6 +27,8 @@ from .errors import StateValidationError, UnsupportedParameterError
 from .modes import _local_gap_measure, bipartite_mode_set
 from .optimizer import MAX_LOCAL_DIM, UnitarySearchConfig, _search, maximize_delta_m
 from .qubit_protocol import (
+    CONVERGENCE_EPS,
+    MAX_STEPS,
     amplification_state,
     optimal_concentration,
     purity_ceiling,
@@ -42,13 +44,10 @@ from .states import (
     _converted,
     _float,
     _int,
-    bloch_from_json,
     bloch_to_density,
-    density_from_json,
     isotropic_state,
+    state_from_json,
 )
-
-SEED_ENV_VAR = "COHERENCE_LAB_SEED"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -76,14 +75,7 @@ def _json_object(path: str, name: str) -> dict:
 
 
 def _load_state(path: str) -> DensityMatrix:
-    obj = _json_object(path, "state")
-    if "re" in obj or "im" in obj or "dim" in obj:
-        return density_from_json(obj)
-    if "nx" in obj or "nz" in obj:
-        return bloch_to_density(bloch_from_json(obj))
-    raise StateValidationError(
-        f"parameter 'state': {path} has neither matrix keys (dim/re/im) nor Bloch keys (nx/ny/nz)"
-    )
+    return state_from_json(_json_object(path, "state"), f"parameter 'state': {path}")
 
 
 def _seed(value) -> int:
@@ -327,12 +319,11 @@ def cmd_amplify(p: dict) -> Iterator[tuple]:
     print(f"ratio after {layers} layers: {ratio:.4f}  threshold: {threshold:.4f}")
 
 
-#: Parameters every subcommand takes, as (name, converter, default, help).
+#: The parameter every subcommand takes, as (name, converter, default, help).
 #: ``--config`` is read before the others are resolved, so it is a flag only.
-_COMMON = (
-    ("seed", _seed, 0, f"non-negative RNG seed, else ${SEED_ENV_VAR}"),
-    ("out", os.fspath, ".", "output directory"),
-)
+_COMMON = (("out", os.fspath, ".", "output directory"),)
+#: Declared only by the commands that draw random numbers; the others are deterministic.
+_SEED = ("seed", _seed, 0, "non-negative RNG seed")
 
 #: Subcommand -> (function, help, parameters as (name, converter, default, help)).
 COMMANDS = {
@@ -342,12 +333,13 @@ COMMANDS = {
         ("j", _int, 1, "mode index"),
         ("restarts", _int, UnitarySearchConfig.restarts, "search restarts"),
         ("iters", _int, UnitarySearchConfig.max_iters, "evaluations per restart"),
+        _SEED,
     )),
     "concat": (cmd_concat, "run the concatenation recurrence from Bloch starting points", (
         ("nx", _list(_float), "0.1", "comma-separated transverse components"),
         ("nz", _list(_float), "0.7", "comma-separated z components"),
-        ("steps", _int, 1_000_000, "step cap"),
-        ("eps", _float, 1e-3, "|nz| convergence threshold"),
+        ("steps", _int, MAX_STEPS, "step cap"),
+        ("eps", _float, CONVERGENCE_EPS, "|nz| convergence threshold"),
     )),
     "field": (cmd_field, "export the recurrence displacement field on the quarter disc", (
         ("grid", str, "20x20", "resolution, e.g. 20 or 20x30 (radial x angular)"),
@@ -359,11 +351,13 @@ COMMANDS = {
         ("with_achieved", _bool, False, "also run the search oracle per sample (slow)"),
         ("restarts", _int, 3, "oracle restarts when enabled"),
         ("iters", _int, 500, "oracle evaluations per restart"),
+        _SEED,
     )),
     "nogo": (cmd_nogo, "mode-structure verdict plus a search for the largest local m1 gain", (
         ("state", os.fspath, None, f"JSON joint-state file, any local dimension (search up to {MAX_LOCAL_DIM})"),
         ("p", _float, None, "build the two-qubit isotropic state instead"),
         ("restarts", _int, UnitarySearchConfig.restarts, "search restarts"),
+        _SEED,
     )),
     "amplify": (cmd_amplify, "construct and run an unbounded-ratio amplification state", (
         ("steps", _int, 10, "number of doubling layers N"),
@@ -393,13 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand: resolve its parameters, write its outputs, and then its manifest.
 
-    Each parameter is its flag, else its ``--config`` entry, else its default
-    (for ``seed``, ``$COHERENCE_LAB_SEED`` first), through its converter; a
-    value the converter rejects, or a config key that names no parameter,
-    exits 1 naming it. ``cmd_*`` gets the resolved dict and yields its outputs
-    as (name, content): ``(header, rows)`` for a ``.csv`` name, where ``rows``
-    may be a generator and a row is a tuple of values or a finished line of
-    text, else a JSON value. This is the one place that writes
+    Each parameter is its flag, else its ``--config`` entry, else its default,
+    through its converter; a value the converter rejects, or a config key that
+    names no parameter, exits 1 naming it. ``cmd_*`` gets the resolved dict and
+    yields its outputs as (name, content): ``(header, rows)`` for a ``.csv``
+    name, where ``rows`` may be a generator and a row is a tuple of values or a
+    finished line of text, else a JSON value. This is the one place that writes
     a file; the manifest echoes the parameters and lists exactly the names written.
     """
     args = build_parser().parse_args(argv)
@@ -412,8 +405,6 @@ def main(argv=None) -> int:
             raise StateValidationError(f"config keys that are not parameters of '{args.command}': {unknown}")
         p = {}
         for name, convert, default, _ in (*params, *_COMMON):
-            if name == "seed":
-                default = os.environ.get(SEED_ENV_VAR, default)
             value = next((v for v in (getattr(args, name), config.get(name), default) if v is not None), None)
             p[name] = None if value is None else _converted(value, convert, f"parameter '{name}'")
         os.makedirs(p["out"], exist_ok=True)
@@ -439,7 +430,6 @@ def main(argv=None) -> int:
             {
                 "command": args.command,
                 "artifact_version": __version__,
-                "seed": p["seed"],
                 "params": p,
                 "outputs": sorted(written),
             },

@@ -39,6 +39,9 @@ MONOTONE_ATOL = 1e-12
 AMPLIFICATION_MARGIN = 1e-3
 #: smallest representable transverse component before the construction degenerates
 AMPLIFICATION_FLOOR = 1e-300
+#: default step cap and |nz| convergence threshold of ``run_concatenation``
+MAX_STEPS = 1_000_000
+CONVERGENCE_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -192,8 +195,8 @@ def recurrence_step(state: BlochState) -> BlochState:
 
 def run_concatenation(
     start: BlochState,
-    max_steps: int = 1_000_000,
-    convergence_eps: float = 1e-3,
+    max_steps: int = MAX_STEPS,
+    convergence_eps: float = CONVERGENCE_EPS,
 ) -> ConcatTrace:
     """Iterate the recurrence from a starting state.
 

@@ -273,24 +273,26 @@ def _converted(value, convert, name: str):
         raise StateValidationError(f"{name} has an invalid value: {exc}") from exc
 
 
-def density_from_json(obj: dict) -> DensityMatrix:
-    """Parse the dict form; invariant violations are rejected with the residual in the message."""
-    for key in ("dim", "re", "im"):
-        if key not in obj:
-            raise StateValidationError(f"state object missing key '{key}'")
-    dim = _converted(obj["dim"], _int, "state key 'dim'")
-    re, im = (_converted(obj[key], _entries, f"state key '{key}'") for key in ("re", "im"))
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise StateValidationError(
-            f"entry arrays have shapes {re.shape} and {im.shape}, expected ({dim}, {dim})"
-        )
-    return DensityMatrix(re + 1j * im)
+def state_from_json(obj: dict, name: str) -> DensityMatrix:
+    """The state of a matrix-form ({dim, re, im}) or Bloch-form ({nx, ny, nz}, ny optional) object.
 
-
-def bloch_from_json(obj: dict) -> BlochState:
-    for key in ("nx", "nz"):
-        if key not in obj:
-            raise StateValidationError(f"Bloch object missing key '{key}'")
-    return BlochState(
-        *(_converted(obj.get(key, 0.0), _float, f"Bloch key '{key}'") for key in ("nx", "ny", "nz"))
-    )
+    A key of neither form, keys of both, or a missing key is rejected under
+    ``name``; invariant violations are rejected with the residual in the message.
+    """
+    matrix, bloch = obj.keys() & {"dim", "re", "im"}, obj.keys() & {"nx", "ny", "nz"}
+    if stray := sorted(obj.keys() - matrix - bloch):
+        raise StateValidationError(f"{name}: keys {stray} belong to neither form (dim/re/im or nx/ny/nz)")
+    if matrix and bloch:
+        raise StateValidationError(f"{name}: mixes matrix keys {sorted(matrix)} with Bloch keys {sorted(bloch)}")
+    if missing := sorted(({"dim", "re", "im"} if matrix else {"nx", "nz"}) - obj.keys()):
+        raise StateValidationError(f"{name}: missing keys {missing}")
+    if matrix:
+        dim = _converted(obj["dim"], _int, "state key 'dim'")
+        re, im = (_converted(obj[key], _entries, f"state key '{key}'") for key in ("re", "im"))
+        if re.shape != (dim, dim) or im.shape != (dim, dim):
+            raise StateValidationError(
+                f"entry arrays have shapes {re.shape} and {im.shape}, expected ({dim}, {dim})"
+            )
+        return DensityMatrix(re + 1j * im)
+    nx, ny, nz = (_converted(obj.get(key, 0.0), _float, f"Bloch key '{key}'") for key in ("nx", "ny", "nz"))
+    return bloch_to_density(BlochState(nx, ny, nz))

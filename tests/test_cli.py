@@ -80,6 +80,7 @@ class TestConcentrate:
         manifest = json.load(open(out / "concentrate_manifest.json"))
         assert manifest["command"] == "concentrate"
         assert manifest["params"]["seed"] == 0
+        assert "seed" not in manifest  # only under params
 
     def test_maximally_mixed_qubit_has_nothing_to_gain(self, tmp_path):
         state = _qubit_state_file(tmp_path, p00=0.5, p01=0.0)
@@ -470,6 +471,13 @@ class TestNogo:
         (["nogo"], "--config", {"params": {"p": 0.5, "samples": 500}}, "samples"),
         # a boolean is JSON true or false, never a string
         (["bound-compare"], "--config", {"with_achieved": "false"}, "with_achieved"),
+        # the deterministic commands take no seed, nor does a manifest of theirs hold one
+        (["concat"], "--config", {"seed": 0}, "seed"),
+        (["field"], "--config", {"seed": 3}, "seed"),
+        (["amplify"], "--config", {"params": {"steps": 3, "seed": 0}}, "seed"),
+        # a state file is held to the keys of one form: a misspelled ny, and a matrix with Bloch keys
+        (["concentrate"], "--state", {"nx": 0.3, "nz": 0.2, "ny ": 0.5}, "ny "),
+        (["concentrate"], "--state", {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]], "nx": 0.9}, "nx"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):
@@ -482,15 +490,31 @@ def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj,
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
-def test_negative_seed_exits_1_naming_it(tmp_path, capsys, monkeypatch, command):
+def _declared(command) -> list:
+    """The parameters ``command`` declares, ``out`` aside."""
+    return [name for name, *_ in (*cli.COMMANDS[command][2], *cli._COMMON) if name != "out"]
+
+
+SEEDED = sorted(command for command in cli.COMMANDS if "seed" in _declared(command))
+
+
+@pytest.mark.parametrize("command", SEEDED)
+def test_negative_seed_exits_1_naming_it(tmp_path, capsys, command):
     config = _write_state(tmp_path / "config.json", {"seed": -2})
-    monkeypatch.setenv("COHERENCE_LAB_SEED", "-3")
-    for argv in (["--seed=-5"], ["--config", config], []):
+    for argv in (["--seed=-5"], ["--config", config]):
         out = tmp_path / "out"
         assert main([command, *argv, "--out", str(out)]) == 1
         assert "'seed'" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["amplify", "concat", "field"])
+def test_seed_flag_of_a_deterministic_command_exits_2(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "0", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -597,15 +621,69 @@ class TestManifestReproduction:
         params2 = json.load(open(out2 / manifest))["params"]
         assert {**params1, "out": None} == {**params2, "out": None}
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("COHERENCE_LAB_SEED", "77")
-        assert main(["bound-compare", "--dim", "3", "--ranks", "1", "--samples", "3", "--out", str(out1)]) == 0
-        monkeypatch.delenv("COHERENCE_LAB_SEED")
-        assert main(
-            ["bound-compare", "--dim", "3", "--ranks", "1", "--samples", "3", "--seed", "77", "--out", str(out2)]
-        ) == 0
-        assert open(out1 / "bound_compare.csv", "rb").read() == open(out2 / "bound_compare.csv", "rb").read()
+
+#: per command and parameter (seed aside), two argvs meant to differ only in that
+#: parameter; a command's seed pair is its first argv with --seed 0 and --seed 5
+READ_PAIRS = {
+    "concentrate": {
+        "state": ("--state QUTRIT --restarts 2 --iters 40", "--state QUBIT --restarts 2 --iters 40"),
+        "j": ("--state QUTRIT --j 1 --restarts 2 --iters 40", "--state QUTRIT --j 2 --restarts 2 --iters 40"),
+        "restarts": ("--state QUTRIT --restarts 1 --iters 40", "--state QUTRIT --restarts 2 --iters 40"),
+        "iters": ("--state QUTRIT --restarts 2 --iters 5", "--state QUTRIT --restarts 2 --iters 40"),
+    },
+    "concat": {
+        "nx": ("--nx 0.1", "--nx 0.2"),
+        "nz": ("--nz 0.7", "--nz 0.6"),
+        "steps": ("--steps 2", "--steps 3"),
+        "eps": ("--eps 0.001", "--eps 0.01"),
+    },
+    "field": {"grid": ("--grid 3", "--grid 4")},
+    "bound-compare": {
+        "dim": ("--dim 3 --ranks 1 --samples 2", "--dim 4 --ranks 1 --samples 2"),
+        "ranks": ("--ranks 1 --samples 2", "--ranks 2 --samples 2"),
+        "samples": ("--ranks 1 --samples 1", "--ranks 1 --samples 2"),
+        "with_achieved": ("--ranks 1 --samples 1 --iters 20", "--ranks 1 --samples 1 --iters 20 --with-achieved"),
+        "restarts": (
+            "--ranks 2 --samples 2 --iters 10 --with-achieved --restarts 1",
+            "--ranks 2 --samples 2 --iters 10 --with-achieved --restarts 2",
+        ),
+        "iters": ("--ranks 1 --samples 1 --with-achieved --iters 5", "--ranks 1 --samples 1 --with-achieved --iters 20"),
+    },
+    "nogo": {
+        "state": ("--state JOINT --restarts 2", "--state ISO --restarts 2"),
+        "p": ("--p 0.5 --restarts 2", "--p 0.9 --restarts 2"),
+        "restarts": ("--state JOINT --restarts 1", "--state JOINT --restarts 2"),
+    },
+    "amplify": {"steps": ("--steps 3", "--steps 4"), "eps": ("--eps 0.1", "--eps 0.2")},
+}
+
+
+@pytest.mark.parametrize(
+    "command, param", [(command, param) for command in sorted(cli.COMMANDS) for param in _declared(command)]
+)
+def test_every_parameter_changes_an_output(tmp_path, capsys, command, param):
+    """A declared parameter is read: two runs that differ in it alone differ in an output or on stdout."""
+    files = {
+        name: _write_state(tmp_path / f"{name}.json", oracles.density_to_json(rho))
+        for name, rho in (
+            ("QUBIT", random_density_matrix(2, 2, np.random.default_rng(1))),
+            ("QUTRIT", random_density_matrix(3, 2, np.random.default_rng(1))),
+            ("JOINT", random_density_matrix(9, 2, np.random.default_rng(1))),
+            ("ISO", isotropic_state(0.5)),
+        )
+    }
+    pairs = READ_PAIRS[command]
+    first = next(iter(pairs.values()))[0]
+    runs = []
+    for k, text in enumerate(pairs[param] if param != "seed" else (f"{first} --seed 0", f"{first} --seed 5")):
+        out = tmp_path / f"run{k}"
+        assert main([command, *(files.get(token, token) for token in text.split()), "--out", str(out)]) == 0
+        manifest = out / f"{command.replace('-', '_')}_manifest.json"
+        outputs = {path.name: path.read_bytes() for path in out.iterdir() if path != manifest}
+        runs.append((json.loads(manifest.read_text())["params"], outputs, capsys.readouterr().out))
+    (params1, outputs1, stdout1), (params2, outputs2, stdout2) = runs
+    assert {name for name in params1 if params1[name] != params2[name]} == {param, "out"}
+    assert outputs1 != outputs2 or stdout1 != stdout2, f"{command} --{param} changes no output"
 
 
 # Parser sweep: per subcommand, each parameter's usual flag texts and its odd
@@ -627,6 +705,7 @@ SWEEP = {
         "j": ([None, "1", "2"], ["0", "-1", "4", "nan", ""]),
         "restarts": (["1"], ["0", "-2"]),
         "iters": (["10"], ["0", "inf"]),
+        "seed": SEED_TEXTS,
     },
     "concat": {
         "nx": ([None, "0.4", "0.1,0.5", "0,0.3"], ["nan", "inf", "-0.2", "", "1e200", "a,b", "0.3,,0.1"]),
@@ -644,11 +723,13 @@ SWEEP = {
         "with_achieved": ([None, PRESENT], []),
         "restarts": (["1"], ["0", "x"]),
         "iters": (["10"], ["-1", ""]),
+        "seed": SEED_TEXTS,
     },
     "nogo": {
         "state": ([None, "iso.json", "joint.json", "joint5.json"], ["qubit.json", "bad.json", "missing.json", ""]),
         "p": ([None, "0.5", "0", "1"], ["1.5", "-0.1", "nan", "inf", ""]),
         "restarts": (["1", "5"], ["0", "-2", "x", "nan"]),
+        "seed": SEED_TEXTS,
     },
     "amplify": {
         "steps": ([None, "1", "6", "50"], ["0", "-1", "x", "", "2.5"]),
@@ -685,7 +766,8 @@ def sweep_dir(tmp_path_factory):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_parser_sweep_exits_0_1_or_2(sweep_dir, command, data):
-    params = {**SWEEP[command], "seed": SEED_TEXTS}
+    params = SWEEP[command]
+    assert sorted(params) == sorted(_declared(command))
     odd = data.draw(st.sampled_from([None, *params]), label="odd parameter")
     argv, config = [command], {}
     for name, (usual, unusual) in params.items():

@@ -14,11 +14,10 @@ from coherence_lab.states import (
     DensityMatrix,
     NumberOperator,
     _generator_layout,
-    bloch_from_json,
     bloch_to_density,
-    density_from_json,
     density_to_bloch,
     isotropic_state,
+    state_from_json,
 )
 
 
@@ -217,26 +216,53 @@ class TestGlobalSymmetryImpliesLocalSymmetry:
 class TestJsonFormats:
     def test_density_round_trip(self):
         rho = isotropic_state(0.4)
-        again = density_from_json(oracles.density_to_json(rho))
+        again = state_from_json(oracles.density_to_json(rho), "state")
         np.testing.assert_allclose(again.matrix, rho.matrix, atol=1e-15)
 
     def test_parser_rejects_invariant_violation_with_residual(self):
         obj = {"dim": 2, "re": [[0.5, 0.3], [0.1, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
         with pytest.raises(StateValidationError, match="not Hermitian.*residual"):
-            density_from_json(obj)
+            state_from_json(obj, "state")
 
     def test_parser_rejects_missing_key(self):
-        with pytest.raises(StateValidationError, match="missing key 'im'"):
-            density_from_json({"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]]})
+        with pytest.raises(StateValidationError, match=r"missing keys \['im'\]"):
+            state_from_json({"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]]}, "state")
 
     def test_parser_rejects_shape_mismatch(self):
         obj = {"dim": 3, "re": [[1.0]], "im": [[0.0]]}
         with pytest.raises(StateValidationError, match="shapes"):
-            density_from_json(obj)
+            state_from_json(obj, "state")
 
     def test_bloch_rejects_missing_component(self):
-        with pytest.raises(StateValidationError, match="missing key 'nz'"):
-            bloch_from_json({"nx": 0.5})
+        with pytest.raises(StateValidationError, match=r"missing keys \['nz'\]"):
+            state_from_json({"nx": 0.5}, "state")
+        with pytest.raises(StateValidationError, match=r"missing keys \['nx', 'nz'\]"):
+            state_from_json({}, "state")
+
+    def test_bloch_form_with_and_without_ny(self):
+        assert np.array_equal(state_from_json({"nx": 0.2, "nz": 0.4}, "state").matrix,
+                              bloch_to_density(BlochState(0.2, 0.0, 0.4)).matrix)
+        assert np.array_equal(state_from_json({"nx": 0.2, "ny": 0.1, "nz": 0.4}, "state").matrix,
+                              bloch_to_density(BlochState(0.2, 0.1, 0.4)).matrix)
+
+    @pytest.mark.parametrize(
+        "obj, named",
+        [
+            # a misspelled ny, which a parser that looked only for known keys read as (0.3, 0, 0.2)
+            ({"nx": 0.3, "nz": 0.2, "ny ": 0.5}, ["'ny '"]),
+            ({"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]], "rho": 1}, ["'rho'"]),
+            # a file of both forms, which such a parser read as its matrix
+            (
+                {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]], "nx": 0.9, "nz": 0.0},
+                ["'dim'", "'im'", "'re'", "'nx'", "'nz'"],
+            ),
+            ({"re": [[1]], "ny": 0.0}, ["'re'", "'ny'"]),
+        ],
+    )
+    def test_keys_of_neither_form_or_of_both_are_rejected_by_name(self, obj, named):
+        with pytest.raises(StateValidationError, match="^parameter 'state': s.json: ") as exc:
+            state_from_json(obj, "parameter 'state': s.json")
+        assert all(key in str(exc.value) for key in named), str(exc.value)
 
 
 class TestNamedStates:
