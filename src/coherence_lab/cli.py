@@ -12,7 +12,6 @@ losslessly.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -55,6 +54,8 @@ EXIT_UNSUPPORTED = 2
 
 #: trajectory steps converted to text per chunk, so a long trajectory's rows are never all in memory
 _TRAJECTORY_CHUNK = 4096
+#: evaluations per restart of each bound-compare search; below the library default, as one run makes hundreds
+_SAMPLE_SEARCH_ITERS = 500
 
 
 def _fmt(value) -> str:
@@ -84,13 +85,6 @@ def _seed(value) -> int:
     if seed < 0:
         raise ValueError(f"expected a non-negative integer, got {seed}")
     return seed
-
-
-def _bool(value) -> bool:
-    """Only JSON ``true``/``false`` (a ``store_true`` flag gives ``True``)."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
 
 
 def _list(convert):
@@ -160,16 +154,10 @@ def cmd_concentrate(p: dict) -> Iterator[tuple]:
     print(_search_line(outcome))
     print(f"bound1: {rep.bound1:.6e}  bound2: {rep.bound2:.6e}  tighter: {rep.tighter}")
     if rho.dim == 2:
+        # optimal_concentration checks its closed form against a two-copy simulation
         result = optimal_concentration(rho)
-        out_state = result.output_state
-        simulated = math.hypot(out_state.nx, out_state.ny) / 2.0 - abs(complex(rho.matrix[0, 1]))
-        report["closed_form"] = {
-            "delta_m": result.delta_m,
-            "theta_opt": result.theta_opt,
-            "simulated_delta_m": simulated,
-        }
+        report["closed_form"] = {"delta_m": result.delta_m, "theta_opt": result.theta_opt}
         print(f"closed-form delta_m: {result.delta_m:.6e}  theta_opt: {result.theta_opt:.6f}")
-        print(f"simulated delta_m: {simulated:.6e}")
     yield "concentrate_report.json", report
 
 
@@ -188,18 +176,15 @@ def cmd_concat(p: dict) -> Iterator[tuple]:
         trace = run_concatenation(start, max_steps=p["steps"], convergence_eps=p["eps"])
         ceiling = purity_ceiling(bloch_to_density(trace.steps[0]))
         yield name, _trajectory_csv(trace, purity_ceiling=ceiling)
-        converged = trace.converged_at is not None
-        if not converged:
+        if trace.converged_at is None:
             print(f"warning: start (nx={start.nx:g}, nz={start.nz:g}) not converged: "
                   f"{trace.stop_reason} at step {len(trace.nx) - 1}")
         summary.append(
             {
                 "nx": start.nx,
                 "nz": start.nz,
-                "status": "converged" if converged else "not converged",
                 "stop_reason": trace.stop_reason,
                 "steps": trace.converged_at,
-                "log2_copies": trace.converged_at,
                 "final_nx": trace.steps[-1].nx,
                 "final_nz": trace.steps[-1].nz,
                 "purity_ceiling": ceiling,
@@ -224,8 +209,9 @@ def cmd_bound_compare(p: dict) -> Iterator[tuple]:
     for rank in ranks:
         if not 1 <= rank <= dim:
             raise UnsupportedParameterError(f"rank {rank} outside [1, {dim}]")
-    # a bad search budget exits before the CSV's first byte
-    budget = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"])
+    restarts = p["restarts"]
+    if restarts < 0:
+        raise UnsupportedParameterError(f"bound-compare requires --restarts >= 0, got {restarts}")
     op = NumberOperator(dim)
     wins: dict = {}
 
@@ -235,8 +221,8 @@ def cmd_bound_compare(p: dict) -> Iterator[tuple]:
             rho = random_density_matrix(dim, rank, np.random.default_rng(sample_seed))
             for j in range(1, dim):
                 achieved = None
-                if p["with_achieved"]:
-                    cfg = dataclasses.replace(budget, seed=sample_seed)
+                if restarts:
+                    cfg = UnitarySearchConfig(restarts, _SAMPLE_SEARCH_ITERS, seed=sample_seed)
                     achieved = maximize_delta_m(rho, op, j, cfg).best_delta_m
                 rep = bound_report(rho, op, j, achieved=achieved)
                 wins.setdefault((rank, j), {"bound1": 0, "bound2": 0, "tie": 0})[rep.tighter] += 1
@@ -280,7 +266,6 @@ def cmd_nogo(p: dict) -> Iterator[tuple]:
         "modes_present": sorted(present),
         "initial_local_m1": before,
         "max_local_m1_gain": None if outcome is None else outcome.best_delta_m,
-        "restarts": cfg.restarts,
         "converged": None if outcome is None else outcome.converged,
         "marginal_product_distance": marginal_product_distance(rho, gen),
         "note": f"{searched}; the verdict covers every covariant operation",
@@ -313,7 +298,6 @@ def cmd_amplify(p: dict) -> Iterator[tuple]:
         "ratio": ratio,
         "threshold": threshold,
         "exceeds_threshold": ratio > threshold,
-        "initial_m1_below_2^-N": initial < 2.0 ** (-layers),
     }
     yield "amplify_summary.json", summary
     print(f"ratio after {layers} layers: {ratio:.4f}  threshold: {threshold:.4f}")
@@ -324,6 +308,8 @@ def cmd_amplify(p: dict) -> Iterator[tuple]:
 _COMMON = (("out", os.fspath, ".", "output directory"),)
 #: Declared only by the commands that draw random numbers; the others are deterministic.
 _SEED = ("seed", _seed, 0, "non-negative RNG seed")
+#: Declared by ``concentrate`` and ``nogo``; bound-compare's own entry defaults to no search.
+_RESTARTS = ("restarts", _int, UnitarySearchConfig.restarts, "search restarts")
 
 #: Subcommand -> (function, help, parameters as (name, converter, default, help)).
 COMMANDS = {
@@ -331,7 +317,7 @@ COMMANDS = {
                     "(for a joint state, use nogo)", (
         ("state", os.fspath, None, "JSON state file (matrix or Bloch form)"),
         ("j", _int, 1, "mode index"),
-        ("restarts", _int, UnitarySearchConfig.restarts, "search restarts"),
+        _RESTARTS,
         ("iters", _int, UnitarySearchConfig.max_iters, "evaluations per restart"),
         _SEED,
     )),
@@ -348,15 +334,13 @@ COMMANDS = {
         ("dim", _int, 3, f"local dimension, 3 to {MAX_LOCAL_DIM}"),
         ("ranks", _list(_int), None, "comma-separated ranks (default all)"),
         ("samples", _int, 100, "samples per rank, at least 1"),
-        ("with_achieved", _bool, False, "also run the search oracle per sample (slow)"),
-        ("restarts", _int, 3, "oracle restarts when enabled"),
-        ("iters", _int, 500, "oracle evaluations per restart"),
+        ("restarts", _int, 0, f"search restarts of {_SAMPLE_SEARCH_ITERS} evaluations per sample and j; 0: none"),
         _SEED,
     )),
     "nogo": (cmd_nogo, "mode-structure verdict plus a search for the largest local m1 gain", (
         ("state", os.fspath, None, f"JSON joint-state file, any local dimension (search up to {MAX_LOCAL_DIM})"),
         ("p", _float, None, "build the two-qubit isotropic state instead"),
-        ("restarts", _int, UnitarySearchConfig.restarts, "search restarts"),
+        _RESTARTS,
         _SEED,
     )),
     "amplify": (cmd_amplify, "construct and run an unbounded-ratio amplification state", (
@@ -375,11 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, command_help, params) in COMMANDS.items():
         p = sub.add_parser(command, help=command_help)
-        for name, convert, default, help_text in (*params, *_COMMON):
-            flag = {"action": "store_true"} if convert is _bool else {}
-            if default is not None and convert is not _bool:
+        for name, _, default, help_text in (*params, *_COMMON):
+            if default is not None:
                 help_text = f"{help_text} (default {default})"
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None, help=help_text, **flag)
+            p.add_argument(f"--{name}", default=None, help=help_text)
         p.add_argument("--config", default=None, help="JSON file with parameter defaults; flags win")
     return parser
 

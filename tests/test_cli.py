@@ -16,7 +16,13 @@ import oracles
 from coherence_lab import bounds, cli
 from coherence_lab.cli import main
 from coherence_lab.modes import bipartite_mode_set
-from coherence_lab.optimizer import MAX_LOCAL_DIM, UnitarySearchConfig, _search, random_allowed_unitary
+from coherence_lab.optimizer import (
+    MAX_LOCAL_DIM,
+    UnitarySearchConfig,
+    _search,
+    maximize_delta_m,
+    random_allowed_unitary,
+)
 from coherence_lab.qubit_protocol import recurrence_step
 from coherence_lab.sampling import random_density_matrix
 from coherence_lab.states import (
@@ -67,10 +73,8 @@ class TestConcentrate:
         )
         report = json.load(open(out / "concentrate_report.json"))
         assert set(report["optimizer"]) == {"best_delta_m", "converged"}
+        assert set(report["closed_form"]) == {"delta_m", "theta_opt"}
         assert report["closed_form"]["delta_m"] == pytest.approx(0.028062484748656982, abs=1e-15)
-        assert report["closed_form"]["simulated_delta_m"] == pytest.approx(
-            report["closed_form"]["delta_m"], abs=1e-10
-        )
         assert report["optimizer"]["best_delta_m"] == pytest.approx(
             report["closed_form"]["delta_m"], abs=1e-6
         )
@@ -120,7 +124,7 @@ class TestConcat:
         assert header == ["step", "n_x", "n_z", "log2_copies", "m1", "purity_ceiling"]
         assert len(rows) == 1
         summary = json.load(open(out / "concat_summary.json"))
-        assert summary[0]["status"] == "converged"
+        assert set(summary[0]) == {"nx", "nz", "stop_reason", "steps", "final_nx", "final_nz", "purity_ceiling"}
         assert summary[0]["stop_reason"] == "converged"
         assert summary[0]["steps"] == 0
 
@@ -183,8 +187,7 @@ class TestConcat:
         assert rc == 0
         assert "not converged" in capsys.readouterr().out
         summary = json.load(open(out / "concat_summary.json"))
-        assert summary[0]["status"] == "not converged"
-        assert summary[0]["stop_reason"] == "fixed point"
+        assert (summary[0]["steps"], summary[0]["stop_reason"]) == (None, "fixed point")
 
     @pytest.mark.parametrize(
         "argv, warning",
@@ -204,7 +207,7 @@ class TestConcat:
         out = tmp_path / "out"
         assert main(["concat", "--nx", "1e-5", "--nz", "0.001001", "--steps", "50", "--out", str(out)]) == 0
         summary = json.load(open(out / "concat_summary.json"))
-        assert (summary[0]["status"], summary[0]["stop_reason"]) == ("not converged", "step cap")
+        assert (summary[0]["steps"], summary[0]["stop_reason"]) == (None, "step cap")
 
     @pytest.mark.parametrize(
         "nx, nz, eps, stop_reason",
@@ -305,6 +308,22 @@ class TestBoundCompare:
         assert header == ["seed", "rank", "j", "bound1", "bound2", "achieved", "tighter"]
         assert len(rows) == 3 * 2  # two mode indices per sampled state
         assert {row[6] for row in rows} <= {"bound1", "bound2", "tie"}
+        assert {row[5] for row in rows} == {""}  # no search at the default of 0 restarts
+
+    def test_achieved_is_the_seeded_search_of_each_row(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        args = ["bound-compare", "--dim", "3", "--ranks", "1,2", "--samples", "2", "--seed", "4"]
+        assert main(args + ["--restarts", "2", "--out", str(out)]) == 0
+        _, rows = _read_csv(out / "bound_compare.csv")
+        assert len(rows) == 2 * 2 * 2
+        for row in rows:
+            seed_k, rank, j = (int(v) for v in row[:3])
+            rho = random_density_matrix(3, rank, np.random.default_rng(seed_k))
+            cfg = UnitarySearchConfig(2, cli._SAMPLE_SEARCH_ITERS, seed=seed_k)
+            assert float(row[5]) == maximize_delta_m(rho, NumberOperator(3), j, cfg).best_delta_m
+        # 0 restarts runs no search
+        monkeypatch.setattr(cli, "maximize_delta_m", lambda *args: pytest.fail("a search ran"))
+        assert main(args + ["--restarts", "0", "--out", str(tmp_path / "none")]) == 0
 
     def test_memory_does_not_grow_with_the_samples(self, tmp_path):
         # time-free: rows stream to the CSV and only the (rank, j) tally is
@@ -337,7 +356,8 @@ class TestNogo:
         assert report["verdict"] == "no_go"
         assert report["max_local_m1_gain"] <= 1e-9
         assert report["marginal_product_distance"] > 1e-8
-        assert (report["restarts"], report["converged"]) == (4, True)
+        assert report["converged"] is True
+        assert "restarts" not in report  # the manifest's params hold it
         assert "unitary_samples" not in report and "search" in report["note"]
         # the same search line as concentrate's, on stdout only
         assert re.search(
@@ -469,8 +489,8 @@ class TestNogo:
         (["nogo", "--p", "0.5"], "--config", {"restarts": 2.5}, "restarts"),
         # a nogo manifest written when the dynamical check sampled
         (["nogo"], "--config", {"params": {"p": 0.5, "samples": 500}}, "samples"),
-        # a boolean is JSON true or false, never a string
-        (["bound-compare"], "--config", {"with_achieved": "false"}, "with_achieved"),
+        # a bound-compare manifest written when a boolean switched its search on
+        (["bound-compare"], "--config", {"params": {"samples": 1, "with_achieved": True}}, "with_achieved"),
         # the deterministic commands take no seed, nor does a manifest of theirs hold one
         (["concat"], "--config", {"seed": 0}, "seed"),
         (["field"], "--config", {"seed": 3}, "seed"),
@@ -478,6 +498,8 @@ class TestNogo:
         # a state file is held to the keys of one form: a misspelled ny, and a matrix with Bloch keys
         (["concentrate"], "--state", {"nx": 0.3, "nz": 0.2, "ny ": 0.5}, "ny "),
         (["concentrate"], "--state", {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]], "nx": 0.9}, "nx"),
+        # and one written when its search had a budget parameter
+        (["bound-compare"], "--config", {"params": {"samples": 1, "iters": 500}}, "iters"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):
@@ -526,11 +548,10 @@ def test_seed_flag_of_a_deterministic_command_exits_2(tmp_path, capsys, command)
         ["nogo", "--p", "0.5", "--restarts", "0"],
         ["bound-compare", "--samples=-3"],
         ["concentrate"],
-        # the search budget is checked before the CSV is opened
-        ["bound-compare", "--with-achieved", "--restarts", "0"],
-        # and so is it when no search runs
-        ["bound-compare", "--restarts", "0"],
-        ["bound-compare", "--iters", "-1"],
+        # the restart count, the dimension and the ranks are checked before the CSV is opened
+        ["bound-compare", "--restarts=-1"],
+        ["bound-compare", "--dim", "2"],
+        ["bound-compare", "--ranks", "1,5"],
         # the grid is checked before the field's rows are made
         ["field", "--grid", "0x5"],
     ],
@@ -642,12 +663,7 @@ READ_PAIRS = {
         "dim": ("--dim 3 --ranks 1 --samples 2", "--dim 4 --ranks 1 --samples 2"),
         "ranks": ("--ranks 1 --samples 2", "--ranks 2 --samples 2"),
         "samples": ("--ranks 1 --samples 1", "--ranks 1 --samples 2"),
-        "with_achieved": ("--ranks 1 --samples 1 --iters 20", "--ranks 1 --samples 1 --iters 20 --with-achieved"),
-        "restarts": (
-            "--ranks 2 --samples 2 --iters 10 --with-achieved --restarts 1",
-            "--ranks 2 --samples 2 --iters 10 --with-achieved --restarts 2",
-        ),
-        "iters": ("--ranks 1 --samples 1 --with-achieved --iters 5", "--ranks 1 --samples 1 --with-achieved --iters 20"),
+        "restarts": ("--ranks 1 --samples 1 --restarts 0", "--ranks 1 --samples 1 --restarts 1"),
     },
     "nogo": {
         "state": ("--state JOINT --restarts 2", "--state ISO --restarts 2"),
@@ -691,12 +707,11 @@ def test_every_parameter_changes_an_output(tmp_path, capsys, command, param):
 # invalid files). An example sets at most one parameter to an odd text or to a
 # config value of the wrong JSON type, so every odd value is reached on its own.
 # Every number is small (grids <= 20, steps <= 50, samples <= 5, one restart of
-# ten evaluations for concentrate and bound-compare, at most five restarts of a
-# qutrit search for nogo, whose d = 5 joint state gets a verdict and no search),
-# so an example runs in at most tens of milliseconds. PRESENT stands for a
-# bare boolean flag, None for a parameter left to its default, and a name in
-# STATE_FILES for a file the sweep writes.
-PRESENT = object()
+# ten evaluations for concentrate, at most one restart of a bound-compare
+# search per row, at most five restarts of a qutrit search for nogo, whose
+# d = 5 joint state gets a verdict and no search), so an example runs in at
+# most a second. None stands for a parameter left to its default, and a name
+# in STATE_FILES for a file the sweep writes.
 STATE_FILES = ("qubit.json", "bloch.json", "iso.json", "joint.json", "bad.json", "joint5.json")
 SEED_TEXTS = ([None, "0", "7"], ["-1", "2.5", "x", ""])
 SWEEP = {
@@ -720,9 +735,7 @@ SWEEP = {
         "dim": ([None, "3", "4"], ["2", "5", "nan", "", "3.0"]),
         "ranks": ([None, "1", "1,2"], ["", "0", "5", "a", "2,,1", "-1"]),
         "samples": (["1", "2"], ["0", "-1", "2.5", ""]),
-        "with_achieved": ([None, PRESENT], []),
-        "restarts": (["1"], ["0", "x"]),
-        "iters": (["10"], ["-1", ""]),
+        "restarts": (["0", "1"], ["-1", "x"]),
         "seed": SEED_TEXTS,
     },
     "nogo": {
@@ -777,11 +790,9 @@ def test_parser_sweep_exits_0_1_or_2(sweep_dir, command, data):
             if name not in FLAG_ONLY:
                 source |= st.sampled_from(WRONG_TYPES).map(lambda value: (value,))
         choice = data.draw(source, label=name)
-        flag = "--" + name.replace("_", "-")
+        flag = f"--{name}"
         if isinstance(choice, tuple):
             config[name] = choice[0]
-        elif choice is PRESENT:
-            argv.append(flag)
         elif choice is not None:
             text = str(sweep_dir / choice) if choice in STATE_FILES else choice
             argv.append(f"{flag}={text}")
