@@ -44,7 +44,6 @@ from .states import (
     _float,
     _int,
     bloch_to_density,
-    isotropic_state,
     state_from_json,
 )
 
@@ -141,8 +140,8 @@ def cmd_concentrate(p: dict) -> Iterator[tuple]:
         raise UnsupportedParameterError("concentrate requires --state")
     rho = _load_state(p["state"])
     j = p["j"]
-    report: dict = {"input_dim": rho.dim, "j": j}
-    cfg = UnitarySearchConfig(restarts=p["restarts"], max_iters=p["iters"], seed=p["seed"])
+    report: dict = {"input_dim": rho.dim}
+    cfg = UnitarySearchConfig(restarts=p["restarts"], seed=p["seed"])
     outcome = maximize_delta_m(rho, NumberOperator(rho.dim), j, cfg)
     rep = bound_report(rho, NumberOperator(rho.dim), j, achieved=outcome.best_delta_m)
     report["optimizer"] = {
@@ -240,13 +239,10 @@ def cmd_bound_compare(p: dict) -> Iterator[tuple]:
 
 
 def cmd_nogo(p: dict) -> Iterator[tuple]:
-    if (p["state"] is None) == (p["p"] is None):
-        raise UnsupportedParameterError("nogo requires exactly one of --state or --p")
-    cfg = UnitarySearchConfig(restarts=p["restarts"], seed=p["seed"])
     if p["state"] is None:
-        rho, source = isotropic_state(p["p"]), f"isotropic(p={p['p']})"
-    else:
-        rho, source = _load_state(p["state"]), p["state"]
+        raise UnsupportedParameterError("nogo requires --state")
+    rho = _load_state(p["state"])
+    cfg = UnitarySearchConfig(restarts=p["restarts"], seed=p["seed"])
     d = math.isqrt(rho.dim)
     if d * d != rho.dim:
         raise UnsupportedParameterError(f"state dimension {rho.dim} is not the square of a local dimension")
@@ -261,7 +257,6 @@ def cmd_nogo(p: dict) -> Iterator[tuple]:
         outcome = _search(rho.matrix, d, 1, before, cfg)
         searched = "gain searched over covariant unitaries, not sampled"
     report = {
-        "source": source,
         "verdict": verdict,
         "modes_present": sorted(present),
         "initial_local_m1": before,
@@ -289,8 +284,6 @@ def cmd_amplify(p: dict) -> Iterator[tuple]:
     threshold = 2.0 ** (-eps) * math.sqrt(2.0**layers)
     yield f"amplify_N{layers}.csv", _trajectory_csv(trace)
     summary = {
-        "layers": layers,
-        "eps": eps,
         "start_nx": start.nx,
         "start_nz": start.nz,
         "initial_m1": initial,
@@ -318,7 +311,6 @@ COMMANDS = {
         ("state", os.fspath, None, "JSON state file (matrix or Bloch form)"),
         ("j", _int, 1, "mode index"),
         _RESTARTS,
-        ("iters", _int, UnitarySearchConfig.max_iters, "evaluations per restart"),
         _SEED,
     )),
     "concat": (cmd_concat, "run the concatenation recurrence from Bloch starting points", (
@@ -339,7 +331,6 @@ COMMANDS = {
     )),
     "nogo": (cmd_nogo, "mode-structure verdict plus a search for the largest local m1 gain", (
         ("state", os.fspath, None, f"JSON joint-state file, any local dimension (search up to {MAX_LOCAL_DIM})"),
-        ("p", _float, None, "build the two-qubit isotropic state instead"),
         _RESTARTS,
         _SEED,
     )),

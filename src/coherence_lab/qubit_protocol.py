@@ -27,8 +27,6 @@ from .states import (
     BlochState,
     DensityMatrix,
     NumberOperator,
-    bloch_to_density,
-    density_to_bloch,
 )
 
 #: matching tolerance between the closed forms and direct two-copy simulation
@@ -46,11 +44,10 @@ CONVERGENCE_EPS = 1e-3
 
 @dataclass(frozen=True)
 class ConcentrationResult:
-    """Optimal single-step concentration: angle, gain, output state, and the unitary used."""
+    """Optimal single-step concentration: angle, gain, and the unitary used."""
 
     theta_opt: float
     delta_m: float
-    output_state: BlochState
     unitary: AllowedUnitary
 
     def __post_init__(self) -> None:
@@ -155,10 +152,9 @@ def optimal_unitary(p00: float) -> AllowedUnitary:
 def optimal_concentration(rho: DensityMatrix) -> ConcentrationResult:
     """Best achievable increase of the off-diagonal magnitude from two copies of a qubit.
 
-    The closed-form gain is |p01| (sqrt(1+(2 p00 - 1)^2) - 1). The returned
-    output state is computed by direct simulation (build the two-copy state,
-    conjugate, trace out the partner system) and is checked against the closed
-    form before returning.
+    The closed-form gain is |p01| (sqrt(1+(2 p00 - 1)^2) - 1). It is checked
+    before returning against a direct simulation: build the two-copy state,
+    conjugate, trace out the partner system.
     """
     if rho.dim != 2:
         raise UnsupportedParameterError(f"expected a qubit state, got dimension {rho.dim}")
@@ -177,7 +173,7 @@ def optimal_concentration(rho: DensityMatrix) -> ConcentrationResult:
         raise RuntimeError(
             f"closed form and two-copy simulation disagree: {delta_m} vs {simulated_gain}"
         )
-    return ConcentrationResult(theta_opt, delta_m, density_to_bloch(DensityMatrix(reduced)), unitary)
+    return ConcentrationResult(theta_opt, delta_m, unitary)
 
 
 def recurrence_step(state: BlochState) -> BlochState:

@@ -227,14 +227,6 @@ def bloch_to_density(b: BlochState) -> DensityMatrix:
     return DensityMatrix(np.array([[p00, p01], [np.conj(p01), 1.0 - p00]]))
 
 
-def density_to_bloch(rho: DensityMatrix) -> BlochState:
-    """Inverse of bloch_to_density; only defined for qubits."""
-    if rho.dim != 2:
-        raise UnsupportedParameterError(f"Bloch vector requires a qubit state, got dim {rho.dim}")
-    m = rho.matrix
-    return BlochState(2.0 * m[0, 1].real, 2.0 * m[0, 1].imag, float(2.0 * m[0, 0].real - 1.0))
-
-
 def isotropic_state(p: float) -> DensityMatrix:
     """Two-qubit mixture p * |phi+><phi+| + (1-p) * I/4, with |phi+> = (|00> + |11>)/sqrt(2)."""
     if not 0.0 <= p <= 1.0:

@@ -64,6 +64,18 @@ def density_to_json(rho) -> dict:
     return {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
+def symmetry_images(m: np.ndarray) -> tuple:
+    """A state matrix under the symmetries of every gap-j measure, bound and search.
+
+    Complex conjugation, level reversal F m^T F (F flips the d levels, so
+    entry (n + j, n) moves to (d - 1 - n, d - 1 - n - j), still on diagonal
+    -j), and the two composed, F m F. Each maps the covariant unitaries onto
+    themselves.
+    """
+    flipped = m[::-1, ::-1]
+    return m.conj(), flipped.T, flipped
+
+
 def partial_trace_b_loops(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Second-factor partial trace by its element formula."""
     out = np.zeros((dim_a, dim_a), dtype=complex)

@@ -303,3 +303,13 @@ class TestUnitaryInvarianceOfBounds:
             assert bound_kyfan_lrd(rotated, QUTRIT, j) == pytest.approx(
                 bound_kyfan_lrd(rho, QUTRIT, j), abs=1e-12
             )
+        # conjugation, level reversal and the two composed leave them unchanged too, to roundoff
+        for d in (3, 4):
+            op = NumberOperator(d)
+            for k in range(8):
+                rho = random_density_matrix(d, 1 + k % d, rng)
+                for image in map(DensityMatrix, oracles.symmetry_images(rho.matrix)):
+                    for j in range(1, d):
+                        want, got = bound_report(rho, op, j), bound_report(image, op, j)
+                        for field in ("bound1", "bound2", "baseline"):
+                            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-14, (d, j, field)

@@ -40,6 +40,11 @@ def _write_state(path, obj):
     return str(path)
 
 
+def _iso_state_file(tmp_path):
+    """The two-qubit isotropic state at p = 0.5, in matrix form."""
+    return _write_state(tmp_path / "iso.json", oracles.density_to_json(isotropic_state(0.5)))
+
+
 def _qubit_state_file(tmp_path, p00=0.9, p01=0.1):
     obj = {
         "dim": 2,
@@ -59,7 +64,9 @@ def _read_csv(path):
 class TestConcentrate:
     def test_search_defaults_come_from_the_search_config(self):
         defaults = {name: default for name, _, default, _ in cli.COMMANDS["concentrate"][2]}
-        assert (defaults["restarts"], defaults["iters"]) == (UnitarySearchConfig.restarts, UnitarySearchConfig.max_iters)
+        assert defaults["restarts"] == UnitarySearchConfig.restarts
+        # the search runs at the library's budget, which no parameter overrides
+        assert "iters" not in defaults
 
     def test_qubit_report(self, tmp_path, capsys):
         state = _qubit_state_file(tmp_path)
@@ -350,14 +357,14 @@ def _psi_mixture(p):
 class TestNogo:
     def test_isotropic_no_go_with_zero_gain(self, tmp_path, capsys):
         out = tmp_path / "out"
-        rc = main(["nogo", "--p", "0.5", "--restarts", "4", "--seed", "3", "--out", str(out)])
+        rc = main(["nogo", "--state", _iso_state_file(tmp_path), "--restarts", "4", "--seed", "3", "--out", str(out)])
         assert rc == 0
         report = json.load(open(out / "nogo_report.json"))
         assert report["verdict"] == "no_go"
         assert report["max_local_m1_gain"] <= 1e-9
         assert report["marginal_product_distance"] > 1e-8
         assert report["converged"] is True
-        assert "restarts" not in report  # the manifest's params hold it
+        assert "restarts" not in report and "source" not in report  # the manifest's params hold them
         assert "unitary_samples" not in report and "search" in report["note"]
         # the same search line as concentrate's, on stdout only
         assert re.search(
@@ -379,15 +386,11 @@ class TestNogo:
         assert outcome.best_delta_m <= 1e-9
 
     def test_isotropic_state_file_reports_no_go(self, tmp_path):
-        state = _write_state(tmp_path / "iso.json", oracles.density_to_json(isotropic_state(0.5)))
         out = tmp_path / "out"
-        assert main(["nogo", "--state", state, "--out", str(out)]) == 0
+        assert main(["nogo", "--state", _iso_state_file(tmp_path), "--out", str(out)]) == 0
         report = json.load(open(out / "nogo_report.json"))
         assert report["verdict"] == "no_go"
         assert report["modes_present"] == [0, 2]
-
-    def test_requires_exactly_one_source(self, tmp_path):
-        assert main(["nogo", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_gain_matches_loop_reference(self, tmp_path, d):
@@ -473,7 +476,7 @@ class TestNogo:
         (["concat"], "--config", {"nx": []}, "nx"),
         # a key that is not a parameter of the command
         (["amplify", "--steps", "3"], "--config", {"stepz": 3}, "stepz"),
-        (["nogo", "--p", "0.5"], "--config", {"nx": [0.1]}, "nx"),
+        (["nogo", "--state", "ISO"], "--config", {"nx": [0.1]}, "nx"),
         # a state file follows the same type rules as the flags
         (["concentrate"], "--state", {"dim": 2.7, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}, "dim"),
         (["concentrate"], "--state", {"dim": True, "re": [[1]], "im": [[0]]}, "dim"),
@@ -485,8 +488,8 @@ class TestNogo:
         (["amplify"], "--config", [{"steps": 3}], "config"),
         (["concentrate"], "--state", [[1, 0], [0, 0]], "state"),
         (["nogo"], "--state", {"matrix": [[1]]}, "state"),
-        (["nogo", "--p", "0.5"], "--config", {"restarts": {}}, "restarts"),
-        (["nogo", "--p", "0.5"], "--config", {"restarts": 2.5}, "restarts"),
+        (["nogo", "--state", "ISO"], "--config", {"restarts": {}}, "restarts"),
+        (["nogo", "--state", "ISO"], "--config", {"restarts": 2.5}, "restarts"),
         # a nogo manifest written when the dynamical check sampled
         (["nogo"], "--config", {"params": {"p": 0.5, "samples": 500}}, "samples"),
         # a bound-compare manifest written when a boolean switched its search on
@@ -500,10 +503,15 @@ class TestNogo:
         (["concentrate"], "--state", {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]], "nx": 0.9}, "nx"),
         # and one written when its search had a budget parameter
         (["bound-compare"], "--config", {"params": {"samples": 1, "iters": 500}}, "iters"),
+        # a nogo manifest written when it could build the isotropic state itself
+        (["nogo"], "--config", {"params": {"p": 0.5}}, "p"),
+        # a concentrate manifest written when its search had a budget parameter
+        (["concentrate"], "--config", {"params": {"state": "x.json", "iters": 60}}, "iters"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):
     path = _write_state(tmp_path / "input.json", obj)
+    command = [_iso_state_file(tmp_path) if arg == "ISO" else arg for arg in command]
     out = tmp_path / "out"
     assert main(command + [flag, path, "--out", str(out)]) == 1
     assert f"'{key}'" in capsys.readouterr().err
@@ -545,7 +553,7 @@ def test_seed_flag_of_a_deterministic_command_exits_2(tmp_path, capsys, command)
         ["amplify", "--eps", "nan"],
         ["concat", "--eps", "nan"],
         ["concat", "--eps=-0.5"],
-        ["nogo", "--p", "0.5", "--restarts", "0"],
+        ["nogo", "--state", "ISO", "--restarts", "0"],
         ["bound-compare", "--samples=-3"],
         ["concentrate"],
         # the restart count, the dimension and the ranks are checked before the CSV is opened
@@ -554,20 +562,25 @@ def test_seed_flag_of_a_deterministic_command_exits_2(tmp_path, capsys, command)
         ["bound-compare", "--ranks", "1,5"],
         # the grid is checked before the field's rows are made
         ["field", "--grid", "0x5"],
+        ["nogo"],
     ],
 )
 def test_unsupported_value_exits_2_before_writing(tmp_path, argv):
+    argv = [_iso_state_file(tmp_path) if arg == "ISO" else arg for arg in argv]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert os.listdir(out) == []
 
 
-@pytest.mark.parametrize("argv", [["nogo", "--p", "0.5", "--restarts", "3"], ["nogo", "--state"]])
+@pytest.mark.parametrize("argv", [["nogo", "--state", "ISO", "--restarts", "3"], ["nogo", "--state", "JOINT5"]])
 def test_one_mode_set_per_command(tmp_path, monkeypatch, argv):
-    if argv[-1] == "--state":
-        # a joint state above the search cap, so the verdict is the whole run
-        joint = random_density_matrix((MAX_LOCAL_DIM + 1) ** 2, 2, np.random.default_rng(3))
-        argv = argv + [_write_state(tmp_path / "joint.json", oracles.density_to_json(joint))]
+    # JOINT5 is above the search cap, so the verdict is the whole run
+    joint = random_density_matrix((MAX_LOCAL_DIM + 1) ** 2, 2, np.random.default_rng(3))
+    files = {
+        "ISO": _iso_state_file(tmp_path),
+        "JOINT5": _write_state(tmp_path / "joint.json", oracles.density_to_json(joint)),
+    }
+    argv = [files.get(arg, arg) for arg in argv]
     calls = []
     original = cli.bipartite_mode_set
 
@@ -608,12 +621,12 @@ class TestManifestReproduction:
         "argv",
         [
             ["concat", "--nx", "0.01,0.3", "--nz", "0.7,0.2", "--eps", "0.01"],
-            ["nogo", "--p", "0.5", "--restarts", "4", "--seed", "4"],
+            ["nogo", "--state", "ISO", "--restarts", "4", "--seed", "4"],
             ["nogo", "--state", "JOINT", "--restarts", "2", "--seed", "6"],
             ["amplify", "--steps", "12", "--eps", "0.15"],
             ["field", "--grid", "4x7"],
             ["nogo", "--state", "JOINT5"],
-            ["concentrate", "--state", "QUBIT", "--j", "1", "--restarts", "2", "--iters", "60", "--seed", "3"],
+            ["concentrate", "--state", "QUBIT", "--j", "1", "--restarts", "2", "--seed", "3"],
         ],
     )
     def test_every_command_reruns_from_its_manifest(self, tmp_path, argv):
@@ -627,6 +640,7 @@ class TestManifestReproduction:
                 oracles.density_to_json(random_density_matrix(25, 2, np.random.default_rng(1))),
             ),
             "QUBIT": _qubit_state_file(tmp_path),
+            "ISO": _iso_state_file(tmp_path),
         }
         argv = [states.get(arg, arg) for arg in argv]
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -647,10 +661,9 @@ class TestManifestReproduction:
 #: parameter; a command's seed pair is its first argv with --seed 0 and --seed 5
 READ_PAIRS = {
     "concentrate": {
-        "state": ("--state QUTRIT --restarts 2 --iters 40", "--state QUBIT --restarts 2 --iters 40"),
-        "j": ("--state QUTRIT --j 1 --restarts 2 --iters 40", "--state QUTRIT --j 2 --restarts 2 --iters 40"),
-        "restarts": ("--state QUTRIT --restarts 1 --iters 40", "--state QUTRIT --restarts 2 --iters 40"),
-        "iters": ("--state QUTRIT --restarts 2 --iters 5", "--state QUTRIT --restarts 2 --iters 40"),
+        "state": ("--state QUTRIT --restarts 2", "--state QUBIT --restarts 2"),
+        "j": ("--state QUTRIT --j 1 --restarts 2", "--state QUTRIT --j 2 --restarts 2"),
+        "restarts": ("--state QUTRIT --restarts 1", "--state QUTRIT --restarts 2"),
     },
     "concat": {
         "nx": ("--nx 0.1", "--nx 0.2"),
@@ -667,7 +680,6 @@ READ_PAIRS = {
     },
     "nogo": {
         "state": ("--state JOINT --restarts 2", "--state ISO --restarts 2"),
-        "p": ("--p 0.5 --restarts 2", "--p 0.9 --restarts 2"),
         "restarts": ("--state JOINT --restarts 1", "--state JOINT --restarts 2"),
     },
     "amplify": {"steps": ("--steps 3", "--steps 4"), "eps": ("--eps 0.1", "--eps 0.2")},
@@ -707,7 +719,7 @@ def test_every_parameter_changes_an_output(tmp_path, capsys, command, param):
 # invalid files). An example sets at most one parameter to an odd text or to a
 # config value of the wrong JSON type, so every odd value is reached on its own.
 # Every number is small (grids <= 20, steps <= 50, samples <= 5, one restart of
-# ten evaluations for concentrate, at most one restart of a bound-compare
+# a concentrate search, at most one restart of a bound-compare
 # search per row, at most five restarts of a qutrit search for nogo, whose
 # d = 5 joint state gets a verdict and no search), so an example runs in at
 # most a second. None stands for a parameter left to its default, and a name
@@ -719,7 +731,6 @@ SWEEP = {
         "state": (["qubit.json", "bloch.json", "iso.json"], ["bad.json", "missing.json", ""]),
         "j": ([None, "1", "2"], ["0", "-1", "4", "nan", ""]),
         "restarts": (["1"], ["0", "-2"]),
-        "iters": (["10"], ["0", "inf"]),
         "seed": SEED_TEXTS,
     },
     "concat": {
@@ -739,8 +750,7 @@ SWEEP = {
         "seed": SEED_TEXTS,
     },
     "nogo": {
-        "state": ([None, "iso.json", "joint.json", "joint5.json"], ["qubit.json", "bad.json", "missing.json", ""]),
-        "p": ([None, "0.5", "0", "1"], ["1.5", "-0.1", "nan", "inf", ""]),
+        "state": (["iso.json", "joint.json", "joint5.json"], ["qubit.json", "bad.json", "missing.json", ""]),
         "restarts": (["1", "5"], ["0", "-2", "x", "nan"]),
         "seed": SEED_TEXTS,
     },
@@ -750,7 +760,7 @@ SWEEP = {
     },
 }
 #: parameters whose default is too large for the sweep, so they always come from a flag
-FLAG_ONLY = {"restarts", "iters", "steps", "samples"}
+FLAG_ONLY = {"restarts", "steps", "samples"}
 #: config values of the wrong JSON type (null means "use the default")
 WRONG_TYPES = ["false", 2.5, {}, [], None]
 

@@ -363,6 +363,20 @@ class TestObjectiveInvariance:
             a = maximize_delta_m(rho, op, j, cfg).best_delta_m
             b = maximize_delta_m(rotated, op, j, cfg).best_delta_m
             assert abs(a - b) <= 1e-4
+        # conjugation, level reversal and the two composed: wherever both searches
+        # end stationary, they reach the same best value to roundoff
+        cfg = UnitarySearchConfig(restarts=4, max_iters=600, seed=13)
+        compared = 0
+        for d in (3, 4):
+            rho, op = random_density_matrix(d, 2, rng), NumberOperator(d)
+            for j in range(1, d):
+                want = maximize_delta_m(rho, op, j, cfg)
+                for image in map(DensityMatrix, oracles.symmetry_images(rho.matrix)):
+                    got = maximize_delta_m(image, op, j, cfg)
+                    if want.converged and got.converged:
+                        compared += 1
+                        assert abs(got.best_delta_m - want.best_delta_m) <= 1e-10, (d, j)
+        assert compared >= 12  # of 15 (state, j, map) triples
 
 
 class TestRangeGuards:

@@ -15,7 +15,6 @@ from coherence_lab.states import (
     NumberOperator,
     _generator_layout,
     bloch_to_density,
-    density_to_bloch,
     isotropic_state,
     state_from_json,
 )
@@ -81,18 +80,13 @@ class TestBloch:
             BlochState(1e200, 0.0, 0.0)
         assert BlochState(3e-200, 4e-200, 0.0).norm() == pytest.approx(5e-200, rel=1e-15)
 
-    def test_density_to_bloch_requires_qubit(self):
-        with pytest.raises(UnsupportedParameterError, match="qubit"):
-            density_to_bloch(DensityMatrix(np.eye(3) / 3))
-
     def test_round_trip_on_random_vectors(self):
         rng = np.random.default_rng(77)
         for _ in range(1000):
             b = random_bloch(rng)
-            back = density_to_bloch(bloch_to_density(b))
-            assert abs(back.nx - b.nx) <= 1e-12
-            assert abs(back.ny - b.ny) <= 1e-12
-            assert abs(back.nz - b.nz) <= 1e-12
+            m = bloch_to_density(b).matrix
+            assert abs(m[0, 0] - (1.0 + b.nz) / 2.0) <= 1e-12
+            assert abs(m[0, 1] - (b.nx + 1j * b.ny) / 2.0) <= 1e-12
 
 
 class TestBipartiteGenerator:
