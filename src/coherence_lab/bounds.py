@@ -58,16 +58,6 @@ class BoundReport:
             return "tie"
         return "bound1" if self.bound1 < self.bound2 else "bound2"
 
-    def to_json(self) -> dict:
-        return {
-            "j": self.index,
-            "bound1": self.bound1,
-            "bound2": self.bound2,
-            "baseline": self.baseline,
-            "achieved": self.achieved,
-            "tighter": self.tighter,
-        }
-
 
 def _block_spectra(rho: DensityMatrix, op: NumberOperator, index: int) -> tuple:
     """Both bounds and the baseline from the block spectra of the two-copy mode.

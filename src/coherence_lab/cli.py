@@ -26,8 +26,6 @@ from .errors import StateValidationError, UnsupportedParameterError
 from .modes import _local_gap_measure, bipartite_mode_set
 from .optimizer import MAX_LOCAL_DIM, UnitarySearchConfig, _search, maximize_delta_m
 from .qubit_protocol import (
-    CONVERGENCE_EPS,
-    MAX_STEPS,
     amplification_state,
     optimal_concentration,
     purity_ceiling,
@@ -141,14 +139,19 @@ def cmd_concentrate(p: dict) -> Iterator[tuple]:
     rho = _load_state(p["state"])
     j = p["j"]
     report: dict = {"input_dim": rho.dim}
-    cfg = UnitarySearchConfig(restarts=p["restarts"], seed=p["seed"])
-    outcome = maximize_delta_m(rho, NumberOperator(rho.dim), j, cfg)
+    outcome = maximize_delta_m(rho, NumberOperator(rho.dim), j, UnitarySearchConfig(restarts=p["restarts"]))
     rep = bound_report(rho, NumberOperator(rho.dim), j, achieved=outcome.best_delta_m)
     report["optimizer"] = {
         "best_delta_m": outcome.best_delta_m,
         "converged": outcome.converged,
     }
-    report["bound_report"] = rep.to_json()
+    # achieved is optimizer.best_delta_m and j is params.j, so neither is copied here
+    report["bound_report"] = {
+        "bound1": rep.bound1,
+        "bound2": rep.bound2,
+        "baseline": rep.baseline,
+        "tighter": rep.tighter,
+    }
     print(f"optimizer delta_m: {outcome.best_delta_m:.6e}")
     print(_search_line(outcome))
     print(f"bound1: {rep.bound1:.6e}  bound2: {rep.bound2:.6e}  tighter: {rep.tighter}")
@@ -172,7 +175,7 @@ def cmd_concat(p: dict) -> Iterator[tuple]:
             )
     summary = []
     for name, start in starts.items():
-        trace = run_concatenation(start, max_steps=p["steps"], convergence_eps=p["eps"])
+        trace = run_concatenation(start)
         ceiling = purity_ceiling(bloch_to_density(trace.steps[0]))
         yield name, _trajectory_csv(trace, purity_ceiling=ceiling)
         if trace.converged_at is None:
@@ -242,7 +245,6 @@ def cmd_nogo(p: dict) -> Iterator[tuple]:
     if p["state"] is None:
         raise UnsupportedParameterError("nogo requires --state")
     rho = _load_state(p["state"])
-    cfg = UnitarySearchConfig(restarts=p["restarts"], seed=p["seed"])
     d = math.isqrt(rho.dim)
     if d * d != rho.dim:
         raise UnsupportedParameterError(f"state dimension {rho.dim} is not the square of a local dimension")
@@ -251,11 +253,7 @@ def cmd_nogo(p: dict) -> Iterator[tuple]:
     verdict = _nogo_verdict(present, d)
     before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, d, d), 1)
     # the verdict covers every local dimension; the search runs up to its cap
-    if d > MAX_LOCAL_DIM:
-        outcome, searched = None, f"no gain search above local dimension {MAX_LOCAL_DIM}"
-    else:
-        outcome = _search(rho.matrix, d, 1, before, cfg)
-        searched = "gain searched over covariant unitaries, not sampled"
+    outcome = None if d > MAX_LOCAL_DIM else _search(rho.matrix, d, 1, before, UnitarySearchConfig())
     report = {
         "verdict": verdict,
         "modes_present": sorted(present),
@@ -263,7 +261,6 @@ def cmd_nogo(p: dict) -> Iterator[tuple]:
         "max_local_m1_gain": None if outcome is None else outcome.best_delta_m,
         "converged": None if outcome is None else outcome.converged,
         "marginal_product_distance": marginal_product_distance(rho, gen),
-        "note": f"{searched}; the verdict covers every covariant operation",
     }
     yield "nogo_report.json", report
     if outcome is None:
@@ -278,15 +275,14 @@ def cmd_amplify(p: dict) -> Iterator[tuple]:
     layers, eps = p["steps"], p["eps"]
     start = amplification_state(layers, eps)
     trace = run_concatenation(start, max_steps=layers, convergence_eps=0.0)
-    initial = abs(start.nx)
     final = abs(trace.steps[-1].nx)
-    ratio = final / initial
+    # amplification_state returns nx > 0, so start_nx is the initial m1
+    ratio = final / start.nx
     threshold = 2.0 ** (-eps) * math.sqrt(2.0**layers)
     yield f"amplify_N{layers}.csv", _trajectory_csv(trace)
     summary = {
         "start_nx": start.nx,
         "start_nz": start.nz,
-        "initial_m1": initial,
         "final_m1": final,
         "ratio": ratio,
         "threshold": threshold,
@@ -299,10 +295,6 @@ def cmd_amplify(p: dict) -> Iterator[tuple]:
 #: The parameter every subcommand takes, as (name, converter, default, help).
 #: ``--config`` is read before the others are resolved, so it is a flag only.
 _COMMON = (("out", os.fspath, ".", "output directory"),)
-#: Declared only by the commands that draw random numbers; the others are deterministic.
-_SEED = ("seed", _seed, 0, "non-negative RNG seed")
-#: Declared by ``concentrate`` and ``nogo``; bound-compare's own entry defaults to no search.
-_RESTARTS = ("restarts", _int, UnitarySearchConfig.restarts, "search restarts")
 
 #: Subcommand -> (function, help, parameters as (name, converter, default, help)).
 COMMANDS = {
@@ -310,14 +302,11 @@ COMMANDS = {
                     "(for a joint state, use nogo)", (
         ("state", os.fspath, None, "JSON state file (matrix or Bloch form)"),
         ("j", _int, 1, "mode index"),
-        _RESTARTS,
-        _SEED,
+        ("restarts", _int, UnitarySearchConfig.restarts, "search restarts"),
     )),
     "concat": (cmd_concat, "run the concatenation recurrence from Bloch starting points", (
         ("nx", _list(_float), "0.1", "comma-separated transverse components"),
         ("nz", _list(_float), "0.7", "comma-separated z components"),
-        ("steps", _int, MAX_STEPS, "step cap"),
-        ("eps", _float, CONVERGENCE_EPS, "|nz| convergence threshold"),
     )),
     "field": (cmd_field, "export the recurrence displacement field on the quarter disc", (
         ("grid", str, "20x20", "resolution, e.g. 20 or 20x30 (radial x angular)"),
@@ -327,12 +316,10 @@ COMMANDS = {
         ("ranks", _list(_int), None, "comma-separated ranks (default all)"),
         ("samples", _int, 100, "samples per rank, at least 1"),
         ("restarts", _int, 0, f"search restarts of {_SAMPLE_SEARCH_ITERS} evaluations per sample and j; 0: none"),
-        _SEED,
+        ("seed", _seed, 0, "non-negative seed of the first sampled state"),
     )),
     "nogo": (cmd_nogo, "mode-structure verdict plus a search for the largest local m1 gain", (
         ("state", os.fspath, None, f"JSON joint-state file, any local dimension (search up to {MAX_LOCAL_DIM})"),
-        _RESTARTS,
-        _SEED,
     )),
     "amplify": (cmd_amplify, "construct and run an unbounded-ratio amplification state", (
         ("steps", _int, 10, "number of doubling layers N"),

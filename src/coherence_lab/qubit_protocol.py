@@ -135,20 +135,6 @@ class ConcatTrace:
         return tuple(1 << m for m in range(len(self.nx)))
 
 
-def optimal_unitary(p00: float) -> AllowedUnitary:
-    """Two-copy rotation in the middle degenerate block that is optimal for a state with diagonal p00.
-
-    The rotation magnitude is arccos(1/sqrt(1+(2 p00 - 1)^2)); its sense
-    follows the sign of 2 p00 - 1.
-    """
-    v = 2.0 * p00 - 1.0
-    scale = math.sqrt(1.0 + v * v)
-    cos_t, sin_t = 1.0 / scale, v / scale
-    block = np.array([[cos_t, -sin_t], [sin_t, cos_t]], dtype=complex)
-    gen = BipartiteGenerator(NumberOperator(2))
-    return AllowedUnitary(gen, (np.eye(1, dtype=complex), block, np.eye(1, dtype=complex)))
-
-
 def optimal_concentration(rho: DensityMatrix) -> ConcentrationResult:
     """Best achievable increase of the off-diagonal magnitude from two copies of a qubit.
 
@@ -164,7 +150,11 @@ def optimal_concentration(rho: DensityMatrix) -> ConcentrationResult:
     scale = math.sqrt(1.0 + v * v)
     delta_m = abs(p01) * (scale - 1.0)
     theta_opt = math.acos(1.0 / scale)
-    unitary = optimal_unitary(p00)
+    # the rotation by theta_opt in the middle degenerate block, in the sense of the sign of v
+    cos_t, sin_t = 1.0 / scale, v / scale
+    block = np.array([[cos_t, -sin_t], [sin_t, cos_t]], dtype=complex)
+    eye = np.eye(1, dtype=complex)
+    unitary = AllowedUnitary(BipartiteGenerator(NumberOperator(2)), (eye, block, eye))
 
     u = unitary.matrix
     reduced = linalg.partial_trace_b(u @ np.kron(rho.matrix, rho.matrix) @ u.conj().T, 2, 2)

@@ -277,17 +277,11 @@ class TestBoundReport:
     )
     def test_tighter_is_derived_from_the_bounds(self, bound1, bound2, tighter):
         report = BoundReport(index=1, bound1=bound1, bound2=bound2, baseline=0.0, achieved=None)
-        assert report.tighter == report.to_json()["tighter"] == tighter
+        assert report.tighter == tighter
         with pytest.raises(AttributeError):
             report.tighter = "tie"
         with pytest.raises(TypeError):
             BoundReport(index=1, bound1=bound1, bound2=bound2, baseline=0.0, achieved=None, tighter=tighter)
-
-    def test_json_fields(self):
-        rng = np.random.default_rng(7)
-        rho = random_density_matrix(3, 2, rng)
-        obj = bound_report(rho, QUTRIT, 1, achieved=0.0).to_json()
-        assert set(obj) == {"j", "bound1", "bound2", "baseline", "achieved", "tighter"}
 
 
 class TestUnitaryInvarianceOfBounds:

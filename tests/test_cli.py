@@ -13,7 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from coherence_lab import bounds, cli
+from coherence_lab import bounds, cli, qubit_protocol
 from coherence_lab.cli import main
 from coherence_lab.modes import bipartite_mode_set
 from coherence_lab.optimizer import (
@@ -63,15 +63,23 @@ def _read_csv(path):
 
 class TestConcentrate:
     def test_search_defaults_come_from_the_search_config(self):
+        # each command declares only the values a caller sets; the rest are the library's constants
+        assert {command: set(_declared(command)) for command in cli.COMMANDS} == {
+            "concentrate": {"state", "j", "restarts"},
+            "concat": {"nx", "nz"},
+            "field": {"grid"},
+            "bound-compare": {"dim", "ranks", "samples", "restarts", "seed"},
+            "nogo": {"state"},
+            "amplify": {"steps", "eps"},
+        }
+        assert sum(len(_declared(command)) + 1 for command in cli.COMMANDS) == 20  # out included
         defaults = {name: default for name, _, default, _ in cli.COMMANDS["concentrate"][2]}
         assert defaults["restarts"] == UnitarySearchConfig.restarts
-        # the search runs at the library's budget, which no parameter overrides
-        assert "iters" not in defaults
 
     def test_qubit_report(self, tmp_path, capsys):
         state = _qubit_state_file(tmp_path)
         out = tmp_path / "out"
-        assert main(["concentrate", "--state", state, "--seed", "0", "--out", str(out)]) == 0
+        assert main(["concentrate", "--state", state, "--out", str(out)]) == 0
         # the search telemetry goes to stdout only, never into the report
         assert re.search(
             r"^search: \d+ evaluations, restarts 8 stationary, 0 at eval budget, final gradient norm \S+$",
@@ -86,12 +94,13 @@ class TestConcentrate:
             report["closed_form"]["delta_m"], abs=1e-6
         )
         rep = report["bound_report"]
+        # the achieved value is optimizer.best_delta_m and j is params.j; neither is copied
+        assert set(rep) == {"bound1", "bound2", "baseline", "tighter"}
         assert rep["bound1"] >= report["closed_form"]["delta_m"]
-        assert rep["achieved"] is not None
         manifest = json.load(open(out / "concentrate_manifest.json"))
         assert manifest["command"] == "concentrate"
-        assert manifest["params"]["seed"] == 0
-        assert "seed" not in manifest  # only under params
+        assert manifest["params"]["j"] == 1
+        assert "j" not in manifest  # only under params
 
     def test_maximally_mixed_qubit_has_nothing_to_gain(self, tmp_path):
         state = _qubit_state_file(tmp_path, p00=0.5, p01=0.0)
@@ -121,6 +130,11 @@ class TestConcentrate:
         assert main(["concentrate", "--state", state, "--out", str(out)]) == 0
         report = json.load(open(out / "concentrate_report.json"))
         assert report["input_dim"] == 2
+
+
+def _cap_concatenation_at_50_steps(monkeypatch):
+    """Run concat's trajectories at a 50-step cap, not the library's 10^6, so a capped start takes milliseconds."""
+    monkeypatch.setattr(cli, "run_concatenation", lambda start: qubit_protocol.run_concatenation(start, max_steps=50))
 
 
 class TestConcat:
@@ -190,7 +204,7 @@ class TestConcat:
 
     def test_cap_reached_warns_but_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "out"
-        rc = main(["concat", "--nx", "0", "--nz", "0.5", "--steps", "10", "--out", str(out)])
+        rc = main(["concat", "--nx", "0", "--nz", "0.5", "--out", str(out)])
         assert rc == 0
         assert "not converged" in capsys.readouterr().out
         summary = json.load(open(out / "concat_summary.json"))
@@ -201,28 +215,28 @@ class TestConcat:
         [
             (["--nx", "0", "--nz", "0.5"], "warning: start (nx=0, nz=0.5) not converged: fixed point at step 1"),
             (
-                ["--nx", "1e-5", "--nz", "0.001001", "--steps", "50"],
+                ["--nx", "1e-5", "--nz", "0.001001"],
                 "warning: start (nx=1e-05, nz=0.001001) not converged: step cap at step 50",
             ),
         ],
     )
-    def test_warning_names_the_stop_reason_and_step(self, tmp_path, capsys, argv, warning):
+    def test_warning_names_the_stop_reason_and_step(self, tmp_path, capsys, monkeypatch, argv, warning):
+        _cap_concatenation_at_50_steps(monkeypatch)
         assert main(["concat", *argv, "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().out.splitlines() == [warning]
 
-    def test_capped_start_reports_the_step_cap(self, tmp_path):
+    def test_capped_start_reports_the_step_cap(self, tmp_path, monkeypatch):
+        _cap_concatenation_at_50_steps(monkeypatch)
         out = tmp_path / "out"
-        assert main(["concat", "--nx", "1e-5", "--nz", "0.001001", "--steps", "50", "--out", str(out)]) == 0
+        assert main(["concat", "--nx", "1e-5", "--nz", "0.001001", "--out", str(out)]) == 0
         summary = json.load(open(out / "concat_summary.json"))
         assert (summary[0]["steps"], summary[0]["stop_reason"]) == (None, "step cap")
 
-    @pytest.mark.parametrize(
-        "nx, nz, eps, stop_reason",
-        [("0.019", "0.09", "0.001", "converged"), ("0.3", "0.5", "0", "fixed point")],
-    )
+    # eps is the library's convergence threshold, which the reference takes as an argument
+    @pytest.mark.parametrize("nx, nz, eps, stop_reason", [("0.019", "0.09", "0.001", "converged")])
     def test_trajectory_csv_matches_a_plain_float_reference(self, tmp_path, nx, nz, eps, stop_reason):
         out = tmp_path / "out"
-        assert main(["concat", "--nx", nx, "--nz", nz, "--eps", eps, "--out", str(out)]) == 0
+        assert main(["concat", "--nx", nx, "--nz", nz, "--out", str(out)]) == 0
         (summary,) = json.load(open(out / "concat_summary.json"))
         assert summary["stop_reason"] == stop_reason
         points = oracles.concat_trajectory(float(nx), float(nz), 1_000_000, float(eps))
@@ -357,18 +371,20 @@ def _psi_mixture(p):
 class TestNogo:
     def test_isotropic_no_go_with_zero_gain(self, tmp_path, capsys):
         out = tmp_path / "out"
-        rc = main(["nogo", "--state", _iso_state_file(tmp_path), "--restarts", "4", "--seed", "3", "--out", str(out)])
+        rc = main(["nogo", "--state", _iso_state_file(tmp_path), "--out", str(out)])
         assert rc == 0
         report = json.load(open(out / "nogo_report.json"))
         assert report["verdict"] == "no_go"
         assert report["max_local_m1_gain"] <= 1e-9
         assert report["marginal_product_distance"] > 1e-8
         assert report["converged"] is True
-        assert "restarts" not in report and "source" not in report  # the manifest's params hold them
-        assert "unitary_samples" not in report and "search" in report["note"]
+        assert set(report) == {
+            "verdict", "modes_present", "initial_local_m1", "max_local_m1_gain", "converged",
+            "marginal_product_distance",
+        }
         # the same search line as concentrate's, on stdout only
         assert re.search(
-            r"^search: 4 evaluations, restarts 4 stationary, 0 at eval budget, final gradient norm \S+$",
+            r"^search: 8 evaluations, restarts 8 stationary, 0 at eval budget, final gradient norm \S+$",
             capsys.readouterr().out,
             re.M,
         )
@@ -397,10 +413,9 @@ class TestNogo:
         rho = random_density_matrix(d * d, 3, np.random.default_rng(5))
         state = _write_state(tmp_path / "joint.json", oracles.density_to_json(rho))
         out = tmp_path / "out"
-        args = ["nogo", "--state", state, "--restarts", "3", "--seed", "7", "--out", str(out)]
-        assert main(args) == 0
+        assert main(["nogo", "--state", state, "--out", str(out)]) == 0
         report = json.load(open(out / "nogo_report.json"))
-        outcome = _search(rho.matrix, d, 1, report["initial_local_m1"], UnitarySearchConfig(restarts=3, seed=7))
+        outcome = _search(rho.matrix, d, 1, report["initial_local_m1"], UnitarySearchConfig())
         assert report["max_local_m1_gain"] == outcome.best_delta_m
 
         def m1(joint):
@@ -428,7 +443,7 @@ class TestNogo:
         # d = 1: the stripe has no eigenspace pair and no entry, so every restart is stationary at once
         state = _write_state(tmp_path / "joint.json", {"dim": 1, "re": [[1.0]], "im": [[0.0]]})
         out = tmp_path / "out"
-        assert main(["nogo", "--state", state, "--restarts", "5", "--out", str(out)]) == 0
+        assert main(["nogo", "--state", state, "--out", str(out)]) == 0
         report = json.load(open(out / "nogo_report.json"))
         assert report["max_local_m1_gain"] == 0.0
         assert report["initial_local_m1"] == 0.0
@@ -446,7 +461,6 @@ class TestNogo:
         assert report["verdict"] == bounds.nogo_check(rho, gen)
         assert report["modes_present"] == sorted(bipartite_mode_set(rho, gen))
         assert report["max_local_m1_gain"] is None and report["converged"] is None
-        assert report["note"].startswith(f"no gain search above local dimension {MAX_LOCAL_DIM};")
         assert report["marginal_product_distance"] == bounds.marginal_product_distance(rho, gen)
         assert f"search: skipped, local dimension {d} is above the search cap of {MAX_LOCAL_DIM}" in (
             capsys.readouterr().out
@@ -463,7 +477,7 @@ class TestNogo:
         (["concentrate"], "--config", {"params": {"state": "joint.json", "bipartite": True}}, "bipartite"),
         (["bound-compare"], "--config", {"samples": 2.5}, "samples"),
         (["amplify", "--steps", "abc"], "--config", {}, "steps"),
-        (["concat"], "--config", {"eps": True}, "eps"),
+        (["amplify"], "--config", {"eps": [0.1]}, "eps"),
         (["concat"], "--config", {"nx": [True]}, "nx"),
         (["nogo"], "--config", {"p": True}, "p"),
         (["amplify"], "--config", {"eps": True}, "eps"),
@@ -488,8 +502,8 @@ class TestNogo:
         (["amplify"], "--config", [{"steps": 3}], "config"),
         (["concentrate"], "--state", [[1, 0], [0, 0]], "state"),
         (["nogo"], "--state", {"matrix": [[1]]}, "state"),
-        (["nogo", "--state", "ISO"], "--config", {"restarts": {}}, "restarts"),
-        (["nogo", "--state", "ISO"], "--config", {"restarts": 2.5}, "restarts"),
+        (["concentrate"], "--config", {"restarts": {}}, "restarts"),
+        (["concentrate"], "--config", {"restarts": 2.5}, "restarts"),
         # a nogo manifest written when the dynamical check sampled
         (["nogo"], "--config", {"params": {"p": 0.5, "samples": 500}}, "samples"),
         # a bound-compare manifest written when a boolean switched its search on
@@ -507,6 +521,10 @@ class TestNogo:
         (["nogo"], "--config", {"params": {"p": 0.5}}, "p"),
         # a concentrate manifest written when its search had a budget parameter
         (["concentrate"], "--config", {"params": {"state": "x.json", "iters": 60}}, "iters"),
+        # manifests written when concat, nogo and concentrate took tuning values of the library
+        (["concat"], "--config", {"params": {"nx": [0.1], "steps": 1000000, "eps": 0.001}}, ("steps", "eps")),
+        (["nogo"], "--config", {"params": {"state": "x.json", "restarts": 8, "seed": 0}}, ("restarts", "seed")),
+        (["concentrate"], "--config", {"params": {"state": "x.json", "restarts": 8, "seed": 0}}, "seed"),
     ],
 )
 def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj, key):
@@ -514,7 +532,9 @@ def test_wrongly_typed_input_names_the_key(tmp_path, capsys, command, flag, obj,
     command = [_iso_state_file(tmp_path) if arg == "ISO" else arg for arg in command]
     out = tmp_path / "out"
     assert main(command + [flag, path, "--out", str(out)]) == 1
-    assert f"'{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # a tuple names several keys, each of which the message must name
+    assert all(f"'{name}'" in err for name in (key if isinstance(key, tuple) else (key,)))
     if flag == "--config":
         # parameters are resolved before the output directory is made
         assert not out.exists()
@@ -538,12 +558,26 @@ def test_negative_seed_exits_1_naming_it(tmp_path, capsys, command):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["amplify", "concat", "field"])
-def test_seed_flag_of_a_deterministic_command_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the deterministic commands take no seed
+        ["amplify", "--seed", "0"],
+        ["concat", "--seed", "0"],
+        ["field", "--seed", "0"],
+        # nor does a command take a tuning value that is the library's constant
+        ["concat", "--steps", "5"],
+        ["concat", "--eps", "0.01"],
+        ["nogo", "--restarts", "3"],
+        ["nogo", "--seed", "1"],
+        ["concentrate", "--seed", "1"],
+    ],
+)
+def test_flag_the_command_does_not_take_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--seed", "0", "--out", str(tmp_path / "out")])
+        main([*argv, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert argv[1] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -551,9 +585,9 @@ def test_seed_flag_of_a_deterministic_command_exits_2(tmp_path, capsys, command)
     "argv",
     [
         ["amplify", "--eps", "nan"],
-        ["concat", "--eps", "nan"],
-        ["concat", "--eps=-0.5"],
-        ["nogo", "--state", "ISO", "--restarts", "0"],
+        ["amplify", "--steps", "0"],
+        ["concentrate", "--state", "ISO", "--j", "4"],
+        ["concentrate", "--state", "ISO", "--restarts", "0"],
         ["bound-compare", "--samples=-3"],
         ["concentrate"],
         # the restart count, the dimension and the ranks are checked before the CSV is opened
@@ -572,7 +606,7 @@ def test_unsupported_value_exits_2_before_writing(tmp_path, argv):
     assert os.listdir(out) == []
 
 
-@pytest.mark.parametrize("argv", [["nogo", "--state", "ISO", "--restarts", "3"], ["nogo", "--state", "JOINT5"]])
+@pytest.mark.parametrize("argv", [["nogo", "--state", "ISO"], ["nogo", "--state", "JOINT5"]])
 def test_one_mode_set_per_command(tmp_path, monkeypatch, argv):
     # JOINT5 is above the search cap, so the verdict is the whole run
     joint = random_density_matrix((MAX_LOCAL_DIM + 1) ** 2, 2, np.random.default_rng(3))
@@ -620,13 +654,13 @@ class TestManifestReproduction:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["concat", "--nx", "0.01,0.3", "--nz", "0.7,0.2", "--eps", "0.01"],
-            ["nogo", "--state", "ISO", "--restarts", "4", "--seed", "4"],
-            ["nogo", "--state", "JOINT", "--restarts", "2", "--seed", "6"],
+            ["concat", "--nx", "0.01,0.3", "--nz", "0.7,0.2"],
+            ["nogo", "--state", "ISO"],
+            ["nogo", "--state", "JOINT"],
             ["amplify", "--steps", "12", "--eps", "0.15"],
             ["field", "--grid", "4x7"],
             ["nogo", "--state", "JOINT5"],
-            ["concentrate", "--state", "QUBIT", "--j", "1", "--restarts", "2", "--seed", "3"],
+            ["concentrate", "--state", "QUBIT", "--j", "1", "--restarts", "2"],
         ],
     )
     def test_every_command_reruns_from_its_manifest(self, tmp_path, argv):
@@ -658,7 +692,7 @@ class TestManifestReproduction:
 
 
 #: per command and parameter (seed aside), two argvs meant to differ only in that
-#: parameter; a command's seed pair is its first argv with --seed 0 and --seed 5
+#: parameter; bound-compare's seed pair is its first argv with --seed 0 and --seed 5
 READ_PAIRS = {
     "concentrate": {
         "state": ("--state QUTRIT --restarts 2", "--state QUBIT --restarts 2"),
@@ -668,8 +702,6 @@ READ_PAIRS = {
     "concat": {
         "nx": ("--nx 0.1", "--nx 0.2"),
         "nz": ("--nz 0.7", "--nz 0.6"),
-        "steps": ("--steps 2", "--steps 3"),
-        "eps": ("--eps 0.001", "--eps 0.01"),
     },
     "field": {"grid": ("--grid 3", "--grid 4")},
     "bound-compare": {
@@ -678,10 +710,7 @@ READ_PAIRS = {
         "samples": ("--ranks 1 --samples 1", "--ranks 1 --samples 2"),
         "restarts": ("--ranks 1 --samples 1 --restarts 0", "--ranks 1 --samples 1 --restarts 1"),
     },
-    "nogo": {
-        "state": ("--state JOINT --restarts 2", "--state ISO --restarts 2"),
-        "restarts": ("--state JOINT --restarts 1", "--state JOINT --restarts 2"),
-    },
+    "nogo": {"state": ("--state JOINT", "--state ISO")},
     "amplify": {"steps": ("--steps 3", "--steps 4"), "eps": ("--eps 0.1", "--eps 0.2")},
 }
 
@@ -718,26 +747,22 @@ def test_every_parameter_changes_an_output(tmp_path, capsys, command, param):
 # ones (nan, inf, empty, negative, malformed lists and grids, missing or
 # invalid files). An example sets at most one parameter to an odd text or to a
 # config value of the wrong JSON type, so every odd value is reached on its own.
-# Every number is small (grids <= 20, steps <= 50, samples <= 5, one restart of
-# a concentrate search, at most one restart of a bound-compare
-# search per row, at most five restarts of a qutrit search for nogo, whose
+# Every number is small (grids <= 20, amplify steps <= 50, samples <= 5, one
+# restart of a concentrate search, at most one restart of a bound-compare
+# search per row, and nogo's default search of eight restarts at d <= 3, whose
 # d = 5 joint state gets a verdict and no search), so an example runs in at
 # most a second. None stands for a parameter left to its default, and a name
 # in STATE_FILES for a file the sweep writes.
 STATE_FILES = ("qubit.json", "bloch.json", "iso.json", "joint.json", "bad.json", "joint5.json")
-SEED_TEXTS = ([None, "0", "7"], ["-1", "2.5", "x", ""])
 SWEEP = {
     "concentrate": {
         "state": (["qubit.json", "bloch.json", "iso.json"], ["bad.json", "missing.json", ""]),
         "j": ([None, "1", "2"], ["0", "-1", "4", "nan", ""]),
         "restarts": (["1"], ["0", "-2"]),
-        "seed": SEED_TEXTS,
     },
     "concat": {
         "nx": ([None, "0.4", "0.1,0.5", "0,0.3"], ["nan", "inf", "-0.2", "", "1e200", "a,b", "0.3,,0.1"]),
         "nz": ([None, "0.1", "0", "0.2,0.9"], ["-0.5", "nan", "", "1"]),
-        "steps": (["1", "50"], ["0", "-3", "abc", "2.5", ""]),
-        "eps": ([None, "0.001", "0"], ["-1", "nan", "inf", ""]),
     },
     "field": {
         "grid": ([None, "1", "3x4", "20"], ["20x20", "1x2x3", "x", "0x5", "-1", "", "nan", "2x-2", "20x"]),
@@ -747,12 +772,10 @@ SWEEP = {
         "ranks": ([None, "1", "1,2"], ["", "0", "5", "a", "2,,1", "-1"]),
         "samples": (["1", "2"], ["0", "-1", "2.5", ""]),
         "restarts": (["0", "1"], ["-1", "x"]),
-        "seed": SEED_TEXTS,
+        "seed": ([None, "0", "7"], ["-1", "2.5", "x", ""]),
     },
     "nogo": {
         "state": (["iso.json", "joint.json", "joint5.json"], ["qubit.json", "bad.json", "missing.json", ""]),
-        "restarts": (["1", "5"], ["0", "-2", "x", "nan"]),
-        "seed": SEED_TEXTS,
     },
     "amplify": {
         "steps": ([None, "1", "6", "50"], ["0", "-1", "x", "", "2.5"]),
@@ -760,7 +783,7 @@ SWEEP = {
     },
 }
 #: parameters whose default is too large for the sweep, so they always come from a flag
-FLAG_ONLY = {"restarts", "steps", "samples"}
+FLAG_ONLY = {"restarts", "samples"}
 #: config values of the wrong JSON type (null means "use the default")
 WRONG_TYPES = ["false", 2.5, {}, [], None]
 

@@ -14,7 +14,6 @@ from coherence_lab.qubit_protocol import (
     ConcatTrace,
     amplification_state,
     optimal_concentration,
-    optimal_unitary,
     purity_ceiling,
     recurrence_step,
     run_concatenation,
@@ -76,7 +75,7 @@ class TestOptimalConcentration:
             optimal_concentration(DensityMatrix(np.eye(3) / 3))
 
     def test_unitary_matches_rotation_form(self):
-        u = optimal_unitary(0.9)
+        u = optimal_concentration(_qubit(0.9, 0.1)).unitary
         v = 2 * 0.9 - 1
         scale = math.sqrt(1 + v * v)
         c, s = 1 / scale, v / scale
@@ -191,6 +190,14 @@ class TestConcatenation:
         assert (capped.stop_reason, capped.converged_at, len(capped.steps)) == ("step cap", None, 51)
         amplified = run_concatenation(amplification_state(10, 0.1), max_steps=10, convergence_eps=0.0)
         assert (amplified.stop_reason, len(amplified.steps)) == ("step cap", 11)
+
+    def test_fixed_point_trajectory_matches_a_plain_float_reference(self):
+        # at eps 0 no step converges, so the run ends at the first step that leaves the state unchanged
+        trace = run_concatenation(BlochState(0.3, 0.0, 0.5), convergence_eps=0.0)
+        points = oracles.concat_trajectory(0.3, 0.5, qubit_protocol.MAX_STEPS, 0.0)
+        assert trace.stop_reason == "fixed point"
+        assert len(points) > 1000
+        assert list(zip(trace.nx.tolist(), trace.nz.tolist())) == points
 
     def test_step_cap_validation(self):
         with pytest.raises(UnsupportedParameterError, match="max_steps"):
