@@ -22,6 +22,8 @@ from .states import BipartiteGenerator, DensityMatrix, NumberOperator, _generato
 #: a mode counts as present when its trace norm exceeds this threshold,
 #: separating structural zeros from roundoff
 MODE_PRESENCE_THRESHOLD = 1e-10
+#: smallest normal double; 1 / |z| overflows below it
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,25 +136,25 @@ def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
     axes are stack axes; ``blocks`` are ``_stripe_blocks``. Row and column n of
     every padded block hold a ket of first-system level n, so with
     A_c = U_{c+j} X_c U_c^dagger the marginal entry (n + j, n) is
-    z_n = sum_c A_c[n + j, n], and f = sum_n |z_n|. W holds conj(z_n) / |z_n|
+    z_n = sum_c A_c[n + j, n], and f = sum_n |z_n|. W holds w_n = conj(z_n) / |z_n|
     at (n + j, n), or conj(z_n) where |z_n| is 0 or subnormal (1 / |z_n|
     overflows). Under U_b <- exp(i eps K) U_b, f rises by eps tr(G_b K) to
     first order, with G_b = herm(i A_{b-j} W^T) - herm(i W^T A_b), Hermitian.
-    Products of padded blocks vanish outside each block, and so does G. z_n
-    adds its terms in order, which ``sum`` over the pair axis does not at
-    d = 4, so each point is the same bits in any stack.
+    W^T has only w_n at (n, n + j), so A W^T moves column n of A to column
+    n + j scaled by w_n, and W^T A moves row n + j to row n scaled by w_n;
+    W is never built. Products of padded blocks vanish outside each block,
+    and so does G. z_n adds its terms in order, which ``sum`` over the pair
+    axis does not at d = 4, so each point is the same bits in any stack.
     """
     d, pairs = units.shape[-1], len(blocks)
     a = units[..., index : index + pairs, :, :] @ blocks @ units[..., :pairs, :, :].conj().swapaxes(-1, -2)
     stripe = np.diagonal(a, -index, -2, -1)
     z = sum((stripe[..., c, :] for c in range(pairs)), np.zeros((*a.shape[:-3], max(d - index, 0)), complex))
     size = np.abs(z)
-    wt = np.zeros((*a.shape[:-3], 1, d, d), dtype=complex)
-    level = np.arange(d - index)
-    wt[..., 0, level, level + index] = z.conj() / np.where(size < np.finfo(float).tiny, 1.0, size)
+    w = z.conj() / np.where(size < _TINY, 1.0, size)
     grad = np.zeros(units.shape, dtype=complex)
-    grad[..., index : index + pairs, :, :] = 1j * (a @ wt)
-    grad[..., :pairs, :, :] -= 1j * (wt @ a)
+    grad[..., index : index + pairs, :, index:] = 1j * (a[..., : d - index] * w[..., None, None, :])
+    grad[..., :pairs, : d - index, :] -= 1j * (w[..., None, :, None] * a[..., index:, :])
     return size.sum(-1), (grad + grad.conj().swapaxes(-1, -2)) / 2
 
 

@@ -1,4 +1,4 @@
-"""Riemannian gradient ascent of the local coherence gain over block-diagonal unitaries.
+"""Riemannian quasi-Newton ascent of the local coherence gain over block-diagonal unitaries.
 
 This is the ground-truth oracle at small dimension. The gain is the local
 mode measure of one system after conjugating a joint state of two systems by
@@ -6,11 +6,16 @@ a unitary with one free block per degenerate eigenspace, read from the gap-j
 stripe of that marginal (``modes._stripe_measure``), which also gives its
 gradient per block in closed form. Any joint state will do (``nogo`` checks a
 correlated one); two copies of a state are the case rho (x) rho. Each restart
-climbs along the product of block unitary groups, U_b <- exp(i alpha G_b) U_b
-(Abrudan, Eriksson & Koivunen, IEEE TSP 56, 2008), with Barzilai-Borwein
-steps guarded by a non-monotone Armijo test. The restarts run in lockstep, so
-one stacked exponential and one stacked value-and-gradient call per iteration
-serve all of them.
+climbs along the product of block unitary groups, U_b <- exp(i alpha D_b) U_b
+(Abrudan, Eriksson & Koivunen, IEEE TSP 56, 2008), where D = H G is the
+gradient times a dense BFGS inverse-Hessian approximation H on the P real
+coordinates of the block generators (Nocedal & Wright, Numerical
+Optimization, sec. 6.1; Huang, Absil & Gallivan, SIAM J. Optim. 28, 2018), and
+steps are guarded by a non-monotone Armijo test. P is the sum of squared
+block sizes (6, 19 and 44 at d = 2, 3 and 4), so each restart holds P^2
+floats of H (36, 361 and 1,936). The restarts run in lockstep, so one stacked
+exponential and one stacked value-and-gradient call per iteration serve all
+of them.
 """
 
 from __future__ import annotations
@@ -33,18 +38,17 @@ from .modes import (
 from .sampling import haar_unitary
 from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator
 
-#: first step of every restart
+#: first step of every restart, and of every restart after an accepted step
 FIRST_STEP = 1.0
-#: Barzilai-Borwein steps are clipped to this range
-STEP_RANGE = (1e-6, 1e6)
 #: a rejected trial divides the step by this factor
 BACKTRACK = 4.0
-#: a trial is accepted when it rises this much per unit of step times squared
-#: gradient norm above the lowest of the restart's recent accepted values
+#: a trial is accepted when it rises this much per unit of step times <G, D>
+#: above the lowest of the restart's recent accepted values
 ARMIJO_RISE = 1e-4
 #: how many of the last accepted values the Armijo test looks back over
 ARMIJO_MEMORY = 10
-#: a restart stops as stationary once its squared gradient norm falls below this
+#: a restart stops as stationary once its squared gradient norm on the scaled
+#: stripe blocks (``_search``) falls below this
 STATIONARY = 1e-16
 #: largest supported local dimension; the parameter count grows as the sum of
 #: squared degeneracies (44 real parameters at dimension 4)
@@ -119,6 +123,59 @@ def _hermitian_layout(n: int) -> np.ndarray:
     return where
 
 
+@functools.cache
+def _generator_coords(d: int) -> tuple:
+    """Real coordinates of a padded Hermitian block stack in which a dot product is the Frobenius tr(G K).
+
+    Each block inside ``_block_mask`` gives, row by row over its upper
+    triangle, each diagonal entry, and sqrt 2 times the real and the imaginary
+    part of each entry right of the diagonal: P = sum of n_b^2 coordinates.
+    Returns, for reading: where each coordinate sits in the stack's float view
+    and its factor; for writing back a Hermitian stack: the float-view
+    positions, the coordinate each takes and its factor.
+    """
+    read, read_factor, write, source, write_factor = [], [], [], [], []
+    root = math.sqrt(2.0)
+    for b, r, c in np.argwhere(_block_mask(d) & np.triu(np.ones((d, d), dtype=bool))):
+        here, mirror = 2 * ((b * d + r) * d + c), 2 * ((b * d + c) * d + r)
+        k = len(read)
+        if r == c:
+            read += [here]
+            read_factor += [1.0]
+            write += [here]
+            source += [k]
+            write_factor += [1.0]
+        else:
+            read += [here, here + 1]
+            read_factor += [root, root]
+            write += [here, mirror, here + 1, mirror + 1]
+            source += [k, k, k + 1, k + 1]
+            write_factor += [1 / root, 1 / root, 1 / root, -1 / root]
+    maps = tuple(np.array(m) for m in (read, read_factor, write, source, write_factor))
+    for m in maps:
+        m.setflags(write=False)
+    return maps
+
+
+def _to_coords(stack: np.ndarray) -> np.ndarray:
+    """The (rows, P) coordinates of a (rows, 2d - 1, d, d) Hermitian block stack."""
+    read, factor = _generator_coords(stack.shape[-1])[:2]
+    return stack.reshape(len(stack), -1).view(float)[:, read] * factor
+
+
+def _from_coords(x: np.ndarray, d: int) -> np.ndarray:
+    """The (rows, 2d - 1, d, d) Hermitian block stack of (rows, P) coordinates, zero outside the blocks."""
+    write, source, factor = _generator_coords(d)[2:]
+    out = np.zeros((len(x), 2 * (2 * d - 1) * d * d))
+    out[:, write] = x[:, source] * factor
+    return out.view(complex).reshape(len(x), 2 * d - 1, d, d)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (rows, P) coordinate arrays."""
+    return (a * b).sum(-1)
+
+
 def _hermitian_from_params(n: int, params: np.ndarray) -> np.ndarray:
     """Hermitian n x n generators from the last axis of ``params``; leading axes are stack axes."""
     upper = params[..., n::2] + 1j * params[..., n + 1 :: 2]
@@ -157,50 +214,85 @@ def random_allowed_unitary(gen: BipartiteGenerator, rng) -> AllowedUnitary:
     return AllowedUnitary(gen, blocks)
 
 
-def _inner(g: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Frobenius inner products tr(G K), summed over the blocks, of stacks of Hermitian block sets."""
-    return (g.real * k.real + g.imag * k.imag).sum((-3, -2, -1))
+def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """Each h[k], updated in place, by the BFGS inverse update with the pair (s[k], y[k]), sy[k] = <s, y> > 0.
+
+    Where ``fresh`` (h is still the identity) h is first set to <s, y> / <y, y>
+    times the identity (Nocedal & Wright eq. 6.20). The update (eq. 6.17) is
+    written as h + u s^T + s u^T, u = (c / 2) s - rho h y, with rho = 1 / <s, y>
+    and c = rho + rho^2 <y, h y>, so only one P x P temporary per row is made.
+    """
+    h *= np.where(fresh, sy / _dot(y, y), 1.0)[:, None, None]
+    hy = (h @ y[..., None])[..., 0]
+    rho = 1.0 / sy
+    u = ((rho + rho * rho * _dot(y, hy)) / 2)[:, None] * s - rho[:, None] * hy
+    outer = u[:, :, None] * s[:, None, :]
+    h += outer
+    h += outer.swapaxes(-1, -2)
+    return h
+
+
+def _direction(h: np.ndarray, g: np.ndarray) -> tuple:
+    """D = h g for each row, and <G, D>; D falls back to G where <G, D> <= 0."""
+    dirs = (h @ g[..., None])[..., 0]
+    slope = _dot(g, dirs)
+    uphill = slope > 0
+    return np.where(uphill[:, None], dirs, g), np.where(uphill, slope, _dot(g, g))
 
 
 def _ascend(objective, units: np.ndarray, max_iters: int) -> tuple:
-    """Lockstep gradient ascent from each row of ``units`` (restarts x padded blocks).
+    """Lockstep quasi-Newton ascent from each row of ``units`` (restarts x padded blocks).
 
     ``objective`` maps a stack of padded block unitaries to values and
-    gradients. Every live restart tries U_b <- exp(i alpha G_b) U_b in one
-    stacked call. A trial is accepted when its value reaches the lowest of the
-    restart's last ``ARMIJO_MEMORY`` accepted values plus
-    ``ARMIJO_RISE`` alpha |G|^2; the next step is then the Barzilai-Borwein
-    <s, s> / <s, y> with s = alpha G_old and y = G_old - G_new, clipped to
-    ``STEP_RANGE`` (its upper end when <s, y> <= 0). A rejected trial divides
-    alpha by ``BACKTRACK``. The start and every trial count as one evaluation;
-    a restart stops once |G|^2 < ``STATIONARY`` or its budget is spent. The
-    ascent is not monotone, so each restart keeps its best point. Returns per
-    restart the best blocks, accepted steps, rejected trials, stop reasons and
-    final gradient norms.
+    gradients. Every live restart tries U_b <- exp(i alpha D_b) U_b in one
+    stacked call, with D = H G on the ``_generator_coords`` coordinates and H
+    each restart's inverse-Hessian approximation, the identity at the start. A
+    trial is accepted when its value reaches the lowest of the restart's last
+    ``ARMIJO_MEMORY`` accepted values plus ``ARMIJO_RISE`` alpha <G, D>; the
+    pair s = alpha D, y = G_old - G_new then updates H (``_bfgs_update``)
+    unless <s, y> <= 0, and the next trial is at alpha = ``FIRST_STEP``.
+    Gradients at two points are compared as they are: the left-trivialised
+    gradient lives in the one Lie algebra of every point. A rejected trial
+    divides alpha by ``BACKTRACK``. The start and every trial count as one
+    evaluation; a restart stops once |G|^2 < ``STATIONARY`` or its budget is
+    spent. The ascent is not monotone, so each restart keeps its best point.
+    Returns per restart the best blocks, accepted steps, rejected trials, stop
+    reasons and final gradient norms.
     """
-    mask, eye = _block_mask(units.shape[-1]), np.eye(units.shape[-1])
+    d = units.shape[-1]
+    mask, eye = _block_mask(d), np.eye(d)
     value, grad = objective(units)
-    norm2 = _inner(grad, grad)
+    g = _to_coords(grad)
+    norm2 = _dot(g, g)
     best, best_units = value.copy(), units.copy()
     recent = np.repeat(value[:, None], ARMIJO_MEMORY, axis=1)
+    h = np.broadcast_to(np.eye(g.shape[1]), (len(g), g.shape[1], g.shape[1])).copy()
+    fresh = np.ones(len(g), dtype=bool)
+    direction, slope = g.copy(), norm2.copy()
     step = np.full(len(units), FIRST_STEP)
     accepted, backtracks = np.zeros((2, len(units)), dtype=int)
     live = np.arange(len(units))
     while (live := live[(norm2[live] >= STATIONARY) & (accepted[live] + backtracks[live] + 1 < max_iters)]).size:
-        alpha, g = step[live], grad[live]
-        trial = np.where(mask, _exp_ih(alpha[:, None, None, None] * g), eye) @ units[live]
+        alpha, dirs = step[live], direction[live]
+        trial = np.where(mask, _exp_ih(_from_coords(alpha[:, None] * dirs, d)), eye) @ units[live]
         t_value, t_grad = objective(trial)
-        ok = t_value >= recent[live].min(1) + ARMIJO_RISE * alpha * norm2[live]
+        ok = t_value >= recent[live].min(1) + ARMIJO_RISE * alpha * slope[live]
         rows, took = live[ok], np.flatnonzero(ok)
-        curvature = _inner(g[took], g[took] - t_grad[took])
-        bb = np.divide(alpha[took] * norm2[rows], curvature, out=np.full(took.size, np.inf), where=curvature > 0)
-        step[rows] = np.clip(bb, *STEP_RANGE)
-        units[rows], value[rows], grad[rows] = trial[took], t_value[took], t_grad[took]
-        norm2[rows] = _inner(grad[rows], grad[rows])
+        t_g = _to_coords(t_grad)[took]
+        s, y = alpha[took, None] * dirs[took], g[rows] - t_g
+        sy = _dot(s, y)
+        pair = sy > 0
+        up = rows[pair]
+        h[up] = _bfgs_update(h[up], s[pair], y[pair], sy[pair], fresh[up])
+        fresh[up] = False
+        units[rows], value[rows], g[rows] = trial[took], t_value[took], t_g
+        norm2[rows] = _dot(t_g, t_g)
+        direction[rows], slope[rows] = _direction(h[rows], t_g)
+        step[rows] = FIRST_STEP
         recent[rows, accepted[rows] % ARMIJO_MEMORY] = value[rows]
         accepted[rows] += 1
-        up = rows[value[rows] > best[rows]]
-        best[up], best_units[up] = value[up], units[up]
+        better = rows[value[rows] > best[rows]]
+        best[better], best_units[better] = value[better], units[better]
         step[live[~ok]] /= BACKTRACK
         backtracks[live[~ok]] += 1
     reasons = tuple("stationary" if n < STATIONARY else "eval budget" for n in norm2)
@@ -228,7 +320,12 @@ def _search(joint: np.ndarray, d: int, index: int, baseline: float, cfg: Unitary
     starts from exp(i H_b) with each generator's parameters uniform in
     [-pi, pi]; the identity seeds the first restart, so when ``baseline`` is
     the input's own measure the result is never below zero beyond roundoff.
-    Callers check ``d`` against ``MAX_LOCAL_DIM``.
+    The ascent runs on the stripe blocks scaled by 2^-e, with e the binary
+    exponent of their largest real or imaginary part, so its absolute
+    ``STATIONARY`` and step sizes mean the same at every coherence, and the
+    gains and ``grad_norm`` are scaled back by 2^e: a power-of-two multiple of
+    ``joint`` and ``baseline`` gives the same multiple of every gain, bit for
+    bit. Callers check ``d`` against ``MAX_LOCAL_DIM``.
     """
     gen = BipartiteGenerator(NumberOperator(d))
     sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
@@ -238,14 +335,18 @@ def _search(joint: np.ndarray, d: int, index: int, baseline: float, cfg: Unitary
     x0 = np.zeros((cfg.restarts, int(offsets[-1])))
     x0[1:] = rng.uniform(-math.pi, math.pi, (cfg.restarts - 1, int(offsets[-1])))
     starts = [_exp_ih(_hermitian_from_params(n, x0[:, o : o + n * n])) for n, o in zip(sizes, offsets)]
-    objective = functools.partial(_stripe_measure, blocks=_stripe_blocks(joint, d, index), index=index)
+    blocks = _stripe_blocks(joint, d, index).view(float)
+    # ldexp, not a product with 2.0 ** -e, which overflows for subnormal blocks
+    exponent = np.frexp(np.abs(blocks).max(initial=0.0))[1]
+    blocks = np.ldexp(blocks, -exponent).view(complex)
+    objective = functools.partial(_stripe_measure, blocks=blocks, index=index)
     units, accepted, backtracks, reasons, norms = _ascend(objective, _padded_units(starts, d), cfg.max_iters)
     # a product of many exponentials drifts off the unitary group by a few ulp,
     # which the best value would pick up; report each best point's polar factor
     w, _, vh = np.linalg.svd(units)
     mask = _block_mask(d)
     units = np.where(mask, w @ vh, np.eye(d))
-    gains = objective(units)[0] - baseline
+    gains = np.ldexp(objective(units)[0], exponent) - baseline
     top = int(np.argmax(gains))
     return SearchOutcome(
         best_unitary=AllowedUnitary(gen, tuple(u[m].reshape(n, n) for u, m, n in zip(units[top], mask, sizes))),
@@ -253,5 +354,5 @@ def _search(joint: np.ndarray, d: int, index: int, baseline: float, cfg: Unitary
         accepted=int(accepted.sum()),
         backtracks=int(backtracks.sum()),
         stop_reasons=reasons,
-        grad_norm=float(norms[top]),
+        grad_norm=float(np.ldexp(norms[top], exponent)),
     )

@@ -166,12 +166,15 @@ def concat_trajectory(nx: float, nz: float, max_steps: int, eps: float) -> list:
 
 
 def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
-    """One restart of the gradient ascent from padded blocks ``unit``, kept on a stack of one point.
+    """One restart of the quasi-Newton ascent from padded blocks ``unit``, kept on a stack of one point.
 
-    The step rule is written out with scalars: a Barzilai-Borwein step after
-    each accepted trial, a division by the backtracking factor after each
-    rejected one, and the Armijo test against the last accepted values held
-    in a bounded deque.
+    The step rule is written out with scalars: after each accepted trial the
+    pair s = alpha D, y = G_old - G_new updates H when <s, y> > 0 (the first
+    such pair scales H from the identity), the direction H G falls back to G
+    when it is not uphill, and the next step is the first step again; after
+    each rejected trial the step is divided by the backtracking factor; the
+    Armijo test compares against the last accepted values held in a bounded
+    deque.
     """
     from collections import deque
 
@@ -182,31 +185,43 @@ def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
         BACKTRACK,
         FIRST_STEP,
         STATIONARY,
-        STEP_RANGE,
+        _bfgs_update,
+        _dot,
         _exp_ih,
-        _inner,
+        _from_coords,
+        _to_coords,
     )
 
-    mask, eye = _block_mask(unit.shape[-1]), np.eye(unit.shape[-1])
+    d = unit.shape[-1]
+    mask, eye = _block_mask(d), np.eye(d)
     unit = unit[None]
     value, grad = objective(unit)
-    norm2 = _inner(grad, grad)[0]
+    grad = _to_coords(grad)
+    norm2 = _dot(grad, grad)[0]
     best, best_unit = value[0], unit
     recent = deque([value[0]] * ARMIJO_MEMORY, maxlen=ARMIJO_MEMORY)
-    step = np.array([FIRST_STEP])
+    h, fresh = np.eye(grad.shape[1])[None], True
+    direction, slope = grad, norm2
+    step = FIRST_STEP
     evals, accepted, backtracks = 1, 0, 0
     while norm2 >= STATIONARY and evals < max_iters:
-        trial = np.where(mask, _exp_ih(step[:, None, None, None] * grad), eye) @ unit
+        trial = np.where(mask, _exp_ih(_from_coords(np.array([step])[:, None] * direction, d)), eye) @ unit
         t_value, t_grad = objective(trial)
+        t_grad = _to_coords(t_grad)
         evals += 1
-        if t_value[0] >= min(recent) + ARMIJO_RISE * step[0] * norm2:
-            curvature = _inner(grad, grad - t_grad)[0]
-            if curvature > 0:
-                step = np.array([min(max(step[0] * norm2 / curvature, STEP_RANGE[0]), STEP_RANGE[1])])
-            else:
-                step = np.array([STEP_RANGE[1]])
+        if t_value[0] >= min(recent) + ARMIJO_RISE * step * slope:
+            s, y = np.array([step])[:, None] * direction, grad - t_grad
+            sy = _dot(s, y)
+            if sy[0] > 0:
+                h = _bfgs_update(h, s, y, sy, np.array([fresh]))
+                fresh = False
             unit, value, grad = trial, t_value, t_grad
-            norm2 = _inner(grad, grad)[0]
+            norm2 = _dot(grad, grad)[0]
+            direction = (h @ grad[..., None])[..., 0]
+            slope = _dot(grad, direction)[0]
+            if not slope > 0:
+                direction, slope = grad, norm2
+            step = FIRST_STEP
             recent.append(value[0])
             accepted += 1
             if value[0] > best:
@@ -239,7 +254,9 @@ def sequential_search(rho, op, index: int, config) -> tuple:
     gen = BipartiteGenerator(op)
     sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
     n_params = sum(n * n for n in sizes)
-    blocks = _stripe_blocks(np.kron(rho.matrix, rho.matrix), d, index)
+    blocks = _stripe_blocks(np.kron(rho.matrix, rho.matrix), d, index).view(float)
+    exponent = int(np.frexp(np.abs(blocks).max(initial=0.0))[1])
+    blocks = np.ldexp(blocks, -exponent).view(complex)
     objective = functools.partial(_stripe_measure, blocks=blocks, index=index)
     baseline = _local_gap_measure(rho.matrix, index)
     rng = np.random.default_rng(config.seed)
@@ -257,14 +274,14 @@ def sequential_search(rho, op, index: int, config) -> tuple:
         )
         w, _, vh = np.linalg.svd(unit)
         unit = np.where(_block_mask(d), w @ vh, np.eye(d))
-        gain = float(objective(unit[None])[0][0] - baseline)
+        gain = float(np.ldexp(objective(unit[None])[0][0], exponent) - baseline)
         history.append(gain)
         reasons.append(reason)
         evals.append(n_evals)
         accepted += n_accepted
         backtracks += n_backtracks
         if best is None or gain > best[0]:
-            best = gain, unit, reason, norm
+            best = gain, unit, reason, math.ldexp(norm, exponent)
     gain, unit, reason, norm = best
     outcome = SearchOutcome(
         best_unitary=AllowedUnitary(gen, tuple(u[m].reshape(n, n) for u, m, n in zip(unit, _block_mask(d), sizes))),
