@@ -106,10 +106,17 @@ def _grid(text: str) -> tuple:
 
 
 def _search_line(outcome) -> str:
-    """One line of search telemetry: evaluations, how the restarts stopped, the final gradient norm."""
+    """One line of search telemetry: evaluations, how the restarts stopped, the final gradient norm.
+
+    It ends with how many restarts reached the best gain within 1e-9: fewer
+    than all, with every restart stationary, shows separate local maxima.
+    """
     stationary = outcome.stop_reasons.count("stationary")
+    best = outcome.best_delta_m
+    agree = sum(best - gain <= 1e-9 for gain in outcome.history)
     return (f"search: {outcome.evals} evaluations, restarts {stationary} stationary, "
-            f"{len(outcome.stop_reasons) - stationary} at eval budget, final gradient norm {outcome.grad_norm:.3e}")
+            f"{len(outcome.stop_reasons) - stationary} at eval budget, final gradient norm {outcome.grad_norm:.3e}, "
+            f"{agree} of {len(outcome.history)} restarts within 1e-9 of the best")
 
 
 def _trajectory_csv(trace, **constants) -> tuple:

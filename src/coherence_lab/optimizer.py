@@ -6,16 +6,18 @@ a unitary with one free block per degenerate eigenspace, read from the gap-j
 stripe of that marginal (``modes._stripe_measure``), which also gives its
 gradient per block in closed form. Any joint state will do (``nogo`` checks a
 correlated one); two copies of a state are the case rho (x) rho. Each restart
-climbs along the product of block unitary groups, U_b <- exp(i alpha D_b) U_b
-(Abrudan, Eriksson & Koivunen, IEEE TSP 56, 2008), where D = H G is the
-gradient times a dense BFGS inverse-Hessian approximation H on the P real
-coordinates of the block generators (Nocedal & Wright, Numerical
-Optimization, sec. 6.1; Huang, Absil & Gallivan, SIAM J. Optim. 28, 2018), and
-steps are guarded by a non-monotone Armijo test. P is the sum of squared
-block sizes (6, 19 and 44 at d = 2, 3 and 4), so each restart holds P^2
-floats of H (36, 361 and 1,936). The restarts run in lockstep, so one stacked
-exponential and one stacked value-and-gradient call per iteration serve all
-of them.
+climbs along the product of block unitary groups by the Cayley step
+U_b <- (I - i alpha D_b / 2)^-1 (I + i alpha D_b / 2) U_b, a second-order
+retraction (Wen & Yin, Math. Program. 142, 2013) that costs one batched LU
+solve, where D = H G is the gradient times a dense BFGS inverse-Hessian
+approximation H on the P real coordinates of the block generators (Nocedal &
+Wright, Numerical Optimization, sec. 6.1; Huang, Absil & Gallivan, SIAM J.
+Optim. 28, 2018, whose analysis holds for any retraction), and steps are
+guarded by a non-monotone Armijo test. An eigendecomposition builds only the
+starts, exp(i H_b). P is the sum of squared block sizes (6, 19 and 44 at
+d = 2, 3 and 4), so each restart holds P^2 floats of H (36, 361 and 1,936).
+The restarts run in lockstep, so one stacked Cayley step and one stacked
+value-and-gradient call per iteration serve all of them.
 """
 
 from __future__ import annotations
@@ -158,15 +160,24 @@ def _generator_coords(d: int) -> tuple:
 
 
 def _to_coords(stack: np.ndarray) -> np.ndarray:
-    """The (rows, P) coordinates of a (rows, 2d - 1, d, d) Hermitian block stack."""
+    """The (rows, P) coordinates of a (rows, 2d - 1, d, d) Hermitian block stack, C-ordered.
+
+    A row's dot products (``_dot``) round as they would for that row alone
+    only in C order, so ``take``, not a slice-and-index gather, which comes
+    out F-ordered.
+    """
     read, factor = _generator_coords(stack.shape[-1])[:2]
-    return stack.reshape(len(stack), -1).view(float)[:, read] * factor
+    return np.take(stack.reshape(len(stack), -1).view(float), read, axis=1) * factor
 
 
-def _from_coords(x: np.ndarray, d: int) -> np.ndarray:
-    """The (rows, 2d - 1, d, d) Hermitian block stack of (rows, P) coordinates, zero outside the blocks."""
+def _from_coords(x: np.ndarray, d: int, buffer: np.ndarray | None = None) -> np.ndarray:
+    """The (rows, 2d - 1, d, d) Hermitian block stack of (rows, P) coordinates, zero outside the blocks.
+
+    A ``buffer`` of at least as many float rows, zero outside the blocks'
+    positions, is written into and viewed in place of a new array.
+    """
     write, source, factor = _generator_coords(d)[2:]
-    out = np.zeros((len(x), 2 * (2 * d - 1) * d * d))
+    out = np.zeros((len(x), 2 * (2 * d - 1) * d * d)) if buffer is None else buffer[: len(x)]
     out[:, write] = x[:, source] * factor
     return out.view(complex).reshape(len(x), 2 * d - 1, d, d)
 
@@ -189,6 +200,19 @@ def _exp_ih(h: np.ndarray) -> np.ndarray:
     """
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _cayley(k: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The Cayley step (I - iK/2)^-1 (I + iK/2) U for stacks of Hermitian K and unitary U.
+
+    Computed as 2 (I - iK/2)^-1 U - U, the same map by one batched LU solve and
+    no product. Where K is zero, in the padding of a block stack, the result
+    is exactly U. Each matrix of a stack comes out bit for bit as it would alone.
+    """
+    solved = np.linalg.solve(np.eye(k.shape[-1]) - 0.5j * k, units)
+    solved *= 2
+    solved -= units
+    return solved
 
 
 def parameterize_block(gen: BipartiteGenerator, eigenvalue_index: int, params) -> np.ndarray:
@@ -222,7 +246,8 @@ def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, fr
     written as h + u s^T + s u^T, u = (c / 2) s - rho h y, with rho = 1 / <s, y>
     and c = rho + rho^2 <y, h y>, so only one P x P temporary per row is made.
     """
-    h *= np.where(fresh, sy / _dot(y, y), 1.0)[:, None, None]
+    if fresh.any():
+        h *= np.where(fresh, sy / _dot(y, y), 1.0)[:, None, None]
     hy = (h @ y[..., None])[..., 0]
     rho = 1.0 / sy
     u = ((rho + rho * rho * _dot(y, hy)) / 2)[:, None] * s - rho[:, None] * hy
@@ -237,66 +262,100 @@ def _direction(h: np.ndarray, g: np.ndarray) -> tuple:
     dirs = (h @ g[..., None])[..., 0]
     slope = _dot(g, dirs)
     uphill = slope > 0
+    if uphill.all():
+        return dirs, slope
     return np.where(uphill[:, None], dirs, g), np.where(uphill, slope, _dot(g, g))
+
+
+def _evaluate(objective, units: np.ndarray) -> tuple:
+    """Values and (rows, P) gradient coordinates at a stack of padded block unitaries."""
+    value, grad = objective(units)
+    return value, _to_coords(grad)
+
+
+def _pick(ok, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Rows of ``new`` where ``ok``, else rows of ``old``; ``new`` itself when ``ok`` is None."""
+    return new if ok is None else np.where(ok.reshape(-1, *(1,) * (new.ndim - 1)), new, old)
 
 
 def _ascend(objective, units: np.ndarray, max_iters: int) -> tuple:
     """Lockstep quasi-Newton ascent from each row of ``units`` (restarts x padded blocks).
 
     ``objective`` maps a stack of padded block unitaries to values and
-    gradients. Every live restart tries U_b <- exp(i alpha D_b) U_b in one
-    stacked call, with D = H G on the ``_generator_coords`` coordinates and H
-    each restart's inverse-Hessian approximation, the identity at the start. A
-    trial is accepted when its value reaches the lowest of the restart's last
-    ``ARMIJO_MEMORY`` accepted values plus ``ARMIJO_RISE`` alpha <G, D>; the
-    pair s = alpha D, y = G_old - G_new then updates H (``_bfgs_update``)
-    unless <s, y> <= 0, and the next trial is at alpha = ``FIRST_STEP``.
+    gradients. Every live restart tries the Cayley step of alpha D from its
+    point (``_cayley``) in one stacked call, with D = H G on the
+    ``_generator_coords`` coordinates and H each restart's inverse-Hessian
+    approximation, the identity at the start. A trial is accepted when its
+    value reaches the lowest of the restart's last ``ARMIJO_MEMORY``
+    accepted values plus ``ARMIJO_RISE`` alpha <G, D>; the pair s = alpha D,
+    y = G_old - G_new then updates H (``_bfgs_update``) unless <s, y> <= 0,
+    and the next trial is at alpha = ``FIRST_STEP``.
     Gradients at two points are compared as they are: the left-trivialised
     gradient lives in the one Lie algebra of every point. A rejected trial
     divides alpha by ``BACKTRACK``. The start and every trial count as one
     evaluation; a restart stops once |G|^2 < ``STATIONARY`` or its budget is
     spent. The ascent is not monotone, so each restart keeps its best point.
-    Returns per restart the best blocks, accepted steps, rejected trials, stop
-    reasons and final gradient norms.
+    The working arrays hold only the live restarts, in restart order: a
+    restart that stops is written out and dropped, so an iteration whose
+    trials are all accepted (nearly all of them) gathers and scatters nothing.
+    Returns per restart the best blocks (written over ``units``), accepted
+    steps, rejected trials, stop reasons and final gradient norms.
     """
     d = units.shape[-1]
-    mask, eye = _block_mask(d), np.eye(d)
-    value, grad = objective(units)
-    g = _to_coords(grad)
+    value, g = _evaluate(objective, units)
     norm2 = _dot(g, g)
-    best, best_units = value.copy(), units.copy()
+    n, p = g.shape
+    ids = np.arange(n)
+    # every working array but h and fresh is replaced, never written into,
+    # so the best blocks may be the current ones
+    best, best_units = value, units
     recent = np.repeat(value[:, None], ARMIJO_MEMORY, axis=1)
-    h = np.broadcast_to(np.eye(g.shape[1]), (len(g), g.shape[1], g.shape[1])).copy()
-    fresh = np.ones(len(g), dtype=bool)
-    direction, slope = g.copy(), norm2.copy()
-    step = np.full(len(units), FIRST_STEP)
-    accepted, backtracks = np.zeros((2, len(units)), dtype=int)
-    live = np.arange(len(units))
-    while (live := live[(norm2[live] >= STATIONARY) & (accepted[live] + backtracks[live] + 1 < max_iters)]).size:
-        alpha, dirs = step[live], direction[live]
-        trial = np.where(mask, _exp_ih(_from_coords(alpha[:, None] * dirs, d)), eye) @ units[live]
-        t_value, t_grad = objective(trial)
-        ok = t_value >= recent[live].min(1) + ARMIJO_RISE * alpha * slope[live]
-        rows, took = live[ok], np.flatnonzero(ok)
-        t_g = _to_coords(t_grad)[took]
-        s, y = alpha[took, None] * dirs[took], g[rows] - t_g
-        sy = _dot(s, y)
-        pair = sy > 0
-        up = rows[pair]
-        h[up] = _bfgs_update(h[up], s[pair], y[pair], sy[pair], fresh[up])
-        fresh[up] = False
-        units[rows], value[rows], g[rows] = trial[took], t_value[took], t_g
-        norm2[rows] = _dot(t_g, t_g)
-        direction[rows], slope[rows] = _direction(h[rows], t_g)
-        step[rows] = FIRST_STEP
-        recent[rows, accepted[rows] % ARMIJO_MEMORY] = value[rows]
-        accepted[rows] += 1
-        better = rows[value[rows] > best[rows]]
-        best[better], best_units[better] = value[better], units[better]
-        step[live[~ok]] /= BACKTRACK
-        backtracks[live[~ok]] += 1
-    reasons = tuple("stationary" if n < STATIONARY else "eval budget" for n in norm2)
-    return best_units, accepted, backtracks, reasons, np.sqrt(norm2)
+    h = np.broadcast_to(np.eye(p), (n, p, p)).copy()
+    fresh = np.ones(n, dtype=bool)
+    direction, slope = g, norm2
+    step = np.full(n, FIRST_STEP)
+    evals, backtracks = np.ones(n, dtype=int), np.zeros(n, dtype=int)
+    # per restart, once it stops: best blocks, evaluations, rejected trials, |G|^2
+    out = [units, evals.copy(), backtracks.copy(), norm2.copy()]
+    buffer = np.zeros((n, 2 * (2 * d - 1) * d * d))
+    while True:
+        live = (norm2 >= STATIONARY) & (evals < max_iters)
+        if not live.all():
+            for o, a in zip(out, (best_units, evals, backtracks, norm2)):
+                o[ids[~live]] = a[~live]
+            if not live.any():
+                break
+            (ids, units, value, g, norm2, best, best_units, recent, h, fresh, direction, slope, step, evals,
+             backtracks) = (a[live] for a in (ids, units, value, g, norm2, best, best_units, recent, h, fresh,
+                                              direction, slope, step, evals, backtracks))
+        x = step[:, None] * direction
+        trial = _cayley(_from_coords(x, d, buffer), units)
+        t_value, t_g = _evaluate(objective, trial)
+        ok = t_value >= recent.min(1) + ARMIJO_RISE * step * slope
+        took = None if ok.all() else ok
+        y = g - t_g
+        sy = _dot(x, y)
+        pair = ok & (sy > 0)
+        if pair.all():
+            _bfgs_update(h, x, y, sy, fresh)
+            fresh[:] = False
+        elif pair.any():
+            h[pair] = _bfgs_update(h[pair], x[pair], y[pair], sy[pair], fresh[pair])
+            fresh[pair] = False
+        units, value, g = _pick(took, trial, units), _pick(took, t_value, value), _pick(took, t_g, g)
+        norm2 = _pick(took, _dot(t_g, t_g), norm2)
+        t_direction, t_slope = _direction(h, g)
+        direction, slope = _pick(took, t_direction, direction), _pick(took, t_slope, slope)
+        step = np.where(ok, FIRST_STEP, step / BACKTRACK)
+        recent = _pick(took, np.concatenate((recent[:, 1:], value[:, None]), 1), recent)
+        better = value > best
+        best = np.where(better, value, best)
+        best_units = _pick(None if better.all() else better, units, best_units)
+        evals = evals + 1
+        backtracks = backtracks + ~ok
+    accepted = out[1] - 1 - out[2]
+    reasons = tuple("stationary" if n < STATIONARY else "eval budget" for n in out[3])
+    return out[0], accepted, out[2], reasons, np.sqrt(out[3])
 
 
 def maximize_delta_m(
@@ -341,7 +400,7 @@ def _search(joint: np.ndarray, d: int, index: int, baseline: float, cfg: Unitary
     blocks = np.ldexp(blocks, -exponent).view(complex)
     objective = functools.partial(_stripe_measure, blocks=blocks, index=index)
     units, accepted, backtracks, reasons, norms = _ascend(objective, _padded_units(starts, d), cfg.max_iters)
-    # a product of many exponentials drifts off the unitary group by a few ulp,
+    # a product of many Cayley steps drifts off the unitary group by a few ulp,
     # which the best value would pick up; report each best point's polar factor
     w, _, vh = np.linalg.svd(units)
     mask = _block_mask(d)

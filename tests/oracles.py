@@ -168,7 +168,8 @@ def concat_trajectory(nx: float, nz: float, max_steps: int, eps: float) -> list:
 def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
     """One restart of the quasi-Newton ascent from padded blocks ``unit``, kept on a stack of one point.
 
-    The step rule is written out with scalars: after each accepted trial the
+    Each trial is the Cayley step of alpha D from the current point. The
+    step rule is written out with scalars: after each accepted trial the
     pair s = alpha D, y = G_old - G_new updates H when <s, y> > 0 (the first
     such pair scales H from the identity), the direction H G falls back to G
     when it is not uphill, and the next step is the first step again; after
@@ -178,7 +179,6 @@ def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
     """
     from collections import deque
 
-    from coherence_lab.modes import _block_mask
     from coherence_lab.optimizer import (
         ARMIJO_MEMORY,
         ARMIJO_RISE,
@@ -186,14 +186,13 @@ def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
         FIRST_STEP,
         STATIONARY,
         _bfgs_update,
+        _cayley,
         _dot,
-        _exp_ih,
         _from_coords,
         _to_coords,
     )
 
     d = unit.shape[-1]
-    mask, eye = _block_mask(d), np.eye(d)
     unit = unit[None]
     value, grad = objective(unit)
     grad = _to_coords(grad)
@@ -205,7 +204,7 @@ def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
     step = FIRST_STEP
     evals, accepted, backtracks = 1, 0, 0
     while norm2 >= STATIONARY and evals < max_iters:
-        trial = np.where(mask, _exp_ih(_from_coords(np.array([step])[:, None] * direction, d)), eye) @ unit
+        trial = _cayley(_from_coords(np.array([step])[:, None] * direction, d), unit)
         t_value, t_grad = objective(trial)
         t_grad = _to_coords(t_grad)
         evals += 1

@@ -292,10 +292,10 @@ class TestUnitaryInvarianceOfBounds:
         rotated = rho.evolve(phases)
         for j in (1, 2):
             assert bound_kyfan_global(rotated, QUTRIT, j) == pytest.approx(
-                bound_kyfan_global(rho, QUTRIT, j), abs=1e-12
+                bound_kyfan_global(rho, QUTRIT, j), abs=1e-14
             )
             assert bound_kyfan_lrd(rotated, QUTRIT, j) == pytest.approx(
-                bound_kyfan_lrd(rho, QUTRIT, j), abs=1e-12
+                bound_kyfan_lrd(rho, QUTRIT, j), abs=1e-14
             )
         # conjugation, level reversal and the two composed leave them unchanged too, to roundoff
         for d in (3, 4):

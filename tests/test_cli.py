@@ -82,7 +82,8 @@ class TestConcentrate:
         assert main(["concentrate", "--state", state, "--out", str(out)]) == 0
         # the search telemetry goes to stdout only, never into the report
         assert re.search(
-            r"^search: \d+ evaluations, restarts 8 stationary, 0 at eval budget, final gradient norm \S+$",
+            r"^search: \d+ evaluations, restarts 8 stationary, 0 at eval budget, final gradient norm \S+, "
+            r"8 of 8 restarts within 1e-9 of the best$",
             capsys.readouterr().out,
             re.M,
         )
@@ -101,6 +102,18 @@ class TestConcentrate:
         assert manifest["command"] == "concentrate"
         assert manifest["params"]["j"] == 1
         assert "j" not in manifest  # only under params
+
+    def test_search_line_shows_restarts_that_stop_at_a_lower_maximum(self, tmp_path, capsys):
+        # this rank-2 ququart has stationary points at 0.19536294 and 0.19528570
+        # for j = 1; every restart ends stationary, but only two reach the higher one
+        rho = random_density_matrix(4, 2, np.random.default_rng(27))
+        state = _write_state(tmp_path / "ququart.json", oracles.density_to_json(rho))
+        assert main(["concentrate", "--state", state, "--out", str(tmp_path / "out")]) == 0
+        assert re.search(
+            r"^search: .*restarts 8 stationary, 0 at eval budget, .*, 2 of 8 restarts within 1e-9 of the best$",
+            capsys.readouterr().out,
+            re.M,
+        )
 
     def test_maximally_mixed_qubit_has_nothing_to_gain(self, tmp_path):
         state = _qubit_state_file(tmp_path, p00=0.5, p01=0.0)
@@ -384,7 +397,8 @@ class TestNogo:
         }
         # the same search line as concentrate's, on stdout only
         assert re.search(
-            r"^search: 8 evaluations, restarts 8 stationary, 0 at eval budget, final gradient norm \S+$",
+            r"^search: 8 evaluations, restarts 8 stationary, 0 at eval budget, final gradient norm \S+, "
+            r"8 of 8 restarts within 1e-9 of the best$",
             capsys.readouterr().out,
             re.M,
         )
