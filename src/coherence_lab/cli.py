@@ -204,7 +204,8 @@ def cmd_concat(p: dict) -> Iterator[tuple]:
 
 def cmd_field(p: dict) -> Iterator[tuple]:
     radial, angular = _converted(p["grid"], _grid, "parameter 'grid'")
-    rows = ((state.nx, state.nz, delta[0], delta[1]) for state, delta in vector_field(radial, angular))
+    # each float formatted as _fmt would, one f-string per row
+    rows = (f"{nx:.16e},{nz:.16e},{dnx:.16e},{dnz:.16e}\n" for nx, nz, dnx, dnz in vector_field(radial, angular))
     yield "vector_field.csv", (("n_x", "n_z", "dn_x", "dn_z"), rows)
 
 

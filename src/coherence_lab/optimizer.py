@@ -93,15 +93,20 @@ class SearchOutcome:
         if self.best_delta_m < -1e-12:
             raise ValueError(f"best gain {self.best_delta_m} below the identity baseline")
 
+    @functools.cached_property
+    def _best(self) -> int:
+        """Index of the best restart (``np.argmax`` picks the first largest, or the first NaN), found once."""
+        return int(np.argmax(self.history))
+
     @property
     def best_delta_m(self) -> float:
-        """The best restart's gain (``np.argmax`` picks the first largest, or the first NaN)."""
-        return self.history[np.argmax(self.history)]
+        """The best restart's gain."""
+        return self.history[self._best]
 
     @property
     def converged(self) -> bool:
         """Whether the best restart stopped stationary."""
-        return self.stop_reasons[np.argmax(self.history)] == "stationary"
+        return self.stop_reasons[self._best] == "stationary"
 
     @property
     def evals(self) -> int:

@@ -22,6 +22,7 @@ from . import linalg
 from .errors import UnsupportedParameterError
 from .modes import _local_gap_measure
 from .states import (
+    BLOCH_NORM_ATOL,
     AllowedUnitary,
     BipartiteGenerator,
     BlochState,
@@ -204,8 +205,8 @@ def run_concatenation(
         nz.append(nxt.nz)
         if abs(nxt.nz) < convergence_eps:
             stop_reason = "converged"
-        elif nxt == current:
-            # exact fixed point: no further progress is possible
+        elif nxt.nx == current.nx and nxt.nz == current.nz:
+            # exact fixed point (ny is 0 on both): no further progress is possible
             stop_reason = "fixed point"
         current = nxt
     views = np.frombuffer(nx), np.frombuffer(nz)
@@ -269,8 +270,10 @@ def vector_field(radial: int, angular: int) -> Iterator[tuple]:
     Grid points are r in [0, 1] (``radial`` values) by angle in [0, pi/2]
     (``angular`` values) measured from the nx axis, so every point satisfies
     nx, nz >= 0 and norm <= 1, and both bounding axes are included. The grid
-    is checked at once; the (state, (dnx, dnz)) rows are then made one at a
-    time, in row-major grid order, so a large grid is never held in memory.
+    is checked at once; the rows are float tuples (nx, nz, dnx, dnz) in
+    row-major grid order. They are made one radial row at a time, with the
+    step computed on arrays over the angles, so a large grid is never held
+    in memory. The floats equal those of ``recurrence_step`` on each point.
     """
     if radial < 1 or angular < 1:
         raise UnsupportedParameterError("grid resolution must be at least 1 in each direction")
@@ -278,8 +281,18 @@ def vector_field(radial: int, angular: int) -> Iterator[tuple]:
 
 
 def _field_rows(radial: int, angular: int) -> Iterator[tuple]:
-    for r in np.linspace(0.0, 1.0, radial):
-        for phi in np.linspace(0.0, math.pi / 2.0, angular):
-            state = BlochState(float(r * math.cos(phi)), 0.0, float(r * math.sin(phi)))
-            nxt = recurrence_step(state)
-            yield state, (nxt.nx - state.nx, nxt.nz - state.nz)
+    # math.cos/sin, not np.cos/sin, whose SIMD loops may round differently
+    phis = np.linspace(0.0, math.pi / 2.0, angular).tolist()
+    cos, sin = np.array([math.cos(phi) for phi in phis]), np.array([math.sin(phi) for phi in phis])
+    bound = 1.0 + BLOCH_NORM_ATOL
+    for r in np.linspace(0.0, 1.0, radial).tolist():
+        # recurrence_step's operations in its order; x >= 0, so its hypot(x, 0) is x
+        x, z = r * cos, r * sin
+        denom = 1.0 + z * z
+        nx, nz = x * np.sqrt(denom), z - z * x * x / denom
+        # a NaN norm compares false too; BlochState raises the error for each point outside
+        inside = (np.hypot(x, z) <= bound) & (np.hypot(nx, nz) <= bound)
+        for i in np.flatnonzero(~inside).tolist():
+            BlochState(float(x[i]), 0.0, float(z[i]))
+            BlochState(float(nx[i]), 0.0, float(nz[i]))
+        yield from zip(x.tolist(), z.tolist(), (nx - x).tolist(), (nz - z).tolist())

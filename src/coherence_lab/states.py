@@ -100,16 +100,17 @@ class BlochState:
     nz: float
 
     def __post_init__(self) -> None:
-        # NaN compares false against the norm bound, so it must be rejected on its own
+        # one comparison on the valid path: a NaN norm compares false, an infinite one exceeds the bound
+        if math.hypot(self.nx, self.ny, self.nz) <= 1.0 + BLOCH_NORM_ATOL:
+            return
         if not (math.isfinite(self.nx) and math.isfinite(self.ny) and math.isfinite(self.nz)):
             raise StateValidationError(
                 f"Bloch vector ({self.nx}, {self.ny}, {self.nz}) has a non-finite component"
             )
         norm = self.norm()
-        if norm > 1.0 + BLOCH_NORM_ATOL:
-            raise StateValidationError(
-                f"Bloch vector norm {norm:.12g} exceeds 1 by {norm - 1.0:.3e}"
-            )
+        raise StateValidationError(
+            f"Bloch vector norm {norm:.12g} exceeds 1 by {norm - 1.0:.3e}"
+        )
 
     def norm(self) -> float:
         # hypot scales internally, so huge finite components do not overflow

@@ -165,6 +165,22 @@ def concat_trajectory(nx: float, nz: float, max_steps: int, eps: float) -> list:
     return points
 
 
+def field_rows(radial: int, angular: int) -> list:
+    """Rows (nx, nz, dnx, dnz) of one recurrence step on the quarter-disc polar grid, point by point in plain floats.
+
+    Radii and angles are numpy's evenly spaced values, r in [0, 1] and the
+    angle in [0, pi/2] from the nx axis, in row-major (r, angle) order.
+    """
+    rows = []
+    for r in np.linspace(0.0, 1.0, radial).tolist():
+        for phi in np.linspace(0.0, math.pi / 2.0, angular).tolist():
+            x, z = r * math.cos(phi), r * math.sin(phi)
+            t = math.hypot(x, 0.0)
+            denom = 1.0 + z * z
+            rows.append((x, z, t * math.sqrt(denom) - x, z - z * t * t / denom - z))
+    return rows
+
+
 def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
     """One restart of the quasi-Newton ascent from padded blocks ``unit``, kept on a stack of one point.
 

@@ -296,6 +296,13 @@ class TestField:
             assert dnx == pytest.approx(nxt.nx - nx, abs=1e-15)
             assert dnz == pytest.approx(nxt.nz - nz, abs=1e-15)
 
+    @pytest.mark.parametrize("grid, radial, angular", [("1x1", 1, 1), ("7x1", 7, 1), ("1x7", 1, 7), ("20x30", 20, 30)])
+    def test_field_csv_matches_a_plain_float_reference(self, tmp_path, grid, radial, angular):
+        out = tmp_path / "out"
+        assert main(["field", "--grid", grid, "--out", str(out)]) == 0
+        lines = open(out / "vector_field.csv", encoding="utf-8").read().splitlines()[1:]
+        assert lines == ["%.16e,%.16e,%.16e,%.16e" % row for row in oracles.field_rows(radial, angular)]
+
     def test_memory_does_not_grow_with_the_grid(self, tmp_path):
         # time-free: rows stream from the grid to the CSV, so 16x the rows must not allocate more
         assert main(["field", "--grid", "2", "--out", str(tmp_path / "warm")]) == 0

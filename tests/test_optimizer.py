@@ -575,6 +575,19 @@ class TestDerivedFields:
             with pytest.raises(AttributeError):
                 setattr(outcome, name, 0)
 
+    def test_the_best_restart_is_found_once(self, monkeypatch):
+        # time-free: reading the derived fields in a loop over the restarts must not rescan the history
+        calls = []
+        argmax = np.argmax
+        monkeypatch.setattr(np, "argmax", lambda *a, **k: calls.append(a) or argmax(*a, **k))
+        outcome = SearchOutcome(**{**self.FIELDS, "history": (0.1, 0.3, 0.3) * 1000,
+                                   "stop_reasons": self.FIELDS["stop_reasons"] * 1000})
+        for _ in outcome.history:
+            assert (outcome.best_delta_m, outcome.converged) == (0.3, False)
+        assert len(calls) == 1
+        with pytest.raises(AttributeError):
+            outcome._best = 0
+
     @pytest.mark.parametrize("name, value", [("best_delta_m", 0.3), ("converged", True), ("evals", 10)])
     def test_constructor_takes_no_derived_field(self, name, value):
         with pytest.raises(TypeError):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from coherence_lab import linalg, qubit_protocol
-from coherence_lab.errors import UnsupportedParameterError
+from coherence_lab import linalg, qubit_protocol, states
+from coherence_lab.errors import StateValidationError, UnsupportedParameterError
 from coherence_lab.modes import mode_measure
 from coherence_lab.optimizer import random_allowed_unitary
 from coherence_lab.qubit_protocol import (
@@ -362,20 +362,45 @@ class TestVectorField:
         assert len(list(vector_field(20, 20))) == 400
 
     def test_axis_points_are_fixed(self):
-        for state, delta in vector_field(6, 6):
-            if state.nx == 0.0 or state.nz == 0.0:
-                assert delta == (0.0, 0.0)
+        for nx, nz, dnx, dnz in vector_field(6, 6):
+            if nx == 0.0 or nz == 0.0:
+                assert (dnx, dnz) == (0.0, 0.0)
 
     def test_interior_matches_recurrence(self):
-        for state, delta in vector_field(7, 7):
-            nxt = recurrence_step(state)
-            assert delta[0] == pytest.approx(nxt.nx - state.nx, abs=1e-15)
-            assert delta[1] == pytest.approx(nxt.nz - state.nz, abs=1e-15)
+        for nx, nz, dnx, dnz in vector_field(7, 7):
+            nxt = recurrence_step(BlochState(nx, 0.0, nz))
+            assert dnx == pytest.approx(nxt.nx - nx, abs=1e-15)
+            assert dnz == pytest.approx(nxt.nz - nz, abs=1e-15)
+
+    @pytest.mark.parametrize("radial, angular", [(1, 1), (7, 1), (1, 7), (20, 30), (100, 100)])
+    def test_rows_equal_a_plain_float_reference(self, radial, angular):
+        rows = list(vector_field(radial, angular))
+        assert all(type(v) is float for row in rows for v in row)
+        assert rows == oracles.field_rows(radial, angular)
+
+    def test_rows_build_no_bloch_state(self, monkeypatch):
+        # time-free: a grid of valid points is checked on arrays, one radial row at a time
+        built = []
+        init = BlochState.__init__
+        monkeypatch.setattr(BlochState, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        assert len(list(vector_field(50, 50))) == 2500
+        assert built == []
+        BlochState(0.0, 0.0, 0.0)
+        assert len(built) == 1
+
+    def test_a_point_outside_the_norm_bound_is_rejected_by_bloch_state(self, monkeypatch):
+        # with the bound lowered to 0.75 the unit-radius row is flagged, and BlochState raises for it
+        for module in (qubit_protocol, states):
+            monkeypatch.setattr(module, "BLOCH_NORM_ATOL", -0.25)
+        rows = vector_field(3, 3)
+        assert len([next(rows) for _ in range(6)]) == 6
+        with pytest.raises(StateValidationError, match="norm"):
+            next(rows)
 
     def test_large_transverse_components_move_slowly(self):
         # points near the transverse axis change little even at large radius
         displacements = {
-            (round(s.nx, 3), round(s.nz, 3)): math.hypot(*d) for s, d in vector_field(21, 21)
+            (round(nx, 3), round(nz, 3)): math.hypot(dnx, dnz) for nx, nz, dnx, dnz in vector_field(21, 21)
         }
         near_axis = displacements[(0.997, 0.078)]
         mid_disc = displacements[(0.707, 0.707)]

@@ -8,6 +8,7 @@ from coherence_lab import linalg
 from coherence_lab.errors import StateValidationError, UnsupportedParameterError
 from coherence_lab.sampling import haar_unitary, random_bloch
 from coherence_lab.states import (
+    BLOCH_NORM_ATOL,
     AllowedUnitary,
     BipartiteGenerator,
     BlochState,
@@ -70,7 +71,9 @@ class TestBloch:
             BlochState(0.8, 0.0, 0.8)
 
     def test_non_finite_components_rejected(self):
-        for components in ((math.nan, 0.0, 0.5), (0.0, math.inf, 0.0), (0.1, 0.0, -math.inf)):
+        # hypot is inf, not NaN, when one component is inf and another NaN: the report still names non-finite
+        for components in ((math.nan, 0.0, 0.5), (0.0, math.inf, 0.0), (0.1, 0.0, -math.inf),
+                           (math.nan, math.inf, 0.0), (math.inf, math.nan, 0.0)):
             with pytest.raises(StateValidationError, match="non-finite"):
                 BlochState(*components)
 
@@ -78,7 +81,15 @@ class TestBloch:
         # squaring 1e200 overflows; the norm check must still report the norm
         with pytest.raises(StateValidationError, match="norm"):
             BlochState(1e200, 0.0, 0.0)
+        with pytest.raises(StateValidationError, match="norm"):
+            BlochState(1e200, 1e200, 0.0)
         assert BlochState(3e-200, 4e-200, 0.0).norm() == pytest.approx(5e-200, rel=1e-15)
+
+    def test_norm_bound_is_inclusive(self):
+        bound = 1.0 + BLOCH_NORM_ATOL
+        assert BlochState(bound, 0.0, 0.0).norm() == bound
+        with pytest.raises(StateValidationError, match="exceeds 1"):
+            BlochState(math.nextafter(bound, 2.0), 0.0, 0.0)
 
     def test_round_trip_on_random_vectors(self):
         rng = np.random.default_rng(77)
