@@ -24,7 +24,7 @@ from . import __version__, linalg
 from .bounds import _nogo_verdict, bound_report, marginal_product_distance
 from .errors import StateValidationError, UnsupportedParameterError
 from .modes import _local_gap_measure, bipartite_mode_set
-from .optimizer import MAX_LOCAL_DIM, UnitarySearchConfig, _search, maximize_delta_m
+from .optimizer import MAX_LOCAL_DIM, MAX_RESTARTS, UnitarySearchConfig, _search, maximize_delta_m
 from .qubit_protocol import (
     amplification_state,
     optimal_concentration,
@@ -220,8 +220,8 @@ def cmd_bound_compare(p: dict) -> Iterator[tuple]:
         if not 1 <= rank <= dim:
             raise UnsupportedParameterError(f"rank {rank} outside [1, {dim}]")
     restarts = p["restarts"]
-    if restarts < 0:
-        raise UnsupportedParameterError(f"bound-compare requires --restarts >= 0, got {restarts}")
+    if not 0 <= restarts <= MAX_RESTARTS:
+        raise UnsupportedParameterError(f"bound-compare requires --restarts 0 to {MAX_RESTARTS}, got {restarts}")
     op = NumberOperator(dim)
     wins: dict = {}
 

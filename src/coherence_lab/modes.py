@@ -130,7 +130,7 @@ def _stripe_blocks(joint: np.ndarray, d: int, index: int) -> np.ndarray:
 
 
 def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
-    """Gap-``index`` measure f of the first marginal of U X U^dagger, and its gradient per block.
+    """Gap-``index`` measure f of the first marginal of U X U^dagger, and its gradient before symmetrising.
 
     ``units`` are padded block unitaries (``_padded_units``), whose leading
     axes are stack axes; ``blocks`` are ``_stripe_blocks``. Row and column n of
@@ -140,11 +140,14 @@ def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
     at (n + j, n), or conj(z_n) where |z_n| is 0 or subnormal (1 / |z_n|
     overflows). Under U_b <- exp(i eps K) U_b, f rises by eps tr(G_b K) to
     first order, with G_b = herm(i A_{b-j} W^T) - herm(i W^T A_b), Hermitian.
+    The stack returned is S_b = i A_{b-j} W^T - i W^T A_b, of which G_b is the
+    Hermitian part (S_b + S_b^dagger) / 2; it is not taken here, since its
+    reader (``optimizer._to_coords``) forms it at only the entries it needs.
     W^T has only w_n at (n, n + j), so A W^T moves column n of A to column
     n + j scaled by w_n, and W^T A moves row n + j to row n scaled by w_n;
     W is never built. Products of padded blocks vanish outside each block,
-    and so does G. z_n adds its terms in order, which ``sum`` over the pair
-    axis does not at d = 4, so each point is the same bits in any stack.
+    and so do S and G. z_n adds its terms in order, which ``sum`` over the
+    pair axis does not at d = 4, so each point is the same bits in any stack.
     """
     d, pairs = units.shape[-1], len(blocks)
     a = units[..., index : index + pairs, :, :] @ blocks @ units[..., :pairs, :, :].conj().swapaxes(-1, -2)
@@ -155,7 +158,7 @@ def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
     grad = np.zeros(units.shape, dtype=complex)
     grad[..., index : index + pairs, :, index:] = 1j * (a[..., : d - index] * w[..., None, None, :])
     grad[..., :pairs, : d - index, :] -= 1j * (w[..., None, :, None] * a[..., index:, :])
-    return size.sum(-1), (grad + grad.conj().swapaxes(-1, -2)) / 2
+    return size.sum(-1), grad
 
 
 def mode_component(rho: DensityMatrix, op: NumberOperator, index: int) -> ModeOperator:

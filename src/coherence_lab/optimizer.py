@@ -55,6 +55,8 @@ STATIONARY = 1e-16
 #: largest supported local dimension; the parameter count grows as the sum of
 #: squared degeneracies (44 real parameters at dimension 4)
 MAX_LOCAL_DIM = 4
+#: most restarts of one search; they run at once, each holding about 66 kB at dimension 4
+MAX_RESTARTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ class UnitarySearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise UnsupportedParameterError(f"restarts must be at least 1, got {self.restarts}")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise UnsupportedParameterError(f"restarts must be 1 to {MAX_RESTARTS}, got {self.restarts}")
         if self.max_iters < 1:
             raise UnsupportedParameterError(f"max_iters must be at least 1, got {self.max_iters}")
 
@@ -137,52 +139,48 @@ def _generator_coords(d: int) -> tuple:
     Each block inside ``_block_mask`` gives, row by row over its upper
     triangle, each diagonal entry, and sqrt 2 times the real and the imaginary
     part of each entry right of the diagonal: P = sum of n_b^2 coordinates.
-    Returns, for reading: where each coordinate sits in the stack's float view
-    and its factor; for writing back a Hermitian stack: the float-view
-    positions, the coordinate each takes and its factor.
+    Returns, for reading: each upper-triangle entry's cell and mirror cell in
+    the flattened stack, where each coordinate sits in the float view of those
+    entries, and its factor; for writing back a Hermitian stack: the float-view
+    positions in the stack, the coordinate each takes and its factor.
     """
-    read, read_factor, write, source, write_factor = [], [], [], [], []
-    root = math.sqrt(2.0)
-    for b, r, c in np.argwhere(_block_mask(d) & np.triu(np.ones((d, d), dtype=bool))):
-        here, mirror = 2 * ((b * d + r) * d + c), 2 * ((b * d + c) * d + r)
-        k = len(read)
-        if r == c:
-            read += [here]
-            read_factor += [1.0]
-            write += [here]
-            source += [k]
-            write_factor += [1.0]
-        else:
-            read += [here, here + 1]
-            read_factor += [root, root]
-            write += [here, mirror, here + 1, mirror + 1]
-            source += [k, k, k + 1, k + 1]
-            write_factor += [1 / root, 1 / root, 1 / root, -1 / root]
-    maps = tuple(np.array(m) for m in (read, read_factor, write, source, write_factor))
+    b, r, c = np.argwhere(_block_mask(d) & np.triu(np.ones((d, d), dtype=bool))).T
+    cell, mirror, off = (b * d + r) * d + c, (b * d + c) * d + r, r != c
+    # each entry's real part, and its imaginary part right of the diagonal
+    read = np.flatnonzero(np.column_stack((np.ones_like(off), off)))
+    entry, part = np.divmod(read, 2)
+    factor = np.where(off[entry], math.sqrt(2.0), 1.0)
+    # right of the diagonal a coordinate is written to the mirror too, conjugated
+    twin = np.flatnonzero(off[entry])
+    write = np.concatenate((2 * cell[entry] + part, 2 * mirror[entry[twin]] + part[twin]))
+    source = np.concatenate((np.arange(read.size), twin))
+    write_factor = np.concatenate((1 / factor, np.where(part[twin], -1.0, 1.0) / factor[twin]))
+    maps = (cell, mirror, read, factor, write, source, write_factor)
     for m in maps:
         m.setflags(write=False)
     return maps
 
 
 def _to_coords(stack: np.ndarray) -> np.ndarray:
-    """The (rows, P) coordinates of a (rows, 2d - 1, d, d) Hermitian block stack, C-ordered.
+    """The (rows, P) coordinates of the Hermitian part of a (rows, 2d - 1, d, d) block stack S, C-ordered.
 
-    A row's dot products (``_dot``) round as they would for that row alone
-    only in C order, so ``take``, not a slice-and-index gather, which comes
-    out F-ordered.
+    The Hermitian part (S + S^H) / 2 is formed only at the entries the
+    coordinates read, each as (S_rc + conj(S_cr)) / 2: the operation a
+    whole-stack symmetrisation makes there, so the bits are the same. A
+    row's dot products (``_dot``) round as they would for that row alone only
+    in C order, so ``take``, not a slice-and-index gather, which comes out
+    F-ordered.
     """
-    read, factor = _generator_coords(stack.shape[-1])[:2]
-    return np.take(stack.reshape(len(stack), -1).view(float), read, axis=1) * factor
+    cell, mirror, read, factor = _generator_coords(stack.shape[-1])[:4]
+    flat = stack.reshape(len(stack), -1)
+    entries = (np.take(flat, cell, axis=1) + np.take(flat, mirror, axis=1).conj()) / 2
+    return np.take(entries.view(float), read, axis=1) * factor
 
 
-def _from_coords(x: np.ndarray, d: int, buffer: np.ndarray | None = None) -> np.ndarray:
-    """The (rows, 2d - 1, d, d) Hermitian block stack of (rows, P) coordinates, zero outside the blocks.
-
-    A ``buffer`` of at least as many float rows, zero outside the blocks'
-    positions, is written into and viewed in place of a new array.
-    """
-    write, source, factor = _generator_coords(d)[2:]
-    out = np.zeros((len(x), 2 * (2 * d - 1) * d * d)) if buffer is None else buffer[: len(x)]
+def _from_coords(x: np.ndarray, d: int) -> np.ndarray:
+    """The (rows, 2d - 1, d, d) Hermitian block stack of (rows, P) coordinates, zero outside the blocks."""
+    write, source, factor = _generator_coords(d)[4:]
+    out = np.zeros((len(x), 2 * (2 * d - 1) * d * d))
     out[:, write] = x[:, source] * factor
     return out.view(complex).reshape(len(x), 2 * d - 1, d, d)
 
@@ -272,12 +270,6 @@ def _direction(h: np.ndarray, g: np.ndarray) -> tuple:
     return np.where(uphill[:, None], dirs, g), np.where(uphill, slope, _dot(g, g))
 
 
-def _evaluate(objective, units: np.ndarray) -> tuple:
-    """Values and (rows, P) gradient coordinates at a stack of padded block unitaries."""
-    value, grad = objective(units)
-    return value, _to_coords(grad)
-
-
 def _pick(ok, new: np.ndarray, old: np.ndarray) -> np.ndarray:
     """Rows of ``new`` where ``ok``, else rows of ``old``; ``new`` itself when ``ok`` is None."""
     return new if ok is None else np.where(ok.reshape(-1, *(1,) * (new.ndim - 1)), new, old)
@@ -287,28 +279,35 @@ def _ascend(objective, units: np.ndarray, max_iters: int) -> tuple:
     """Lockstep quasi-Newton ascent from each row of ``units`` (restarts x padded blocks).
 
     ``objective`` maps a stack of padded block unitaries to values and
-    gradients. Every live restart tries the Cayley step of alpha D from its
-    point (``_cayley``) in one stacked call, with D = H G on the
-    ``_generator_coords`` coordinates and H each restart's inverse-Hessian
-    approximation, the identity at the start. A trial is accepted when its
-    value reaches the lowest of the restart's last ``ARMIJO_MEMORY``
-    accepted values plus ``ARMIJO_RISE`` alpha <G, D>; the pair s = alpha D,
-    y = G_old - G_new then updates H (``_bfgs_update``) unless <s, y> <= 0,
-    and the next trial is at alpha = ``FIRST_STEP``.
+    gradients whose Hermitian parts G are read on the ``_generator_coords``
+    coordinates (``_to_coords``). Every live restart tries the Cayley step of
+    alpha D from its point (``_cayley``) in one stacked call, with D = H G
+    (``_direction``) and H each restart's inverse-Hessian approximation, the
+    identity at the start. A trial is accepted when its value reaches the
+    lowest of the restart's last ``ARMIJO_MEMORY`` accepted values plus
+    ``ARMIJO_RISE`` alpha <G, D>; the pair s = alpha D, y = G_old - G_new then
+    updates H (``_bfgs_update``) unless <s, y> <= 0, and the next trial is at
+    alpha = ``FIRST_STEP``.
     Gradients at two points are compared as they are: the left-trivialised
     gradient lives in the one Lie algebra of every point. A rejected trial
     divides alpha by ``BACKTRACK``. The start and every trial count as one
     evaluation; a restart stops once |G|^2 < ``STATIONARY`` or its budget is
     spent. The ascent is not monotone, so each restart keeps its best point.
-    The working arrays hold only the live restarts, in restart order: a
-    restart that stops is written out and dropped, so an iteration whose
-    trials are all accepted (nearly all of them) gathers and scatters nothing.
+    Each restart carries only what cannot be recomputed: its index, point, G,
+    H and whether H is fresh, best value and blocks, recent accepted values
+    (the last is its value), alpha, evaluations and rejected trials. |G|^2,
+    D and <G, D> are recomputed from G and H every iteration, bit for bit as
+    a stored copy, since a rejected trial changes neither. The working arrays
+    hold only the live restarts, in restart order: a restart that stops is
+    written out and dropped, so an iteration whose trials are all accepted
+    (nearly all of them) gathers and scatters nothing.
     Returns per restart the best blocks (written over ``units``), accepted
     steps, rejected trials, stop reasons and final gradient norms.
     """
     d = units.shape[-1]
-    value, g = _evaluate(objective, units)
-    norm2 = _dot(g, g)
+    value, g = objective(units)
+    # here and below the gradient stack is let go once its coordinates are read
+    g = _to_coords(g)
     n, p = g.shape
     ids = np.arange(n)
     # every working array but h and fresh is replaced, never written into,
@@ -317,25 +316,25 @@ def _ascend(objective, units: np.ndarray, max_iters: int) -> tuple:
     recent = np.repeat(value[:, None], ARMIJO_MEMORY, axis=1)
     h = np.broadcast_to(np.eye(p), (n, p, p)).copy()
     fresh = np.ones(n, dtype=bool)
-    direction, slope = g, norm2
     step = np.full(n, FIRST_STEP)
     evals, backtracks = np.ones(n, dtype=int), np.zeros(n, dtype=int)
     # per restart, once it stops: best blocks, evaluations, rejected trials, |G|^2
-    out = [units, evals.copy(), backtracks.copy(), norm2.copy()]
-    buffer = np.zeros((n, 2 * (2 * d - 1) * d * d))
+    out = [units, evals.copy(), backtracks.copy(), np.zeros(n)]
     while True:
+        norm2 = _dot(g, g)
         live = (norm2 >= STATIONARY) & (evals < max_iters)
         if not live.all():
             for o, a in zip(out, (best_units, evals, backtracks, norm2)):
                 o[ids[~live]] = a[~live]
             if not live.any():
                 break
-            (ids, units, value, g, norm2, best, best_units, recent, h, fresh, direction, slope, step, evals,
-             backtracks) = (a[live] for a in (ids, units, value, g, norm2, best, best_units, recent, h, fresh,
-                                              direction, slope, step, evals, backtracks))
+            ids, units, g, best, best_units, recent, h, fresh, step, evals, backtracks = (
+                a[live] for a in (ids, units, g, best, best_units, recent, h, fresh, step, evals, backtracks))
+        direction, slope = _direction(h, g)
         x = step[:, None] * direction
-        trial = _cayley(_from_coords(x, d, buffer), units)
-        t_value, t_g = _evaluate(objective, trial)
+        trial = _cayley(_from_coords(x, d), units)
+        t_value, t_g = objective(trial)
+        t_g = _to_coords(t_g)
         ok = t_value >= recent.min(1) + ARMIJO_RISE * step * slope
         took = None if ok.all() else ok
         y = g - t_g
@@ -347,12 +346,10 @@ def _ascend(objective, units: np.ndarray, max_iters: int) -> tuple:
         elif pair.any():
             h[pair] = _bfgs_update(h[pair], x[pair], y[pair], sy[pair], fresh[pair])
             fresh[pair] = False
-        units, value, g = _pick(took, trial, units), _pick(took, t_value, value), _pick(took, t_g, g)
-        norm2 = _pick(took, _dot(t_g, t_g), norm2)
-        t_direction, t_slope = _direction(h, g)
-        direction, slope = _pick(took, t_direction, direction), _pick(took, t_slope, slope)
+        units, g = _pick(took, trial, units), _pick(took, t_g, g)
         step = np.where(ok, FIRST_STEP, step / BACKTRACK)
-        recent = _pick(took, np.concatenate((recent[:, 1:], value[:, None]), 1), recent)
+        recent = _pick(took, np.concatenate((recent[:, 1:], t_value[:, None]), 1), recent)
+        value = recent[:, -1]
         better = value > best
         best = np.where(better, value, best)
         best_units = _pick(None if better.all() else better, units, best_units)

@@ -1,0 +1,84 @@
+"""Regenerate ``golden_search.json``, the exact tier of the search oracle's golden results.
+
+Run from the repository root::
+
+    PYTHONPATH=src python tests/make_golden_search.py
+
+It replays the inputs of acceptance criteria 01, 02 and 06 (850 searches) and
+runs every sixth search of each criterion at its own seed and budget. For each
+it stores ``history``, ``stop_reasons``, ``accepted``, ``backtracks`` and
+``grad_norm``, with every float as ``float.hex``, and the numpy and Python
+versions that made the file. ``test_golden_search.py`` compares a fresh run
+against it entry by entry, bit for bit.
+
+When to rerun it: only when a change moves the oracle's bits, and then every
+moved entry is listed in CHANGES.md. A change that claims bit-identity leaves
+the file as it is and must pass the test unchanged. A best value that moves
+by more than 1e-12 also needs its own justification.
+"""
+
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from coherence_lab.optimizer import UnitarySearchConfig, maximize_delta_m
+from coherence_lab.sampling import random_bloch, random_density_matrix
+from coherence_lab.states import DensityMatrix, NumberOperator, bloch_to_density
+
+PATH = Path(__file__).with_name("golden_search.json")
+#: keep every this-many-th search of each criterion
+EVERY = 6
+
+
+def _criterion_searches():
+    """(criterion, search index, state, j, config) of every criterion 01, 02 and 06 search, in the suite's order."""
+    rng = np.random.default_rng(101)
+    for k in range(200):
+        yield "01", k, bloch_to_density(random_bloch(rng)), 1, UnitarySearchConfig(seed=k)
+    for i, p01 in enumerate(np.linspace(0.01, 0.49, 50)):
+        yield "02", i, DensityMatrix(np.array([[0.5, p01], [p01, 0.5]])), 1, UnitarySearchConfig(seed=i)
+    rng = np.random.default_rng(606)
+    seed = 0
+    for rank in (1, 2, 3):
+        for _ in range(100):
+            rho = random_density_matrix(3, rank, rng)
+            for j in (1, 2):
+                yield "06", seed, rho, j, UnitarySearchConfig(restarts=4, max_iters=600, seed=seed)
+                seed += 1
+
+
+def searches():
+    """(name, state, j, config) of every ``EVERY``-th search of each criterion."""
+    for criterion, k, rho, j, cfg in _criterion_searches():
+        if k % EVERY == 0:
+            yield f"criterion {criterion} search {k}", rho, j, cfg
+
+
+def record(rho, j, cfg) -> dict:
+    """The stored fields of one search's outcome, floats as ``float.hex``."""
+    outcome = maximize_delta_m(rho, NumberOperator(rho.dim), j, cfg)
+    return {
+        "history": [gain.hex() for gain in outcome.history],
+        "stop_reasons": list(outcome.stop_reasons),
+        "accepted": outcome.accepted,
+        "backtracks": outcome.backtracks,
+        "grad_norm": outcome.grad_norm.hex(),
+    }
+
+
+def versions() -> dict:
+    return {"numpy": np.__version__, "python": platform.python_version()}
+
+
+def main() -> int:
+    golden = {**versions(), "searches": {name: record(rho, j, cfg) for name, rho, j, cfg in searches()}}
+    PATH.write_text(json.dumps(golden, indent=0) + "\n")
+    print(f"wrote {len(golden['searches'])} searches to {PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

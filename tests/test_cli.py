@@ -18,6 +18,7 @@ from coherence_lab.cli import main
 from coherence_lab.modes import bipartite_mode_set
 from coherence_lab.optimizer import (
     MAX_LOCAL_DIM,
+    MAX_RESTARTS,
     UnitarySearchConfig,
     _search,
     maximize_delta_m,
@@ -618,6 +619,9 @@ def test_flag_the_command_does_not_take_exits_2(tmp_path, capsys, argv):
         # the grid is checked before the field's rows are made
         ["field", "--grid", "0x5"],
         ["nogo"],
+        # a restart count above the cap, before anything is allocated for it
+        ["concentrate", "--state", "ISO", "--restarts", "1000000000000"],
+        ["bound-compare", "--restarts", "1000000000000"],
     ],
 )
 def test_unsupported_value_exits_2_before_writing(tmp_path, argv):
@@ -625,6 +629,15 @@ def test_unsupported_value_exits_2_before_writing(tmp_path, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("argv", [["concentrate", "--state", "ISO"], ["bound-compare"]])
+def test_restart_count_above_the_cap_names_it_on_one_line(tmp_path, capsys, argv):
+    argv = [_iso_state_file(tmp_path) if arg == "ISO" else arg for arg in argv]
+    assert main(argv + ["--restarts", str(MAX_RESTARTS + 1), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "restarts" in err and str(MAX_RESTARTS) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [["nogo", "--state", "ISO"], ["nogo", "--state", "JOINT5"]])
@@ -779,7 +792,7 @@ SWEEP = {
     "concentrate": {
         "state": (["qubit.json", "bloch.json", "iso.json"], ["bad.json", "missing.json", ""]),
         "j": ([None, "1", "2"], ["0", "-1", "4", "nan", ""]),
-        "restarts": (["1"], ["0", "-2"]),
+        "restarts": (["1"], ["0", "-2", "1000000000000"]),
     },
     "concat": {
         "nx": ([None, "0.4", "0.1,0.5", "0,0.3"], ["nan", "inf", "-0.2", "", "1e200", "a,b", "0.3,,0.1"]),
@@ -792,7 +805,7 @@ SWEEP = {
         "dim": ([None, "3", "4"], ["2", "5", "nan", "", "3.0"]),
         "ranks": ([None, "1", "1,2"], ["", "0", "5", "a", "2,,1", "-1"]),
         "samples": (["1", "2"], ["0", "-1", "2.5", ""]),
-        "restarts": (["0", "1"], ["-1", "x"]),
+        "restarts": (["0", "1"], ["-1", "x", "1000000000000"]),
         "seed": ([None, "0", "7"], ["-1", "2.5", "x", ""]),
     },
     "nogo": {

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import oracles
 from coherence_lab import linalg, optimizer
 from coherence_lab.errors import UnsupportedParameterError
-from coherence_lab.modes import _block_mask, _local_gap_measure, mode_measure
+from coherence_lab.modes import _block_mask, _local_gap_measure, _stripe_blocks, _stripe_measure, mode_measure
 from coherence_lab.optimizer import (
+    MAX_RESTARTS,
     STATIONARY,
     SearchOutcome,
     UnitarySearchConfig,
@@ -116,6 +117,9 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(UnsupportedParameterError, match="restarts"):
             UnitarySearchConfig(restarts=0)
+        with pytest.raises(UnsupportedParameterError, match=f"restarts must be 1 to {MAX_RESTARTS}"):
+            UnitarySearchConfig(restarts=MAX_RESTARTS + 1)
+        assert UnitarySearchConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
         with pytest.raises(UnsupportedParameterError, match="max_iters"):
             UnitarySearchConfig(max_iters=0)
 
@@ -201,6 +205,22 @@ class TestQuasiNewton:
             for r in range(rows):
                 alone = _to_coords(stack[r : r + 1])
                 assert _dot(alone, alone)[0] == stacked[r]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_coordinates_read_the_hermitian_part_bitwise(self, d):
+        # the gradient stack comes unsymmetrised; its coordinates must be those
+        # of its Hermitian part (S + S^H) / 2, bit for bit
+        rng = np.random.default_rng(110 + d)
+        rho = random_density_matrix(d, d, rng).matrix
+        blocks = _stripe_blocks(np.kron(rho, rho), d, 1)
+        for rows in (1, 3, 7):
+            shape = (rows, 2 * d - 1, d, d)
+            arbitrary = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            # exp(i H) of a padded Hermitian stack is the identity in the padding
+            raw = _stripe_measure(_exp_ih(self._hermitian_stack(rng, d, rows)), blocks, 1)[1]
+            for s in (arbitrary, raw):
+                hermitian = (s + s.conj().swapaxes(-1, -2)) / 2
+                assert _to_coords(s).tobytes() == _to_coords(hermitian).tobytes()
 
     def test_update_matches_the_textbook_product_form(self):
         rng = np.random.default_rng(70)
