@@ -92,18 +92,6 @@ def _check_joint_dim(joint, gen: BipartiteGenerator) -> None:
 
 
 @functools.cache
-def _block_mask(d: int) -> np.ndarray:
-    """Where each eigenspace block b sits in a padded (2d - 1, d, d) stack: where ket |n, b - n> exists.
-
-    Row and column n of block b hold that ket (``_generator_layout``'s table).
-    """
-    inside = _generator_layout(d)[0] < d * d
-    mask = inside[:, :, None] & inside[:, None, :]
-    mask.setflags(write=False)
-    return mask
-
-
-@functools.cache
 def _stripe_quotas(d: int, index: int) -> np.ndarray:
     """How many positions (|n + index, m>, |n, m>) of each stripe pair c survive the partial trace.
 
@@ -113,14 +101,6 @@ def _stripe_quotas(d: int, index: int) -> np.ndarray:
     quotas = (_generator_layout(d)[0][: 2 * d - 1 - index, : max(d - index, 0)] < d * d).sum(1)
     quotas.setflags(write=False)
     return quotas
-
-
-def _padded_units(units, d: int) -> np.ndarray:
-    """Block unitaries (..., n_b, n_b) as one (..., 2d - 1, d, d) stack, identity outside each block."""
-    lead = np.shape(units[0])[:-2]
-    padded = np.broadcast_to(np.eye(d, dtype=complex), (*lead, len(units), d, d)).copy()
-    padded[..., _block_mask(d)] = np.concatenate([np.reshape(u, (*lead, -1)) for u in units], -1)
-    return padded
 
 
 def _stripe_blocks(joint: np.ndarray, d: int, index: int) -> np.ndarray:

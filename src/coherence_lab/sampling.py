@@ -9,13 +9,21 @@ from .states import BlochState, DensityMatrix
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix with phase fixing."""
+    """Haar-distributed dim x dim unitary: ``haar_stack`` of one draw of its real, then imaginary, parts."""
     rng = np.random.default_rng(rng)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
+    return haar_stack(rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim)))
+
+
+def haar_stack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Haar unitaries (..., n, n) from standard normal real and imaginary parts, one per stacked matrix.
+
+    QR of z = (re + i im) / sqrt(2) with R's diagonal phases moved into Q (Mezzadri,
+    Notices AMS 54, 2007); a stack gives each matrix the bits it gets alone.
+    """
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    diag = np.diagonal(r, 0, -2, -1).copy()
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_density_matrix(dim: int, rank: int | None = None, rng=0) -> DensityMatrix:

@@ -35,7 +35,8 @@ def _validated_density(matrix: np.ndarray) -> np.ndarray:
     m = linalg.as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise StateValidationError(f"density matrix must be square, got shape {m.shape}")
-    herm_residual = float(np.abs(m - linalg.dagger(m)).max())
+    adjoint = linalg.dagger(m)
+    herm_residual = float(np.abs(m - adjoint).max())
     if herm_residual > HERMITIAN_ATOL:
         raise StateValidationError(
             f"not Hermitian: residual {herm_residual:.3e} exceeds {HERMITIAN_ATOL:.1e}"
@@ -45,7 +46,7 @@ def _validated_density(matrix: np.ndarray) -> np.ndarray:
         raise StateValidationError(
             f"trace differs from 1: residual {trace_residual:.3e} exceeds {TRACE_ATOL:.1e}"
         )
-    min_eig = float(np.linalg.eigvalsh((m + linalg.dagger(m)) / 2.0).min())
+    min_eig = float(np.linalg.eigvalsh((m + adjoint) / 2.0).min())
     if min_eig < -PSD_ATOL:
         raise StateValidationError(
             f"not positive semidefinite: minimum eigenvalue {min_eig:.3e} below -{PSD_ATOL:.1e}"
@@ -133,6 +134,35 @@ def _generator_layout(d: int) -> tuple:
     return kets, lam
 
 
+@functools.cache
+def _block_mask(d: int) -> np.ndarray:
+    """Where each eigenspace block b sits in a padded (2d - 1, d, d) stack: where ket |n, b - n> exists.
+
+    Row and column n of block b hold that ket (``_generator_layout``'s table).
+    """
+    inside = _generator_layout(d)[0] < d * d
+    mask = inside[:, :, None] & inside[:, None, :]
+    mask.setflags(write=False)
+    return mask
+
+
+def _padded_units(units, d: int) -> np.ndarray:
+    """Block unitaries (..., n_b, n_b) as one (..., 2d - 1, d, d) stack, identity outside each block."""
+    lead = np.shape(units[0])[:-2]
+    padded = np.broadcast_to(np.eye(d, dtype=complex), (*lead, len(units), d, d)).copy()
+    padded[..., _block_mask(d)] = np.concatenate([np.reshape(u, (*lead, -1)) for u in units], -1)
+    return padded
+
+
+@functools.cache
+def _matrix_scatter(d: int) -> np.ndarray:
+    """Flat index into the d^2 x d^2 matrix of each padded block entry (n, n') of block b, in ``_block_mask`` order."""
+    kets = _generator_layout(d)[0]
+    index = (kets[:, :, None] * d * d + kets[:, None, :])[_block_mask(d)]
+    index.setflags(write=False)
+    return index
+
+
 @dataclass(frozen=True)
 class BipartiteGenerator:
     """Total number operator L (x) I + I (x) L of two systems of equal dimension.
@@ -182,7 +212,8 @@ class AllowedUnitary:
 
     It commutes by construction: [U, N] = (lambda_c - lambda_r) U at entry (r, c)
     is zero inside each eigenspace block, and the blocks' kets, read from
-    ``_generator_layout``'s table, tile the tensor basis.
+    ``_generator_layout``'s table, tile the tensor basis. Unitarity is checked on
+    the identity-padded stack (``_padded_units``) and the first failing block is named.
     """
 
     generator: BipartiteGenerator
@@ -195,30 +226,27 @@ class AllowedUnitary:
             raise StateValidationError(
                 f"expected {gen.n_eigenvalues} blocks, got {len(blocks)}"
             )
-        frozen = []
         for c, block in enumerate(blocks):
             n = gen.block_dim(c)
             if block.shape != (n, n):
                 raise StateValidationError(
                     f"block {c} has shape {block.shape}, expected ({n}, {n})"
                 )
-            residual = float(np.abs(block @ linalg.dagger(block) - np.eye(n)).max())
-            if residual > UNITARY_ATOL:
-                raise StateValidationError(
-                    f"block {c} not unitary: residual {residual:.3e} exceeds {UNITARY_ATOL:.1e}"
-                )
-            frozen.append(_readonly(block))
-        object.__setattr__(self, "blocks", tuple(frozen))
+        padded = _padded_units(blocks, gen.dim)
+        residuals = np.abs(padded @ padded.conj().swapaxes(-1, -2) - np.eye(gen.dim)).max((-2, -1))
+        for c in np.flatnonzero(residuals > UNITARY_ATOL)[:1]:
+            raise StateValidationError(
+                f"block {c} not unitary: residual {residuals[c]:.3e} exceeds {UNITARY_ATOL:.1e}"
+            )
+        object.__setattr__(self, "blocks", tuple(_readonly(b) for b in blocks))
 
     @property
     def matrix(self) -> np.ndarray:
-        """Assembled full-dimension unitary."""
+        """Assembled full-dimension unitary, a fresh array on each call."""
         gen = self.generator
-        out = np.zeros((gen.total_dim, gen.total_dim), dtype=complex)
-        for c, block in enumerate(self.blocks):
-            idx = gen.block_indices(c)
-            out[np.ix_(idx, idx)] = block
-        return out
+        out = np.zeros(gen.total_dim ** 2, dtype=complex)
+        out[_matrix_scatter(gen.dim)] = np.concatenate([b.ravel() for b in self.blocks])
+        return out.reshape(gen.total_dim, gen.total_dim)
 
 
 def bloch_to_density(b: BlochState) -> DensityMatrix:

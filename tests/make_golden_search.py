@@ -1,34 +1,54 @@
-"""Regenerate ``golden_search.json``, the exact tier of the search oracle's golden results.
+"""Regenerate the golden files: ``golden_search.json`` (exact tier) and ``golden_bytes.json`` (byte tier).
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/make_golden_search.py
 
-It replays the inputs of acceptance criteria 01, 02 and 06 (850 searches) and
+Byte tier: for each of ``BYTE_RUNS`` it stores the SHA-256 of every file the
+CLI writes, manifest included, run with the relative ``--out out`` inside a
+fresh temporary directory, so the manifest's echoed parameters do not depend
+on where it runs. ``test_golden_bytes.py`` compares a fresh run against it.
+``field`` uses ``math.cos`` and ``math.sin``, so another libm may change its
+digests; the file records the numpy and Python versions that made it.
+
+Exact tier: it replays the inputs of acceptance criteria 01, 02 and 06 (850 searches) and
 runs every sixth search of each criterion at its own seed and budget. For each
 it stores ``history``, ``stop_reasons``, ``accepted``, ``backtracks`` and
 ``grad_norm``, with every float as ``float.hex``, and the numpy and Python
 versions that made the file. ``test_golden_search.py`` compares a fresh run
 against it entry by entry, bit for bit.
 
-When to rerun it: only when a change moves the oracle's bits, and then every
-moved entry is listed in CHANGES.md. A change that claims bit-identity leaves
+When to rerun it: only when a change moves the oracle's or the CLI's bits,
+and then every moved entry is listed in CHANGES.md. A change that claims bit-identity leaves
 the file as it is and must pass the test unchanged. A best value that moves
 by more than 1e-12 also needs its own justification.
 """
 
+import hashlib
 import json
+import os
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from coherence_lab.cli import main as cli_main
 from coherence_lab.optimizer import UnitarySearchConfig, maximize_delta_m
 from coherence_lab.sampling import random_bloch, random_density_matrix
 from coherence_lab.states import DensityMatrix, NumberOperator, bloch_to_density
 
 PATH = Path(__file__).with_name("golden_search.json")
+BYTES_PATH = Path(__file__).with_name("golden_bytes.json")
+#: the CLI runs of the byte tier
+BYTE_RUNS = (
+    ("concat", "--nx", "0.5,0.02", "--nz", "0.5"),
+    ("amplify", "--steps", "40", "--eps", "0.15"),
+    ("field", "--grid", "20x30"),
+    ("field", "--grid", "1x7"),
+    ("field", "--grid", "7x1"),
+)
 #: keep every this-many-th search of each criterion
 EVERY = 6
 
@@ -73,10 +93,26 @@ def versions() -> dict:
     return {"numpy": np.__version__, "python": platform.python_version()}
 
 
+def digests(argv) -> dict:
+    """SHA-256 of every file ``cli.main(argv + ["--out", "out"])`` writes, run in a fresh temporary directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            if (code := cli_main([*argv, "--out", "out"])) != 0:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}")
+            return {name: hashlib.sha256(Path("out", name).read_bytes()).hexdigest() for name in sorted(os.listdir("out"))}
+        finally:
+            os.chdir(cwd)
+
+
 def main() -> int:
     golden = {**versions(), "searches": {name: record(rho, j, cfg) for name, rho, j, cfg in searches()}}
     PATH.write_text(json.dumps(golden, indent=0) + "\n")
     print(f"wrote {len(golden['searches'])} searches to {PATH}")
+    runs = {" ".join(argv): digests(argv) for argv in BYTE_RUNS}
+    BYTES_PATH.write_text(json.dumps({**versions(), "runs": runs}, indent=1) + "\n")
+    print(f"wrote {len(runs)} CLI runs to {BYTES_PATH}")
     return 0
 
 

@@ -58,6 +58,33 @@ def expm_taylor(a: np.ndarray, terms: int = 30) -> np.ndarray:
     return out
 
 
+def haar_blocks_per_block(gen, rng) -> tuple:
+    """One Haar unitary per eigenspace of ``gen``, drawn block by block in eigenspace order.
+
+    Each block draws its real part, then its imaginary part, from ``rng``, and
+    is the QR of the complex Gaussian with R's diagonal phases moved into Q.
+    This is the reference for ``random_allowed_unitary``'s stacked draw.
+    """
+    blocks = []
+    for c in range(gen.n_eigenvalues):
+        n = gen.block_dim(c)
+        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r).copy()
+        diag[diag == 0] = 1.0
+        blocks.append(q * (diag / np.abs(diag)))
+    return tuple(blocks)
+
+
+def assemble_blocks(gen, blocks) -> np.ndarray:
+    """The d^2 x d^2 matrix with block c on the kets of eigenspace c, zero elsewhere."""
+    out = np.zeros((gen.total_dim, gen.total_dim), dtype=complex)
+    for c, block in enumerate(blocks):
+        idx = gen.block_indices(c)
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
 def density_to_json(rho) -> dict:
     """State-file form {"dim": d, "re": [[...]], "im": [[...]]} of a density matrix."""
     m = rho.matrix
@@ -255,15 +282,9 @@ def sequential_search(rho, op, index: int, config) -> tuple:
     """
     import functools
 
-    from coherence_lab.modes import (
-        _block_mask,
-        _local_gap_measure,
-        _padded_units,
-        _stripe_blocks,
-        _stripe_measure,
-    )
+    from coherence_lab.modes import _local_gap_measure, _stripe_blocks, _stripe_measure
     from coherence_lab.optimizer import SearchOutcome, _exp_ih, _hermitian_from_params
-    from coherence_lab.states import AllowedUnitary, BipartiteGenerator
+    from coherence_lab.states import AllowedUnitary, BipartiteGenerator, _block_mask, _padded_units
 
     d = rho.dim
     gen = BipartiteGenerator(op)

@@ -7,8 +7,6 @@ from coherence_lab.errors import StateValidationError, UnsupportedParameterError
 from coherence_lab.modes import (
     MODE_PRESENCE_THRESHOLD,
     ModeOperator,
-    _block_mask,
-    _padded_units,
     _pair_blocks_layout,
     _stripe_blocks,
     _stripe_measure,
@@ -26,6 +24,8 @@ from coherence_lab.states import (
     BipartiteGenerator,
     DensityMatrix,
     NumberOperator,
+    _block_mask,
+    _padded_units,
     bloch_to_density,
     isotropic_state,
 )

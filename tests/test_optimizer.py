@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from coherence_lab import linalg, optimizer
 from coherence_lab.errors import UnsupportedParameterError
-from coherence_lab.modes import _block_mask, _local_gap_measure, _stripe_blocks, _stripe_measure, mode_measure
+from coherence_lab.modes import _local_gap_measure, _stripe_blocks, _stripe_measure, mode_measure
 from coherence_lab.optimizer import (
     MAX_RESTARTS,
     STATIONARY,
@@ -36,6 +36,7 @@ from coherence_lab.states import (
     BlochState,
     DensityMatrix,
     NumberOperator,
+    _block_mask,
     bloch_to_density,
     isotropic_state,
 )
@@ -490,6 +491,24 @@ class TestDeterminism:
 
 
 class TestRandomUnitarySampling:
+    def test_blocks_and_generator_state_match_the_per_block_draw_bitwise(self):
+        # criterion 08's loops draw many unitaries from one generator, so each
+        # call must also leave it where the per-block draw leaves it
+        for d in range(1, 6):
+            gen = BipartiteGenerator(NumberOperator(d))
+            for seed in range(30):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, want = random_allowed_unitary(gen, rng).blocks, oracles.haar_blocks_per_block(gen, ref_rng)
+                assert [(b.shape, b.tobytes()) for b in got] == [(b.shape, b.tobytes()) for b in want], (d, seed)
+                assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes(), (d, seed)
+
+    def test_one_qr_per_block_size(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        random_allowed_unitary(BipartiteGenerator(NumberOperator(4)), 0)
+        assert len(calls) <= 4
+
     def test_no_sample_beats_the_closed_form(self):
         rho = bloch_to_density(random_bloch(np.random.default_rng(7)))
         best = optimal_concentration(rho).delta_m

@@ -167,8 +167,7 @@ class TestAllowedUnitary:
 
     def test_random_blocks_commute_with_generator(self):
         gen = BipartiteGenerator(NumberOperator(3))
-        rng = np.random.default_rng(5)
-        blocks = tuple(haar_unitary(gen.block_dim(c), rng) for c in range(gen.n_eigenvalues))
+        blocks = oracles.haar_blocks_per_block(gen, np.random.default_rng(5))
         u = AllowedUnitary(gen, blocks).matrix
         n = np.diag(gen.index_eigenvalues)
         residual = np.abs(u @ n - n @ u).max()
@@ -184,12 +183,64 @@ class TestAllowedUnitary:
         with pytest.raises(StateValidationError, match="expected 3 blocks"):
             AllowedUnitary(gen, (np.eye(1), np.eye(2)))
 
+    def test_matrix_matches_a_per_block_assembly_bitwise(self):
+        for d in range(1, 6):
+            gen = BipartiteGenerator(NumberOperator(d))
+            blocks = oracles.haar_blocks_per_block(gen, np.random.default_rng(d))
+            u = AllowedUnitary(gen, blocks).matrix
+            want = oracles.assemble_blocks(gen, blocks)
+            assert u.shape == want.shape and u.dtype == want.dtype
+            assert u.tobytes() == want.tobytes(), d
+
+    def test_rejects_wrong_block_shape_naming_the_block(self):
+        gen = BipartiteGenerator(NumberOperator(3))
+        blocks = [np.eye(gen.block_dim(c)) for c in range(gen.n_eigenvalues)]
+        blocks[3] = np.eye(3)
+        with pytest.raises(StateValidationError, match=r"block 3 has shape \(3, 3\), expected \(2, 2\)"):
+            AllowedUnitary(gen, tuple(blocks))
+        blocks[3] = np.eye(2)[0]
+        with pytest.raises(ValueError, match="2-D"):
+            AllowedUnitary(gen, tuple(blocks))
+
+    def test_names_the_first_of_two_non_unitary_blocks(self):
+        gen = BipartiteGenerator(NumberOperator(3))
+        blocks = [np.eye(gen.block_dim(c)) for c in range(gen.n_eigenvalues)]
+        blocks[3] = 1.5 * np.eye(2)
+        with pytest.raises(StateValidationError, match="block 3 not unitary: residual 1.250e[+]00"):
+            AllowedUnitary(gen, tuple(blocks))
+        blocks[1] = 2.0 * np.eye(2)
+        with pytest.raises(StateValidationError, match="block 1 not unitary: residual 3.000e[+]00"):
+            AllowedUnitary(gen, tuple(blocks))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_a_non_finite_entry(self, bad):
+        gen = BipartiteGenerator(NumberOperator(3))
+        blocks = [np.eye(gen.block_dim(c), dtype=complex) for c in range(gen.n_eigenvalues)]
+        blocks[2][1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AllowedUnitary(gen, tuple(blocks))
+
+    def test_blocks_and_matrix_share_no_memory(self):
+        gen = BipartiteGenerator(NumberOperator(3))
+        blocks = oracles.haar_blocks_per_block(gen, np.random.default_rng(4))
+        kept = [b.copy() for b in blocks]
+        u = AllowedUnitary(gen, blocks)
+        first = u.matrix
+        for b in blocks:
+            b[...] = 7.0
+        first[...] = 7.0
+        for b, want in zip(u.blocks, kept):
+            assert b.tobytes() == want.tobytes()
+            assert not b.flags.writeable
+        assert u.matrix.tobytes() == oracles.assemble_blocks(gen, kept).tobytes()
+        assert u.matrix is not u.matrix
+
     def test_translation_covariance(self):
         # commuting with the generator means commuting with every generated phase
         rng = np.random.default_rng(23)
         for d in (2, 3):
             gen = BipartiteGenerator(NumberOperator(d))
-            blocks = tuple(haar_unitary(gen.block_dim(c), rng) for c in range(gen.n_eigenvalues))
+            blocks = oracles.haar_blocks_per_block(gen, rng)
             u = AllowedUnitary(gen, blocks).matrix
             for _ in range(5):
                 x = rng.uniform(0.0, 2.0 * math.pi)
