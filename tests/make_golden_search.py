@@ -48,6 +48,8 @@ BYTE_RUNS = (
     ("field", "--grid", "20x30"),
     ("field", "--grid", "1x7"),
     ("field", "--grid", "7x1"),
+    ("bound-compare", "--dim", "3", "--samples", "3", "--restarts", "2"),
+    ("bound-compare", "--dim", "4", "--samples", "2", "--restarts", "2"),
 )
 #: keep every this-many-th search of each criterion
 EVERY = 6
