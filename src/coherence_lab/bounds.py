@@ -21,8 +21,8 @@ from .modes import (
     _check_joint_dim,
     _check_local_index,
     _local_gap_measure,
-    _stripe_blocks,
-    _stripe_quotas,
+    _quota_mask,
+    _two_copy_blocks,
     bipartite_mode_set,
 )
 from .states import BipartiteGenerator, DensityMatrix, NumberOperator
@@ -64,18 +64,18 @@ def _block_spectra(rho: DensityMatrix, op: NumberOperator, index: int) -> tuple:
 
     The eigenspace-pair blocks of the gap-``index`` mode of rho (x) rho sit on
     disjoint rows and columns, so the mode's singular values are exactly the
-    union of the block singular values. Bound 2 sums each block's top values
-    up to the block's own count of surviving positions; bound 1 is the top-k
-    sum of the union, with k the total count. The blocks' zero padding adds
-    only zero values, and no count exceeds its block's smaller dimension, so
-    the padding changes neither sum. Returns (bound1, bound2, baseline).
+    union of the spectra of the blocks, gathered from rho's entries (``_two_copy_blocks``).
+    Bound 2 sums each block's top values up to its count of surviving positions
+    (``_quota_mask``); bound 1 is the top-k sum of the union, k the total count.
+    Padding adds only zero values, and no count exceeds its block's smaller
+    dimension, so the padding changes neither sum. Returns (bound1, bound2, baseline).
     """
     _check_local_index(op, index, rho)
-    # the product of two validated states is a valid state; no re-validation
-    spectra = np.linalg.svd(_stripe_blocks(np.kron(rho.matrix, rho.matrix), rho.dim, index), compute_uv=False)
-    quotas = _stripe_quotas(rho.dim, index)
-    quota_total = sum(float(values[:quota].sum()) for values, quota in zip(spectra, quotas))
-    global_total = float(np.sort(spectra, axis=None)[::-1][: quotas.sum()].sum())
+    spectra = np.linalg.svd(_two_copy_blocks(rho.matrix, index), compute_uv=False)
+    mask = _quota_mask(rho.dim, index)
+    # a block's masked zeros add after its own values, so each sum is exact; blocks add in order
+    quota_total = sum(np.where(mask, spectra, 0.0).sum(-1).tolist())
+    global_total = float(np.sort(spectra, axis=None)[::-1][: mask.sum()].sum())
     baseline = _local_gap_measure(rho.matrix, index)
     return global_total - baseline, quota_total - baseline, baseline
 

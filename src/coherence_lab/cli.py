@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, linalg
 from .bounds import _nogo_verdict, bound_report, marginal_product_distance
 from .errors import StateValidationError, UnsupportedParameterError
-from .modes import _local_gap_measure, bipartite_mode_set
+from .modes import _local_gap_measure, _stripe_blocks, bipartite_mode_set
 from .optimizer import MAX_LOCAL_DIM, MAX_RESTARTS, UnitarySearchConfig, _search, maximize_delta_m
 from .qubit_protocol import (
     amplification_state,
@@ -261,7 +261,7 @@ def cmd_nogo(p: dict) -> Iterator[tuple]:
     verdict = _nogo_verdict(present, d)
     before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, d, d), 1)
     # the verdict covers every local dimension; the search runs up to its cap
-    outcome = None if d > MAX_LOCAL_DIM else _search(rho.matrix, d, 1, before, UnitarySearchConfig())
+    outcome = None if d > MAX_LOCAL_DIM else _search(_stripe_blocks(rho.matrix, d, 1), d, 1, before, UnitarySearchConfig())
     report = {
         "verdict": verdict,
         "modes_present": sorted(present),

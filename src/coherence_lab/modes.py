@@ -92,21 +92,27 @@ def _check_joint_dim(joint, gen: BipartiteGenerator) -> None:
 
 
 @functools.cache
-def _stripe_quotas(d: int, index: int) -> np.ndarray:
-    """How many positions (|n + index, m>, |n, m>) of each stripe pair c survive the partial trace.
+def _quota_mask(d: int, index: int) -> np.ndarray:
+    """Per stripe pair c, which top singular values count: one per position (|n + index, m>, |n, m>) the partial trace keeps.
 
     They are the n in [0, d - 1 - index] with m = c - n in [0, d - 1]: the kets
     that exist among the first d - index of row c of ``_generator_layout``'s table.
     """
     quotas = (_generator_layout(d)[0][: 2 * d - 1 - index, : max(d - index, 0)] < d * d).sum(1)
-    quotas.setflags(write=False)
-    return quotas
+    mask = np.arange(d) < quotas[:, None]
+    mask.setflags(write=False)
+    return mask
 
 
 def _stripe_blocks(joint: np.ndarray, d: int, index: int) -> np.ndarray:
     """The eigenspace-pair blocks X_{c+index,c} of a joint matrix, zero-padded to (pairs, d, d)."""
     where, gaps = _pair_blocks_layout(d)
     return np.append(joint.ravel(), 0.0)[where[gaps == index]]
+
+
+def _two_copy_blocks(matrix: np.ndarray, index: int) -> np.ndarray:
+    """``_stripe_blocks`` of matrix (x) matrix, bit for bit, as products of two entries of ``matrix``; no d^4 array is built."""
+    return np.multiply(*np.append(matrix.ravel(), 0.0)[_two_copy_layout(len(matrix), index)])
 
 
 def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
@@ -182,7 +188,7 @@ def _pair_blocks_layout(d: int) -> tuple:
     padded as in ``_block_mask``: entry (n', n) is the coefficient of
     (|n', c + g - n'>, |n, c - n>), or zero where either ket does not exist;
     padding adds only zero singular values. Blocks run over g, then c;
-    ``_stripe_blocks`` and ``bipartite_mode_set`` read them.
+    ``_stripe_blocks``, ``_two_copy_layout`` and ``bipartite_mode_set`` read them.
     """
     gaps, lows = np.array([(g, c) for g in range(2 * d - 1) for c in range(2 * d - 1 - g)]).T
     kets = _generator_layout(d)[0]
@@ -191,6 +197,20 @@ def _pair_blocks_layout(d: int) -> tuple:
     index.setflags(write=False)
     gaps.setflags(write=False)
     return index, gaps
+
+
+@functools.cache
+def _two_copy_layout(d: int, index: int) -> np.ndarray:
+    """Where both factors of each gap-``index`` block entry of rho (x) rho sit in rho.ravel() plus a zero, (2, pairs, d, d).
+
+    Entry (a d + b, a' d + b') of rho (x) rho is rho[a, a'] rho[b, b'], so each
+    flat index of ``_pair_blocks_layout`` splits by ``divmod``; padding reads the zero.
+    """
+    where = _pair_blocks_layout(d)[0][_pair_blocks_layout(d)[1] == index]
+    (a, a2), (b, b2) = np.divmod(np.divmod(where, d * d), d)
+    maps = np.where(where == d**4, d * d, np.stack((a * d + a2, b * d + b2)))
+    maps.setflags(write=False)
+    return maps
 
 
 def bipartite_mode_set(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> set:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedParameterError
-from .modes import _check_local_index, _local_gap_measure, _stripe_blocks, _stripe_measure
+from .modes import _check_local_index, _local_gap_measure, _stripe_measure, _two_copy_blocks
 # nothing here calls haar_unitary any more; the benchmark's tracer wraps it under this name
 from .sampling import haar_stack, haar_unitary
 from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator
@@ -382,24 +382,24 @@ def maximize_delta_m(
 ) -> SearchOutcome:
     """Largest local gap-``index`` mode-measure gain from two copies of ``rho``: ``_search`` on rho (x) rho."""
     _check_local_index(op, index, rho)
-    if rho.dim > MAX_LOCAL_DIM:  # before the d^4 two-copy matrix is built
+    if rho.dim > MAX_LOCAL_DIM:
         raise UnsupportedParameterError(f"search supports local dimension up to {MAX_LOCAL_DIM}, got {rho.dim}")
     cfg = config or UnitarySearchConfig()
-    return _search(np.kron(rho.matrix, rho.matrix), rho.dim, index, _local_gap_measure(rho.matrix, index), cfg)
+    return _search(_two_copy_blocks(rho.matrix, index), rho.dim, index, _local_gap_measure(rho.matrix, index), cfg)
 
 
-def _search(joint: np.ndarray, d: int, index: int, baseline: float, cfg: UnitarySearchConfig) -> SearchOutcome:
+def _search(blocks: np.ndarray, d: int, index: int, baseline: float, cfg: UnitarySearchConfig) -> SearchOutcome:
     """Largest gap-``index`` measure of the first marginal of U joint U^dagger over covariant U, minus ``baseline``.
 
-    ``joint`` is any d^2 x d^2 state of two d-level systems. Restart r > 0
-    starts from exp(i H_b) with each generator's parameters uniform in
-    [-pi, pi]; the identity seeds the first restart, so when ``baseline`` is
-    the input's own measure the result is never below zero beyond roundoff.
-    The ascent runs on the stripe blocks scaled by 2^-e, with e the binary
+    ``blocks`` are the ``_stripe_blocks`` of ``joint``, any state of two d-level
+    systems. Restart r > 0 starts from exp(i H_b) with each generator's
+    parameters uniform in [-pi, pi]; the identity seeds the first restart, so
+    when ``baseline`` is the input's own measure the result is never below zero
+    beyond roundoff. The ascent runs on the blocks scaled by 2^-e, with e the binary
     exponent of their largest real or imaginary part, so its absolute
     ``STATIONARY`` and step sizes mean the same at every coherence, and the
     gains and ``grad_norm`` are scaled back by 2^e: a power-of-two multiple of
-    ``joint`` and ``baseline`` gives the same multiple of every gain, bit for
+    ``blocks`` and ``baseline`` gives the same multiple of every gain, bit for
     bit. Callers check ``d`` against ``MAX_LOCAL_DIM``.
     """
     gen = BipartiteGenerator(NumberOperator(d))
@@ -410,7 +410,7 @@ def _search(joint: np.ndarray, d: int, index: int, baseline: float, cfg: Unitary
     x0 = np.zeros((cfg.restarts, int(offsets[-1])))
     x0[1:] = rng.uniform(-math.pi, math.pi, (cfg.restarts - 1, int(offsets[-1])))
     starts = [_exp_ih(_hermitian_from_params(n, x0[:, o : o + n * n])) for n, o in zip(sizes, offsets)]
-    blocks = _stripe_blocks(joint, d, index).view(float)
+    blocks = blocks.view(float)
     # ldexp, not a product with 2.0 ** -e, which overflows for subnormal blocks
     exponent = np.frexp(np.abs(blocks).max(initial=0.0))[1]
     blocks = np.ldexp(blocks, -exponent).view(complex)

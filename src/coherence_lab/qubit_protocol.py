@@ -41,6 +41,8 @@ AMPLIFICATION_FLOOR = 1e-300
 #: default step cap and |nz| convergence threshold of ``run_concatenation``
 MAX_STEPS = 1_000_000
 CONVERGENCE_EPS = 1e-3
+#: ``vector_field`` computes its rows in chunks of about this many grid points
+FIELD_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -271,9 +273,9 @@ def vector_field(radial: int, angular: int) -> Iterator[tuple]:
     (``angular`` values) measured from the nx axis, so every point satisfies
     nx, nz >= 0 and norm <= 1, and both bounding axes are included. The grid
     is checked at once; the rows are float tuples (nx, nz, dnx, dnz) in
-    row-major grid order. They are made one radial row at a time, with the
-    step computed on arrays over the angles, so a large grid is never held
-    in memory. The floats equal those of ``recurrence_step`` on each point.
+    row-major grid order. They are made in chunks of ``FIELD_CHUNK`` points,
+    with the step computed on arrays, so memory does not grow with either
+    grid axis. The floats equal those of ``recurrence_step`` on each point.
     """
     if radial < 1 or angular < 1:
         raise UnsupportedParameterError("grid resolution must be at least 1 in each direction")
@@ -281,18 +283,30 @@ def vector_field(radial: int, angular: int) -> Iterator[tuple]:
 
 
 def _field_rows(radial: int, angular: int) -> Iterator[tuple]:
-    # math.cos/sin, not np.cos/sin, whose SIMD loops may round differently
-    phis = np.linspace(0.0, math.pi / 2.0, angular).tolist()
-    cos, sin = np.array([math.cos(phi) for phi in phis]), np.array([math.sin(phi) for phi in phis])
+    # chunks of about FIELD_CHUNK points: whole radial rows, or pieces of one row
+    rows, width = max(FIELD_CHUNK // angular, 1), min(angular, FIELD_CHUNK)
     bound = 1.0 + BLOCH_NORM_ATOL
-    for r in np.linspace(0.0, 1.0, radial).tolist():
-        # recurrence_step's operations in its order; x >= 0, so its hypot(x, 0) is x
-        x, z = r * cos, r * sin
-        denom = 1.0 + z * z
-        nx, nz = x * np.sqrt(denom), z - z * x * x / denom
-        # a NaN norm compares false too; BlochState raises the error for each point outside
-        inside = (np.hypot(x, z) <= bound) & (np.hypot(nx, nz) <= bound)
-        for i in np.flatnonzero(~inside).tolist():
-            BlochState(float(x[i]), 0.0, float(z[i]))
-            BlochState(float(nx[i]), 0.0, float(nz[i]))
-        yield from zip(x.tolist(), z.tolist(), (nx - x).tolist(), (nz - z).tolist())
+    for i in range(0, radial, rows):
+        r = _spaced(1.0, radial, np.arange(i, min(i + rows, radial)))[:, None]
+        for a in range(0, angular, width):
+            # math.cos/sin, not np.cos/sin, whose SIMD loops may round differently
+            phis = _spaced(math.pi / 2.0, angular, np.arange(a, min(a + width, angular))).tolist()
+            cos, sin = np.array([math.cos(phi) for phi in phis]), np.array([math.sin(phi) for phi in phis])
+            # recurrence_step's operations in its order; x >= 0, so its hypot(x, 0) is x
+            x, z = (r * cos).ravel(), (r * sin).ravel()
+            denom = 1.0 + z * z
+            nx, nz = x * np.sqrt(denom), z - z * x * x / denom
+            # a NaN norm compares false too; the rows before the first point outside
+            # stream out, then BlochState raises the error for each point outside
+            outside = np.flatnonzero(~((np.hypot(x, z) <= bound) & (np.hypot(nx, nz) <= bound))).tolist()
+            cols, first = (x, z, nx - x, nz - z), outside[0] if outside else len(x)
+            yield from zip(*(col[:first].tolist() for col in cols))
+            for k in outside:
+                BlochState(float(x[k]), 0.0, float(z[k]))
+                BlochState(float(nx[k]), 0.0, float(nz[k]))
+            yield from zip(*(col[first:].tolist() for col in cols))
+
+
+def _spaced(stop: float, num: int, index: np.ndarray) -> np.ndarray:
+    """``np.linspace(0.0, stop, num)[index]``, bit for bit, without the other values."""
+    return np.where(index < max(num - 1, 1), index * (stop / max(num - 1, 1)), stop)

@@ -147,10 +147,10 @@ def _block_mask(d: int) -> np.ndarray:
 
 
 def _padded_units(units, d: int) -> np.ndarray:
-    """Block unitaries (..., n_b, n_b) as one (..., 2d - 1, d, d) stack, identity outside each block."""
-    lead = np.shape(units[0])[:-2]
-    padded = np.broadcast_to(np.eye(d, dtype=complex), (*lead, len(units), d, d)).copy()
-    padded[..., _block_mask(d)] = np.concatenate([np.reshape(u, (*lead, -1)) for u in units], -1)
+    """Block unitary arrays (..., n_b, n_b) as one (..., 2d - 1, d, d) stack, identity outside each block."""
+    lead = units[0].shape[:-2]
+    padded = np.zeros((*lead, len(units), d, d), dtype=complex) + np.eye(d)
+    padded[..., _block_mask(d)] = np.concatenate([u.reshape(*lead, -1) for u in units], -1)
     return padded
 
 
@@ -221,7 +221,7 @@ class AllowedUnitary:
 
     def __post_init__(self) -> None:
         gen = self.generator
-        blocks = tuple(linalg.as_matrix(b) for b in self.blocks)
+        blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
         if len(blocks) != gen.n_eigenvalues:
             raise StateValidationError(
                 f"expected {gen.n_eigenvalues} blocks, got {len(blocks)}"
@@ -229,10 +229,12 @@ class AllowedUnitary:
         for c, block in enumerate(blocks):
             n = gen.block_dim(c)
             if block.shape != (n, n):
+                linalg.as_matrix(block)  # a block that is not 2-D fails here, with its message
                 raise StateValidationError(
                     f"block {c} has shape {block.shape}, expected ({n}, {n})"
                 )
         padded = _padded_units(blocks, gen.dim)
+        linalg.as_matrix(padded.reshape(-1, gen.dim))  # every block's finiteness, in one check
         residuals = np.abs(padded @ padded.conj().swapaxes(-1, -2) - np.eye(gen.dim)).max((-2, -1))
         for c in np.flatnonzero(residuals > UNITARY_ATOL)[:1]:
             raise StateValidationError(

@@ -208,6 +208,35 @@ def field_rows(radial: int, angular: int) -> list:
     return rows
 
 
+def block_spectra_kron(rho, index: int) -> tuple:
+    """(bound1, bound2, baseline) from the eigenspace-pair blocks of rho (x) rho formed by ``np.kron``.
+
+    Block c of the gap-``index`` mode is padded to d x d: entry (n', n) holds
+    the coefficient of (|n', c + index - n'>, |n, c - n>), or zero where a ket
+    does not exist. One stacked SVD gives every spectrum. Bound 2 adds each
+    block's top values up to its count of surviving positions, block by block;
+    bound 1 adds the top values of all blocks up to the total count. These are
+    the operations, in their order, of the bounds' first implementation, so
+    the kron-free path must equal this bit for bit.
+    """
+    m = rho.matrix
+    d = len(m)
+    pair = np.kron(m, m)
+    blocks = np.zeros((2 * d - 1 - index, d, d), dtype=complex)
+    quotas = []
+    for c in range(len(blocks)):
+        for r in range(d):
+            for n in range(d):
+                if 0 <= c + index - r < d and 0 <= c - n < d:
+                    blocks[c, r, n] = pair[r * d + c + index - r, n * d + c - n]
+        quotas.append(sum(1 for n in range(d - index) if 0 <= c - n < d))
+    spectra = np.linalg.svd(blocks, compute_uv=False)
+    bound2 = sum(float(values[:quota].sum()) for values, quota in zip(spectra, quotas))
+    bound1 = float(np.sort(spectra, axis=None)[::-1][: sum(quotas)].sum())
+    baseline = float(np.abs(np.diagonal(m, offset=-index)).sum())
+    return bound1 - baseline, bound2 - baseline, baseline
+
+
 def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
     """One restart of the quasi-Newton ascent from padded blocks ``unit``, kept on a stack of one point.
 

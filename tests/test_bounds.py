@@ -9,6 +9,7 @@ from coherence_lab.bounds import (
     NO_GO,
     TIE_ATOL,
     BoundReport,
+    _block_spectra,
     bound_kyfan_global,
     bound_kyfan_lrd,
     bound_report,
@@ -154,6 +155,25 @@ class TestFirstPrinciplesReference:
                     assert report.bound2 == pytest.approx(ref2, abs=1e-10)
                     assert bound_kyfan_global(rho, op, j) == report.bound1
                     assert bound_kyfan_lrd(rho, op, j) == report.bound2
+
+
+class TestKronFreeBounds:
+    def test_block_spectra_equal_the_kron_path_exactly(self):
+        rng = np.random.default_rng(2028)
+        for k in range(240):
+            d = 2 + k % 4
+            rho = random_density_matrix(d, 1 + (k // 4) % d, rng)
+            for j in range(1, d):
+                assert _block_spectra(rho, NumberOperator(d), j) == oracles.block_spectra_kron(rho, j)
+
+    def test_bounds_and_search_never_form_the_two_copy_matrix(self, monkeypatch):
+        rng = np.random.default_rng(2029)
+        states = [random_density_matrix(d, rank, rng) for d in (2, 3, 4) for rank in (1, d)]
+        monkeypatch.setattr(np, "kron", lambda *args: pytest.fail("two-copy matrix formed"))
+        for rho in states:
+            for j in range(1, rho.dim):
+                bound_report(rho, NumberOperator(rho.dim), j)
+                maximize_delta_m(rho, NumberOperator(rho.dim), j, UnitarySearchConfig(restarts=2, max_iters=20))
 
 
 class TestDiagonalLemma:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from coherence_lab import bounds, cli, qubit_protocol
 from coherence_lab.cli import main
-from coherence_lab.modes import bipartite_mode_set
+from coherence_lab.modes import _stripe_blocks, bipartite_mode_set
 from coherence_lab.optimizer import (
     MAX_LOCAL_DIM,
     MAX_RESTARTS,
@@ -297,7 +297,11 @@ class TestField:
             assert dnx == pytest.approx(nxt.nx - nx, abs=1e-15)
             assert dnz == pytest.approx(nxt.nz - nz, abs=1e-15)
 
-    @pytest.mark.parametrize("grid, radial, angular", [("1x1", 1, 1), ("7x1", 7, 1), ("1x7", 1, 7), ("20x30", 20, 30)])
+    # the last two cross the field's chunk boundaries: many short rows, and a row split in two
+    @pytest.mark.parametrize(
+        "grid, radial, angular",
+        [("1x1", 1, 1), ("7x1", 7, 1), ("1x7", 1, 7), ("20x30", 20, 30), ("2100x1", 2100, 1), ("2x2100", 2, 2100)],
+    )
     def test_field_csv_matches_a_plain_float_reference(self, tmp_path, grid, radial, angular):
         out = tmp_path / "out"
         assert main(["field", "--grid", grid, "--out", str(out)]) == 0
@@ -315,6 +319,20 @@ class TestField:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 200_000
+
+    @pytest.mark.parametrize("shape", ["1x{}", "{}x1"])
+    def test_memory_does_not_grow_with_a_thin_grid(self, tmp_path, shape):
+        # time-free: a grid one point wide along either axis streams in fixed
+        # chunks, so 4x the points must not allocate more
+        assert main(["field", "--grid", shape.format(2), "--out", str(tmp_path / "warm")]) == 0
+        peaks = []
+        for points in (6_000, 24_000):
+            gc.collect()
+            tracemalloc.start()
+            assert main(["field", "--grid", shape.format(points), "--out", str(tmp_path / str(points))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 200_000, peaks
 
 
 class TestBoundCompare:
@@ -420,7 +438,7 @@ class TestNogo:
         d = math.isqrt(state.dim)
         assert bounds.nogo_check(state, BipartiteGenerator(NumberOperator(d))) == "no_go"
         before = np.abs(np.diagonal(oracles.partial_trace_b_loops(state.matrix, d, d), -j)).sum()
-        outcome = _search(state.matrix, d, j, before, UnitarySearchConfig(seed=3))
+        outcome = _search(_stripe_blocks(state.matrix, d, j), d, j, before, UnitarySearchConfig(seed=3))
         assert outcome.best_delta_m <= 1e-9
 
     def test_isotropic_state_file_reports_no_go(self, tmp_path):
@@ -437,7 +455,7 @@ class TestNogo:
         out = tmp_path / "out"
         assert main(["nogo", "--state", state, "--out", str(out)]) == 0
         report = json.load(open(out / "nogo_report.json"))
-        outcome = _search(rho.matrix, d, 1, report["initial_local_m1"], UnitarySearchConfig())
+        outcome = _search(_stripe_blocks(rho.matrix, d, 1), d, 1, report["initial_local_m1"], UnitarySearchConfig())
         assert report["max_local_m1_gain"] == outcome.best_delta_m
 
         def m1(joint):

@@ -8,9 +8,11 @@ from coherence_lab.modes import (
     MODE_PRESENCE_THRESHOLD,
     ModeOperator,
     _pair_blocks_layout,
+    _quota_mask,
     _stripe_blocks,
     _stripe_measure,
-    _stripe_quotas,
+    _two_copy_blocks,
+    _two_copy_layout,
     bipartite_mode,
     bipartite_mode_set,
     lrd_decompose,
@@ -247,7 +249,7 @@ class TestVinProjector:
         for d in range(1, 6):
             gen = BipartiteGenerator(NumberOperator(d))
             for j in range(1, d):
-                quotas = _stripe_quotas(d, j)
+                quotas = _quota_mask(d, j).sum(1)
                 # blocks past the last surviving pair hold no positions
                 counts = [quotas[c] if c < len(quotas) else 0 for c in range(gen.n_eigenvalues)]
                 assert sum(counts) == vin_projector(gen, j)
@@ -266,9 +268,10 @@ class TestStripeLayout:
     def test_layout_is_cached_and_read_only(self):
         index, gaps = _pair_blocks_layout(3)
         assert _pair_blocks_layout(3)[0] is index
-        quotas = _stripe_quotas(3, 1)
-        assert _stripe_quotas(3, 1) is quotas
-        for cached in (index, gaps, quotas, _block_mask(3)):
+        quotas = _quota_mask(3, 1)
+        assert _quota_mask(3, 1) is quotas
+        assert _two_copy_layout(3, 1) is _two_copy_layout(3, 1)
+        for cached in (index, gaps, quotas, _block_mask(3), _two_copy_layout(3, 1)):
             with pytest.raises(ValueError):
                 cached[0] = 0
 
@@ -289,12 +292,35 @@ class TestStripeLayout:
                             else:
                                 assert block[n_row, n] == 0
 
+    def test_two_copy_blocks_are_the_gathered_kron_bytewise(self):
+        # products of two entries of rho, never rho (x) rho itself, in the same bits
+        rng = np.random.default_rng(28)
+        for d in range(1, 6):
+            for rank in range(1, d + 1):
+                for _ in range(3):
+                    state = random_density_matrix(d, rank, rng).matrix
+                    arbitrary = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                    for m in (state, arbitrary):
+                        for g in range(2 * d - 1):
+                            want = _stripe_blocks(np.kron(m, m), d, g)
+                            got = _two_copy_blocks(m, g)
+                            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_quota_mask_keeps_the_top_values_up_to_each_count(self):
+        for d in range(1, 6):
+            for j in range(2 * d - 1):
+                mask = _quota_mask(d, j)
+                assert mask.shape == (2 * d - 1 - j, d)
+                for row in mask:
+                    # a prefix of the descending spectrum
+                    assert list(row) == sorted(row, reverse=True)
+
     def test_surviving_positions_sum_to_vin_projector(self):
         for d in range(1, 6):
             gen = BipartiteGenerator(NumberOperator(d))
             joint = np.arange(1, d**4 + 1, dtype=float).reshape(d * d, d * d)
             for j in range(2 * d - 1):
-                quotas = _stripe_quotas(d, j)
+                quotas = _quota_mask(d, j).sum(1)
                 assert len(quotas) == 2 * d - 1 - j
                 # (|n + j, m>, |n, m>) with m = c - n sits at (n + j, n) of pair c
                 stripe = np.diagonal(_stripe_blocks(joint, d, j), -j, 1, 2)

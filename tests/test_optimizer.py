@@ -290,11 +290,11 @@ class TestScaleEquivariance:
     def test_power_of_two_scale_is_exact(self, k, dim_index, rank, state_seed):
         d, j = dim_index
         rho = random_density_matrix(d, min(rank, d), np.random.default_rng(state_seed))
-        joint = np.kron(rho.matrix, rho.matrix)
+        blocks = _stripe_blocks(np.kron(rho.matrix, rho.matrix), d, j)
         baseline = _local_gap_measure(rho.matrix, j)
         cfg = UnitarySearchConfig(restarts=2, max_iters=100, seed=state_seed)
-        want = _search(joint, d, j, baseline, cfg)
-        got = _search(np.ldexp(joint.view(float), k).view(complex), d, j, math.ldexp(baseline, k), cfg)
+        want = _search(blocks, d, j, baseline, cfg)
+        got = _search(np.ldexp(blocks.view(float), k).view(complex), d, j, math.ldexp(baseline, k), cfg)
         assert got.history == tuple(math.ldexp(h, k) for h in want.history)
         assert got.grad_norm == math.ldexp(want.grad_norm, k)
         assert (got.stop_reasons, got.accepted, got.backtracks) == (want.stop_reasons, want.accepted, want.backtracks)
@@ -573,7 +573,7 @@ class TestObjectiveInvariance:
 
 class TestRangeGuards:
     def test_dimension_cap(self, monkeypatch):
-        # refused before the d^4 two-copy matrix is built, which at large d would not fit in memory
+        # refused above the search cap; no d^4 two-copy matrix is formed at any d
         monkeypatch.setattr(optimizer.np, "kron", lambda *args: pytest.fail("two-copy matrix built"))
         rho = DensityMatrix(np.eye(5) / 5)
         with pytest.raises(UnsupportedParameterError, match="up to 4"):
