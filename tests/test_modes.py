@@ -306,15 +306,6 @@ class TestStripeLayout:
                             got = _two_copy_blocks(m, g)
                             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_quota_mask_keeps_the_top_values_up_to_each_count(self):
-        for d in range(1, 6):
-            for j in range(2 * d - 1):
-                mask = _quota_mask(d, j)
-                assert mask.shape == (2 * d - 1 - j, d)
-                for row in mask:
-                    # a prefix of the descending spectrum
-                    assert list(row) == sorted(row, reverse=True)
-
     def test_surviving_positions_sum_to_vin_projector(self):
         for d in range(1, 6):
             gen = BipartiteGenerator(NumberOperator(d))

@@ -379,7 +379,7 @@ class TestVectorField:
         assert rows == oracles.field_rows(radial, angular)
 
     def test_rows_build_no_bloch_state(self, monkeypatch):
-        # time-free: a grid of valid points is checked on arrays, one radial row at a time
+        # time-free: a grid of valid points is checked on arrays, one chunk at a time
         built = []
         init = BlochState.__init__
         monkeypatch.setattr(BlochState, "__init__", lambda self, *a: built.append(a) or init(self, *a))
