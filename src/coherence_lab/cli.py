@@ -236,7 +236,7 @@ def cmd_bound_compare(p: dict) -> Iterator[tuple]:
                     achieved = maximize_delta_m(rho, op, j, cfg).best_delta_m
                 rep = bound_report(rho, op, j, achieved=achieved)
                 wins.setdefault((rank, j), {"bound1": 0, "bound2": 0, "tie": 0})[rep.tighter] += 1
-                yield sample_seed, rank, j, rep.bound1, rep.bound2, achieved, rep.tighter
+                yield ",".join(map(_fmt, (sample_seed, rank, j, rep.bound1, rep.bound2, achieved, rep.tighter))) + "\n"
 
     yield "bound_compare.csv", (("seed", "rank", "j", "bound1", "bound2", "achieved", "tighter"), rows())
     # main has written every row before this generator resumes, so the tally is complete
@@ -360,9 +360,9 @@ def main(argv=None) -> int:
     through its converter; a value the converter rejects, or a config key that
     names no parameter, exits 1 naming it. ``cmd_*`` gets the resolved dict and
     yields its outputs as (name, content): ``(header, rows)`` for a ``.csv``
-    name, where ``rows`` may be a generator and a row is a tuple of values or a
-    finished line of text, else a JSON value. This is the one place that writes
-    a file; the manifest echoes the parameters and lists exactly the names written.
+    name, where ``rows`` may be a generator and a row is a finished line of
+    text, else a JSON value. This is the one place that writes a file; the
+    manifest echoes the parameters and lists exactly the names written.
     """
     args = build_parser().parse_args(argv)
     func, _, params = COMMANDS[args.command]
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
                 if name.endswith(".csv"):
                     header, rows = content
                     fh.write(",".join(header) + "\n")
-                    fh.writelines(row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n" for row in rows)
+                    fh.writelines(rows)
                 else:
                     json.dump(content, fh, indent=2, sort_keys=True)
                     fh.write("\n")

@@ -50,7 +50,7 @@ STATIONARY = 1e-16
 #: largest supported local dimension; the parameter count grows as the sum of
 #: squared degeneracies (44 real parameters at dimension 4)
 MAX_LOCAL_DIM = 4
-#: most restarts of one search; they run at once, each holding about 66 kB at dimension 4
+#: most restarts of one search; they run at once, each holding about 45 kB at dimension 4
 MAX_RESTARTS = 10_000
 
 
@@ -255,23 +255,27 @@ def random_allowed_unitary(gen: BipartiteGenerator, rng) -> AllowedUnitary:
     return AllowedUnitary(gen, tuple(blocks[c] for c in range(gen.n_eigenvalues)))
 
 
-def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """Each h[k], updated in place, by the BFGS inverse update with the pair (s[k], y[k]), sy[k] = <s, y> > 0.
+def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, fresh: np.ndarray) -> None:
+    """Update each h[k] in place by the BFGS inverse update with the pair (s[k], y[k]) where sy[k] = <s, y> > 0.
 
     Where ``fresh`` (h is still the identity) h is first set to <s, y> / <y, y>
     times the identity (Nocedal & Wright eq. 6.20). The update (eq. 6.17) is
     written as h + u s^T + s u^T, u = (c / 2) s - rho h y, with rho = 1 / <s, y>
     and c = rho + rho^2 <y, h y>, so only one P x P temporary per row is made.
+    A finite row without a pair (sy[k] <= 0) gets rho = 1 / inf = 0, so
+    u = 0 and h[k] += +-0 leaves it as it was, bit for bit: h never holds
+    -0.0, since it starts as the identity's +0.0 and x + (-x) rounds to +0.0.
     """
-    if fresh.any():
-        h *= np.where(fresh, sy / _dot(y, y), 1.0)[:, None, None]
+    pair = sy > 0
+    rho = 1.0 / np.where(pair, sy, np.inf)
+    first = fresh & pair
+    if first.any():
+        h *= np.where(first, sy / np.where(first, _dot(y, y), 1.0), 1.0)[:, None, None]
     hy = (h @ y[..., None])[..., 0]
-    rho = 1.0 / sy
     u = ((rho + rho * rho * _dot(y, hy)) / 2)[:, None] * s - rho[:, None] * hy
     outer = u[:, :, None] * s[:, None, :]
     h += outer
     h += outer.swapaxes(-1, -2)
-    return h
 
 
 def _direction(h: np.ndarray, g: np.ndarray) -> tuple:
@@ -300,8 +304,9 @@ def _ascend(objective, units: np.ndarray, max_iters: int) -> tuple:
     identity at the start. A trial is accepted when its value reaches the
     lowest of the restart's last ``ARMIJO_MEMORY`` accepted values plus
     ``ARMIJO_RISE`` alpha <G, D>; the pair s = alpha D, y = G_old - G_new then
-    updates H (``_bfgs_update``) unless <s, y> <= 0, and the next trial is at
-    alpha = ``FIRST_STEP``.
+    updates H, and the next trial is at alpha = ``FIRST_STEP``. One in-place
+    ``_bfgs_update`` serves every row: a rejected trial, or a pair with
+    <s, y> <= 0, gets rho = 0, which leaves its H as it was, bit for bit.
     Gradients at two points are compared as they are: the left-trivialised
     gradient lives in the one Lie algebra of every point. A rejected trial
     divides alpha by ``BACKTRACK``. The start and every trial count as one
@@ -352,14 +357,9 @@ def _ascend(objective, units: np.ndarray, max_iters: int) -> tuple:
         ok = t_value >= recent.min(1) + ARMIJO_RISE * step * slope
         took = None if ok.all() else ok
         y = g - t_g
-        sy = _dot(x, y)
-        pair = ok & (sy > 0)
-        if pair.all():
-            _bfgs_update(h, x, y, sy, fresh)
-            fresh[:] = False
-        elif pair.any():
-            h[pair] = _bfgs_update(h[pair], x[pair], y[pair], sy[pair], fresh[pair])
-            fresh[pair] = False
+        sy = np.where(ok, _dot(x, y), 0.0)
+        _bfgs_update(h, x, y, sy, fresh)
+        fresh &= sy <= 0
         units, g = _pick(took, trial, units), _pick(took, t_g, g)
         step = np.where(ok, FIRST_STEP, step / BACKTRACK)
         recent = _pick(took, np.concatenate((recent[:, 1:], t_value[:, None]), 1), recent)

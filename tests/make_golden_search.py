@@ -2,7 +2,10 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/make_golden_search.py
+    PYTHONPATH=src python tests/make_golden_search.py [--contract]
+
+``--contract`` also rewrites ``golden_contract.json`` (contract tier); a plain
+run leaves it as it is.
 
 Byte tier: for each of ``BYTE_RUNS`` it stores the SHA-256 of every file the
 CLI writes, manifest included, run with the relative ``--out out`` inside a
@@ -18,12 +21,19 @@ it stores ``history``, ``stop_reasons``, ``accepted``, ``backtracks`` and
 versions that made the file. ``test_golden_search.py`` compares a fresh run
 against it entry by entry, bit for bit.
 
+Contract tier: each search's best value, the largest of its ``history``, as a
+float. ``test_golden_search.py`` checks it within ``CONTRACT_ATOL`` from the
+run the exact tier makes, so regenerating the exact tier cannot hide a moved
+best value.
+
 When to rerun it: only when a change moves the oracle's or the CLI's bits,
 and then every moved entry is listed in CHANGES.md. A change that claims bit-identity leaves
-the file as it is and must pass the test unchanged. A best value that moves
-by more than 1e-12 also needs its own justification.
+the files as they are and must pass the tests unchanged. A best value that moves
+by more than ``CONTRACT_ATOL`` fails the contract tier until ``--contract``
+rewrites it, and each such move needs its own justification.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -41,6 +51,9 @@ from coherence_lab.states import DensityMatrix, NumberOperator, bloch_to_density
 
 PATH = Path(__file__).with_name("golden_search.json")
 BYTES_PATH = Path(__file__).with_name("golden_bytes.json")
+CONTRACT_PATH = Path(__file__).with_name("golden_contract.json")
+#: how far a best value may move before the contract tier fails
+CONTRACT_ATOL = 1e-12
 #: the CLI runs of the byte tier
 BYTE_RUNS = (
     ("concat", "--nx", "0.5,0.02", "--nz", "0.5"),
@@ -91,6 +104,11 @@ def record(rho, j, cfg) -> dict:
     }
 
 
+def best(stored: dict) -> float:
+    """The best value of a search's stored fields: the largest of its ``history``."""
+    return max(float.fromhex(gain) for gain in stored["history"])
+
+
 def versions() -> dict:
     return {"numpy": np.__version__, "python": platform.python_version()}
 
@@ -108,10 +126,17 @@ def digests(argv) -> dict:
             os.chdir(cwd)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--contract", action="store_true", help="also rewrite the contract tier's best values")
+    args = parser.parse_args(argv)
     golden = {**versions(), "searches": {name: record(rho, j, cfg) for name, rho, j, cfg in searches()}}
     PATH.write_text(json.dumps(golden, indent=0) + "\n")
     print(f"wrote {len(golden['searches'])} searches to {PATH}")
+    if args.contract:
+        bests = {name: best(stored) for name, stored in golden["searches"].items()}
+        CONTRACT_PATH.write_text(json.dumps({**versions(), "best": bests}, indent=1) + "\n")
+        print(f"wrote {len(bests)} best values to {CONTRACT_PATH}")
     runs = {" ".join(argv): digests(argv) for argv in BYTE_RUNS}
     BYTES_PATH.write_text(json.dumps({**versions(), "runs": runs}, indent=1) + "\n")
     print(f"wrote {len(runs)} CLI runs to {BYTES_PATH}")

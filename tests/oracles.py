@@ -284,7 +284,7 @@ def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
             s, y = np.array([step])[:, None] * direction, grad - t_grad
             sy = _dot(s, y)
             if sy[0] > 0:
-                h = _bfgs_update(h, s, y, sy, np.array([fresh]))
+                _bfgs_update(h, s, y, sy, np.array([fresh]))
                 fresh = False
             unit, value, grad = trial, t_value, t_grad
             norm2 = _dot(grad, grad)[0]

@@ -399,6 +399,21 @@ class TestBoundCompare:
             tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 200_000
 
+    def test_memory_does_not_grow_with_the_restarts_beyond_the_search(self, tmp_path):
+        # time-free: the restarts of one search run at once and nothing else
+        # is kept per restart, so 4x the restarts may only add their working
+        # memory: six more restarts at d = 4, about 52 kB each
+        args = ["bound-compare", "--dim", "4", "--samples", "1", "--seed", "1"]
+        assert main(args + ["--ranks", "1", "--restarts", "1", "--out", str(tmp_path / "warm")]) == 0
+        peaks = []
+        for restarts in (2, 8):
+            gc.collect()
+            tracemalloc.start()
+            assert main(args + ["--restarts", str(restarts), "--out", str(tmp_path / str(restarts))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 400_000, peaks
+
 
 def _psi_mixture(p):
     """p |psi><psi| + (1 - p) I/9 with |psi> = (|00> + |22>)/sqrt(2): coherent only across total gap 4."""

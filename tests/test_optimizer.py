@@ -235,7 +235,8 @@ class TestQuasiNewton:
         sy = _dot(s, y)
         fresh = np.arange(rows) % 2 == 0
         start = np.where(fresh[:, None, None], np.eye(p), h)
-        got = _bfgs_update(start.copy(), s, y, sy, fresh)
+        got = start.copy()
+        _bfgs_update(got, s, y, sy, fresh)
         for r in range(rows):
             h0 = (sy[r] / (y[r] @ y[r])) * np.eye(p) if fresh[r] else h[r]
             left = np.eye(p) - np.outer(s[r], y[r]) / sy[r]
@@ -243,6 +244,33 @@ class TestQuasiNewton:
             np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=1e-12)
             # the secant condition
             np.testing.assert_allclose(got[r] @ y[r], s[r], rtol=1e-12, atol=1e-12)
+
+    def test_rows_without_a_pair_keep_their_bits_and_the_rest_update_as_alone(self):
+        rng = np.random.default_rng(72)
+        p, rows = 7, 10
+        a = rng.normal(size=(rows, p, p))
+        h = a @ a.swapaxes(-1, -2) + np.eye(p)
+        s = rng.normal(size=(rows, p))
+        b = rng.normal(size=(rows, p, p))
+        y = ((b @ b.swapaxes(-1, -2) + np.eye(p)) @ s[..., None])[..., 0]
+        # rows 2-3 have negative curvature and row 4 no gradient change
+        y[2:4] *= -1
+        y[4] = 0.0
+        # rows 0-1 are rejected trials, which the ascent passes as sy = 0
+        ok = np.arange(rows) > 1
+        sy = np.where(ok, _dot(s, y), 0.0)
+        fresh = np.arange(rows) % 2 == 0
+        start = np.where(fresh[:, None, None], np.eye(p), h)
+        got = start.copy()
+        _bfgs_update(got, s, y, sy, fresh)
+        assert not (sy[5:] <= 0).any()
+        for r in range(rows):
+            if sy[r] <= 0:
+                assert got[r].tobytes() == start[r].tobytes()
+            else:
+                alone = start[r : r + 1].copy()
+                _bfgs_update(alone, s[r : r + 1], y[r : r + 1], sy[r : r + 1], fresh[r : r + 1])
+                assert got[r].tobytes() == alone[0].tobytes()
 
 
 class TestCayley:
@@ -466,6 +494,21 @@ class TestLockstep:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 1_000_000
+
+    def test_memory_per_restart_stays_within_three_inverse_hessians(self):
+        # time-free: at d = 4 each restart's H holds P^2 = 1,936 floats. A
+        # rejected trial among accepted ones must not copy rows of H, so the
+        # peak stays within three H's per restart
+        rho = random_density_matrix(4, 2, np.random.default_rng(5))
+        p = 44
+        maximize_delta_m(rho, NumberOperator(4), 1, UnitarySearchConfig(restarts=2, max_iters=5))
+        cfg = UnitarySearchConfig(restarts=400, max_iters=40, seed=1)
+        tracemalloc.start()
+        outcome = maximize_delta_m(rho, NumberOperator(4), 1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert outcome.backtracks >= 1
+        assert peak / cfg.restarts <= 3 * p * p * 8
 
 
 class TestDeterminism:
