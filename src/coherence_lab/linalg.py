@@ -15,11 +15,6 @@ def as_matrix(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.transpose(m))
-
-
 def partial_trace_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Trace out the second tensor factor of a (dim_a*dim_b)-dimensional operator."""
     m = as_matrix(m)

@@ -33,7 +33,7 @@ from .modes import _check_local_index, _local_gap_measure, _stripe_measure, _two
 # nothing here calls haar_unitary any more; the benchmark's tracer wraps it under this name
 from .sampling import haar_stack, haar_unitary
 from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator
-from .states import _block_mask, _generator_layout, _padded_units
+from .states import _block_mask, _padded_units
 
 #: first step of every restart, and of every restart after an accepted step
 FIRST_STEP = 1.0
@@ -231,28 +231,33 @@ def parameterize_block(gen: BipartiteGenerator, eigenvalue_index: int, params) -
 
 @functools.cache
 def _haar_draw_layout(d: int) -> tuple:
-    """Length of one draw for every block, and per block size n: its eigenspaces and their parts' (2, k, n, n) index.
+    """Length of one draw for every block, and each padded entry's place in it as a read-only (2, 2d - 1, d, d) index.
 
-    The draw holds block after block in eigenspace order, each as its real part, then its imaginary part.
+    The draw runs block after block, real part then imaginary part, row by row.
+    Outside the blocks the index points at the draw's length: a zero appended to it.
     """
-    sizes = (_generator_layout(d)[0] < d * d).sum(1)
-    starts = np.cumsum(2 * sizes**2) - 2 * sizes**2
-    return int(2 * sizes @ sizes), tuple(
-        (np.flatnonzero(sizes == n), starts[sizes == n][:, None, None] + np.arange(2 * n * n).reshape(2, 1, n, n))
-        for n in range(1, d + 1)
-    )
+    inside = np.broadcast_to(_block_mask(d)[:, None], (2 * d - 1, 2, d, d))
+    total = int(inside.sum())
+    index = np.full(inside.shape, total)
+    index[inside] = np.arange(total)
+    index = index.swapaxes(0, 1)
+    index.setflags(write=False)
+    return total, index
 
 
 def random_allowed_unitary(gen: BipartiteGenerator, rng) -> AllowedUnitary:
     """Independent Haar block per eigenspace; reproducible for a fixed seed.
 
     The blocks and the state ``rng`` is left in are those of ``haar_unitary(n_c, rng)``
-    for c = 0..2d-2 in turn, bit for bit, from one draw and one ``haar_stack`` per block size.
+    for c = 0..2d-2 in turn, bit for bit, from one draw and one ``haar_stack`` of the
+    zero-padded block stack: a padded column's Householder reflection is the identity
+    (tau = 0) and ``haar_stack`` maps its zero R diagonal to phase 1, so no
+    reflection of a block's QR touches the padding, which comes out as the identity.
     """
-    total, groups = _haar_draw_layout(gen.dim)
-    draw = np.random.default_rng(rng).standard_normal(total)
-    blocks = {c: block for cs, parts in groups for c, block in zip(cs, haar_stack(*draw[parts]))}
-    return AllowedUnitary(gen, tuple(blocks[c] for c in range(gen.n_eigenvalues)))
+    total, index = _haar_draw_layout(gen.dim)
+    units = haar_stack(*np.append(np.random.default_rng(rng).standard_normal(total), 0.0)[index])
+    mask = _block_mask(gen.dim)
+    return AllowedUnitary(gen, tuple(u[m].reshape(gen.block_dim(c), -1) for c, (u, m) in enumerate(zip(units, mask))))
 
 
 def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, fresh: np.ndarray) -> None:
@@ -293,11 +298,11 @@ def _pick(ok, new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return new if ok is None else np.where(ok.reshape(-1, *(1,) * (new.ndim - 1)), new, old)
 
 
-def _ascend(objective, units: np.ndarray, max_iters: int) -> tuple:
+def _ascend(units: np.ndarray, blocks: np.ndarray, index: int, max_iters: int) -> tuple:
     """Lockstep quasi-Newton ascent from each row of ``units`` (restarts x padded blocks).
 
-    ``objective`` maps a stack of padded block unitaries to values and
-    gradients whose Hermitian parts G are read on the ``_generator_coords``
+    Values and gradients are ``_stripe_measure``'s on the gap-``index`` stripe
+    ``blocks``, the gradients' Hermitian parts G read on the ``_generator_coords``
     coordinates (``_to_coords``). Every live restart tries the Cayley step of
     alpha D from its point (``_cayley``) in one stacked call, with D = H G
     (``_direction``) and H each restart's inverse-Hessian approximation, the
@@ -324,7 +329,7 @@ def _ascend(objective, units: np.ndarray, max_iters: int) -> tuple:
     steps, rejected trials, stop reasons and final gradient norms.
     """
     d = units.shape[-1]
-    value, g = objective(units)
+    value, g = _stripe_measure(units, blocks, index)
     # here and below the gradient stack is let go once its coordinates are read
     g = _to_coords(g)
     n, p = g.shape
@@ -352,7 +357,7 @@ def _ascend(objective, units: np.ndarray, max_iters: int) -> tuple:
         direction, slope = _direction(h, g)
         x = step[:, None] * direction
         trial = _cayley(_from_coords(x, d), units)
-        t_value, t_g = objective(trial)
+        t_value, t_g = _stripe_measure(trial, blocks, index)
         t_g = _to_coords(t_g)
         ok = t_value >= recent.min(1) + ARMIJO_RISE * step * slope
         took = None if ok.all() else ok
@@ -414,14 +419,13 @@ def _search(blocks: np.ndarray, d: int, index: int, baseline: float, cfg: Unitar
     # ldexp, not a product with 2.0 ** -e, which overflows for subnormal blocks
     exponent = np.frexp(np.abs(blocks).max(initial=0.0))[1]
     blocks = np.ldexp(blocks, -exponent).view(complex)
-    objective = functools.partial(_stripe_measure, blocks=blocks, index=index)
-    units, accepted, backtracks, reasons, norms = _ascend(objective, _padded_units(starts, d), cfg.max_iters)
+    units, accepted, backtracks, reasons, norms = _ascend(_padded_units(starts, d), blocks, index, cfg.max_iters)
     # a product of many Cayley steps drifts off the unitary group by a few ulp,
     # which the best value would pick up; report each best point's polar factor
     w, _, vh = np.linalg.svd(units)
     mask = _block_mask(d)
     units = np.where(mask, w @ vh, np.eye(d))
-    gains = np.ldexp(objective(units)[0], exponent) - baseline
+    gains = np.ldexp(_stripe_measure(units, blocks, index)[0], exponent) - baseline
     top = int(np.argmax(gains))
     return SearchOutcome(
         best_unitary=AllowedUnitary(gen, tuple(u[m].reshape(n, n) for u, m, n in zip(units[top], mask, sizes))),

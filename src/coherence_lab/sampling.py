@@ -26,7 +26,7 @@ def haar_stack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def random_density_matrix(dim: int, rank: int | None = None, rng=0) -> DensityMatrix:
+def random_density_matrix(dim: int, rank: int, rng) -> DensityMatrix:
     """Random mixed state of controlled rank.
 
     Draws a Gaussian dim x rank matrix G and normalizes G G^dagger, which is
@@ -34,8 +34,6 @@ def random_density_matrix(dim: int, rank: int | None = None, rng=0) -> DensityMa
     a rank-dimensional partner.
     """
     rng = np.random.default_rng(rng)
-    if rank is None:
-        rank = dim
     if not 1 <= rank <= dim:
         raise UnsupportedParameterError(f"rank must lie in [1, {dim}], got {rank}")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))

@@ -35,7 +35,7 @@ def _validated_density(matrix: np.ndarray) -> np.ndarray:
     m = linalg.as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise StateValidationError(f"density matrix must be square, got shape {m.shape}")
-    adjoint = linalg.dagger(m)
+    adjoint = m.conj().T
     herm_residual = float(np.abs(m - adjoint).max())
     if herm_residual > HERMITIAN_ATOL:
         raise StateValidationError(
@@ -74,7 +74,7 @@ class DensityMatrix:
     def evolve(self, unitary: np.ndarray) -> "DensityMatrix":
         """Conjugate by a unitary matrix."""
         u = linalg.as_matrix(unitary)
-        return DensityMatrix(u @ self.matrix @ linalg.dagger(u))
+        return DensityMatrix(u @ self.matrix @ u.conj().T)
 
 
 @dataclass(frozen=True)

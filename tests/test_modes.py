@@ -20,7 +20,7 @@ from coherence_lab.modes import (
     mode_measure,
     vin_projector,
 )
-from coherence_lab.optimizer import _exp_ih, random_allowed_unitary
+from coherence_lab.optimizer import _exp_ih, _haar_draw_layout, random_allowed_unitary
 from coherence_lab.sampling import random_bloch, random_density_matrix
 from coherence_lab.states import (
     BipartiteGenerator,
@@ -271,7 +271,8 @@ class TestStripeLayout:
         quotas = _quota_mask(3, 1)
         assert _quota_mask(3, 1) is quotas
         assert _two_copy_layout(3, 1) is _two_copy_layout(3, 1)
-        for cached in (index, gaps, quotas, _block_mask(3), _two_copy_layout(3, 1)):
+        assert _haar_draw_layout(3)[1] is _haar_draw_layout(3)[1]
+        for cached in (index, gaps, quotas, _block_mask(3), _two_copy_layout(3, 1), _haar_draw_layout(3)[1]):
             with pytest.raises(ValueError):
                 cached[0] = 0
 
