@@ -10,7 +10,7 @@ def as_matrix(m: np.ndarray) -> np.ndarray:
     out = np.asarray(m, dtype=complex)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got array of shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError("matrix entries must be finite")
     return out
 

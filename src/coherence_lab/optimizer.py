@@ -32,8 +32,7 @@ from .errors import UnsupportedParameterError
 from .modes import _check_local_index, _local_gap_measure, _stripe_measure, _two_copy_blocks
 # nothing here calls haar_unitary any more; the benchmark's tracer wraps it under this name
 from .sampling import haar_stack, haar_unitary
-from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator
-from .states import _block_mask, _padded_units
+from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator, _block_mask, _padded_units
 
 #: first step of every restart, and of every restart after an accepted step
 FIRST_STEP = 1.0
@@ -248,16 +247,14 @@ def _haar_draw_layout(d: int) -> tuple:
 def random_allowed_unitary(gen: BipartiteGenerator, rng) -> AllowedUnitary:
     """Independent Haar block per eigenspace; reproducible for a fixed seed.
 
-    The blocks and the state ``rng`` is left in are those of ``haar_unitary(n_c, rng)``
-    for c = 0..2d-2 in turn, bit for bit, from one draw and one ``haar_stack`` of the
-    zero-padded block stack: a padded column's Householder reflection is the identity
-    (tau = 0) and ``haar_stack`` maps its zero R diagonal to phase 1, so no
-    reflection of a block's QR touches the padding, which comes out as the identity.
+    The blocks and the state ``rng`` is left in are those of ``haar_unitary(n_c, rng)`` for c = 0..2d-2
+    in turn, bit for bit, from one draw and one ``haar_stack`` of the zero-padded block stack, which
+    the unitary holds as it is: a padded column's Householder reflection is the identity (tau = 0) and
+    ``haar_stack`` maps its zero R diagonal to phase 1, so the padding comes out as the identity.
     """
     total, index = _haar_draw_layout(gen.dim)
     units = haar_stack(*np.append(np.random.default_rng(rng).standard_normal(total), 0.0)[index])
-    mask = _block_mask(gen.dim)
-    return AllowedUnitary(gen, tuple(u[m].reshape(gen.block_dim(c), -1) for c, (u, m) in enumerate(zip(units, mask))))
+    return AllowedUnitary._from_stack(gen, units)
 
 
 def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, fresh: np.ndarray) -> None:
@@ -423,12 +420,11 @@ def _search(blocks: np.ndarray, d: int, index: int, baseline: float, cfg: Unitar
     # a product of many Cayley steps drifts off the unitary group by a few ulp,
     # which the best value would pick up; report each best point's polar factor
     w, _, vh = np.linalg.svd(units)
-    mask = _block_mask(d)
-    units = np.where(mask, w @ vh, np.eye(d))
+    units = np.where(_block_mask(d), w @ vh, np.eye(d))
     gains = np.ldexp(_stripe_measure(units, blocks, index)[0], exponent) - baseline
     top = int(np.argmax(gains))
     return SearchOutcome(
-        best_unitary=AllowedUnitary(gen, tuple(u[m].reshape(n, n) for u, m, n in zip(units[top], mask, sizes))),
+        best_unitary=AllowedUnitary._from_stack(gen, units[top]),
         history=tuple(gains.tolist()),
         accepted=int(accepted.sum()),
         backtracks=int(backtracks.sum()),

@@ -206,48 +206,54 @@ class BipartiteGenerator:
         return tuple(row[row < self.total_dim] for row in _generator_layout(self.local.dim)[0])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class AllowedUnitary:
     """Unitary commuting with a total number operator: one free unitary per degenerate eigenspace.
 
-    It commutes by construction: [U, N] = (lambda_c - lambda_r) U at entry (r, c)
-    is zero inside each eigenspace block, and the blocks' kets, read from
-    ``_generator_layout``'s table, tile the tensor basis. Unitarity is checked on
-    the identity-padded stack (``_padded_units``) and the first failing block is named.
+    It commutes by construction: [U, N] = (lambda_c - lambda_r) U at entry (r, c) is zero inside each
+    eigenspace block, and the blocks' kets, read from ``_generator_layout``'s table, tile the tensor
+    basis. It holds one read-only identity-padded block stack (``_block_mask``), checked once.
     """
 
     generator: BipartiteGenerator
-    blocks: tuple
+    _stack: np.ndarray
 
-    def __post_init__(self) -> None:
-        gen = self.generator
-        blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
-        if len(blocks) != gen.n_eigenvalues:
-            raise StateValidationError(
-                f"expected {gen.n_eigenvalues} blocks, got {len(blocks)}"
-            )
+    def __init__(self, generator: BipartiteGenerator, blocks) -> None:
+        blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
+        if len(blocks) != generator.n_eigenvalues:
+            raise StateValidationError(f"expected {generator.n_eigenvalues} blocks, got {len(blocks)}")
         for c, block in enumerate(blocks):
-            n = gen.block_dim(c)
-            if block.shape != (n, n):
+            if block.shape != (n := generator.block_dim(c), n):
                 linalg.as_matrix(block)  # a block that is not 2-D fails here, with its message
-                raise StateValidationError(
-                    f"block {c} has shape {block.shape}, expected ({n}, {n})"
-                )
-        padded = _padded_units(blocks, gen.dim)
-        linalg.as_matrix(padded.reshape(-1, gen.dim))  # every block's finiteness, in one check
-        residuals = np.abs(padded @ padded.conj().swapaxes(-1, -2) - np.eye(gen.dim)).max((-2, -1))
+                raise StateValidationError(f"block {c} has shape {block.shape}, expected ({n}, {n})")
+        self._keep(generator, _padded_units(blocks, generator.dim))
+
+    @classmethod
+    def _from_stack(cls, generator: BipartiteGenerator, stack: np.ndarray) -> "AllowedUnitary":
+        """The unitary of a complex (2d - 1, d, d) stack of its blocks, identity outside ``_block_mask``."""
+        return cls.__new__(cls)._keep(generator, stack)
+
+    def _keep(self, generator: BipartiteGenerator, stack: np.ndarray) -> "AllowedUnitary":
+        """Check a padded stack's finiteness and each block's unitarity, then hold a read-only copy of it."""
+        linalg.as_matrix(stack.reshape(-1, generator.dim))  # every block's finiteness, in one check
+        residuals = np.abs(stack @ stack.conj().swapaxes(-1, -2) - np.eye(generator.dim)).max((-2, -1))
         for c in np.flatnonzero(residuals > UNITARY_ATOL)[:1]:
-            raise StateValidationError(
-                f"block {c} not unitary: residual {residuals[c]:.3e} exceeds {UNITARY_ATOL:.1e}"
-            )
-        object.__setattr__(self, "blocks", tuple(_readonly(b) for b in blocks))
+            raise StateValidationError(f"block {c} not unitary: residual {residuals[c]:.3e} exceeds {UNITARY_ATOL:.1e}")
+        self.__dict__.update(generator=generator, _stack=_readonly(stack))  # frozen: set once, here
+        return self
+
+    @property
+    def blocks(self) -> tuple:
+        """Each eigenspace's unitary, read from the stack into a fresh read-only array."""
+        gen, mask = self.generator, _block_mask(self.generator.dim)
+        return tuple(_readonly(u[m].reshape(gen.block_dim(c), -1)) for c, (u, m) in enumerate(zip(self._stack, mask)))
 
     @property
     def matrix(self) -> np.ndarray:
         """Assembled full-dimension unitary, a fresh array on each call."""
         gen = self.generator
         out = np.zeros(gen.total_dim ** 2, dtype=complex)
-        out[_matrix_scatter(gen.dim)] = np.concatenate([b.ravel() for b in self.blocks])
+        out[_matrix_scatter(gen.dim)] = self._stack[_block_mask(gen.dim)]
         return out.reshape(gen.total_dim, gen.total_dim)
 
 

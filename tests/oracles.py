@@ -349,7 +349,7 @@ def sequential_search(rho, op, index: int, config) -> tuple:
             best = gain, unit, reason, math.ldexp(norm, exponent)
     gain, unit, reason, norm = best
     outcome = SearchOutcome(
-        best_unitary=AllowedUnitary(gen, tuple(u[m].reshape(n, n) for u, m, n in zip(unit, _block_mask(d), sizes))),
+        best_unitary=AllowedUnitary._from_stack(gen, unit),
         history=tuple(history),
         accepted=accepted,
         backtracks=backtracks,

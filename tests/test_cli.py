@@ -651,6 +651,7 @@ def test_flag_the_command_does_not_take_exits_2(tmp_path, capsys, argv):
         ["bound-compare", "--ranks", "1,5"],
         # the grid is checked before the field's rows are made
         ["field", "--grid", "0x5"],
+        ["field", "--grid", "100000"],
         ["nogo"],
         # a restart count above the cap, before anything is allocated for it
         ["concentrate", "--state", "ISO", "--restarts", "1000000000000"],
@@ -671,6 +672,16 @@ def test_restart_count_above_the_cap_names_it_on_one_line(tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "restarts" in err and str(MAX_RESTARTS) in err and "Traceback" not in err
+
+
+def test_grid_above_the_cap_names_it_on_one_line(tmp_path, capsys):
+    side = math.isqrt(qubit_protocol.MAX_FIELD_POINTS) + 1
+    out = tmp_path / "out"
+    assert main(["field", "--grid", str(side), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "grid" in err and f"{qubit_protocol.MAX_FIELD_POINTS:,}" in err and "Traceback" not in err
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("argv", [["nogo", "--state", "ISO"], ["nogo", "--state", "JOINT5"]])

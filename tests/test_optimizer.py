@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from coherence_lab import linalg, optimizer
+from coherence_lab import linalg, optimizer, states
 from coherence_lab.errors import UnsupportedParameterError
 from coherence_lab.modes import _local_gap_measure, _stripe_blocks, _stripe_measure, mode_measure
 from coherence_lab.optimizer import (
@@ -541,9 +541,20 @@ class TestRandomUnitarySampling:
             gen = BipartiteGenerator(NumberOperator(d))
             for seed in range(30):
                 rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got, want = random_allowed_unitary(gen, rng).blocks, oracles.haar_blocks_per_block(gen, ref_rng)
-                assert [(b.shape, b.tobytes()) for b in got] == [(b.shape, b.tobytes()) for b in want], (d, seed)
+                u, want = random_allowed_unitary(gen, rng), oracles.haar_blocks_per_block(gen, ref_rng)
+                assert [(b.shape, b.tobytes()) for b in u.blocks] == [(b.shape, b.tobytes()) for b in want], (d, seed)
+                assert u.matrix.tobytes() == oracles.assemble_blocks(gen, want).tobytes(), (d, seed)
                 assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes(), (d, seed)
+
+    def test_the_draw_hands_its_stack_over_without_re_padding(self, monkeypatch):
+        # time-free: the unitary keeps haar_stack's padded stack, so no block is padded again
+        calls = []
+        haar, pad = optimizer.haar_stack, states._padded_units
+        monkeypatch.setattr(optimizer, "haar_stack", lambda *a: calls.append("haar_stack") or haar(*a))
+        for module in (optimizer, states):
+            monkeypatch.setattr(module, "_padded_units", lambda *a: calls.append("_padded_units") or pad(*a))
+        random_allowed_unitary(GEN3, 0)
+        assert calls == ["haar_stack"]
 
     def test_one_qr_per_draw(self, monkeypatch):
         calls = []

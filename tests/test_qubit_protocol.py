@@ -410,6 +410,13 @@ class TestVectorField:
         with pytest.raises(UnsupportedParameterError, match="grid resolution"):
             vector_field(0, 5)
 
+    def test_grid_cap(self):
+        # rows are made lazily, so a grid at the cap is accepted without making any
+        vector_field(qubit_protocol.MAX_FIELD_POINTS, 1)
+        vector_field(1, qubit_protocol.MAX_FIELD_POINTS)
+        with pytest.raises(UnsupportedParameterError, match="grid of 10000001x1 points exceeds the cap of 10,000,000"):
+            vector_field(qubit_protocol.MAX_FIELD_POINTS + 1, 1)
+
 
 class TestModeMeasureConsistency:
     def test_concatenation_tracks_mode_measure(self):

@@ -15,6 +15,7 @@ from coherence_lab.states import (
     DensityMatrix,
     NumberOperator,
     _generator_layout,
+    _padded_units,
     bloch_to_density,
     isotropic_state,
     state_from_json,
@@ -234,6 +235,28 @@ class TestAllowedUnitary:
             assert not b.flags.writeable
         assert u.matrix.tobytes() == oracles.assemble_blocks(gen, kept).tobytes()
         assert u.matrix is not u.matrix
+
+    def test_stack_constructor_checks_as_the_public_one(self):
+        gen = BipartiteGenerator(NumberOperator(3))
+        stack = np.broadcast_to(np.eye(3, dtype=complex), (5, 3, 3)).copy()
+        stack[2, 1, 2] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            AllowedUnitary._from_stack(gen, stack)
+        stack[2, 1, 2] = 0.0
+        stack[3, 1:, 1:] *= 1.5
+        with pytest.raises(StateValidationError, match="block 3 not unitary: residual 1.250e[+]00"):
+            AllowedUnitary._from_stack(gen, stack)
+
+    def test_stack_constructor_keeps_its_own_copy(self):
+        gen = BipartiteGenerator(NumberOperator(3))
+        blocks = oracles.haar_blocks_per_block(gen, np.random.default_rng(6))
+        stack = _padded_units(blocks, 3)
+        u = AllowedUnitary._from_stack(gen, stack)
+        stack[...] = 7.0
+        for b, want in zip(u.blocks, blocks, strict=True):
+            assert b.tobytes() == want.tobytes()
+            assert not b.flags.writeable
+        assert u.matrix.tobytes() == oracles.assemble_blocks(gen, blocks).tobytes()
 
     def test_translation_covariance(self):
         # commuting with the generator means commuting with every generated phase
