@@ -26,6 +26,8 @@ from .errors import StateValidationError, UnsupportedParameterError
 from .modes import _local_gap_measure, _stripe_blocks, bipartite_mode_set
 from .optimizer import MAX_LOCAL_DIM, MAX_RESTARTS, UnitarySearchConfig, _search, maximize_delta_m
 from .qubit_protocol import (
+    MAX_ROWS,
+    MAX_STEPS,
     amplification_state,
     optimal_concentration,
     purity_ceiling,
@@ -171,6 +173,10 @@ def cmd_concentrate(p: dict) -> Iterator[tuple]:
 
 
 def cmd_concat(p: dict) -> Iterator[tuple]:
+    # a start may run to MAX_STEPS steps, so the row cap bounds the starts before any runs
+    if (count := len(p["nx"]) * len(p["nz"])) * (MAX_STEPS + 1) > MAX_ROWS:
+        raise UnsupportedParameterError(f"nx and nz give {count} starts of up to {MAX_STEPS + 1:,} rows each, "
+                                        f"above the cap of {MAX_ROWS:,} rows")
     # every start is validated and named before any trajectory runs
     starts: dict = {}
     for start in [BlochState(nx, 0.0, nz) for nx in p["nx"] for nz in p["nz"]]:

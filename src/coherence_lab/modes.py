@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import StateValidationError, UnsupportedParameterError
-from .states import BipartiteGenerator, DensityMatrix, NumberOperator, _generator_layout
+from .states import BipartiteGenerator, DensityMatrix, NumberOperator, _generator_coords, _generator_layout
 
 #: a mode counts as present when its trace norm exceeds this threshold,
 #: separating structural zeros from roundoff
@@ -115,8 +115,31 @@ def _two_copy_blocks(matrix: np.ndarray, index: int) -> np.ndarray:
     return np.multiply(*np.append(matrix.ravel(), 0.0)[_two_copy_layout(len(matrix), index)])
 
 
+@functools.cache
+def _gradient_layout(d: int, index: int) -> tuple:
+    """Where each gradient coordinate reads ``_stripe_measure``'s products P1, P2, as a read-only (2, 2, P) index, and factor / 2.
+
+    With S = i (P1 - P2) placed as the kernel says and R = P2 - P1, a real
+    part is (Im R at its cell + Im R at the mirror) factor / 2 and an
+    imaginary part (Re R at the mirror - Re R at the cell) factor / 2, the
+    terms (S_rc + conj(S_cr)) / 2 adds, so the bits are the same. The index,
+    [term][minuend, subtrahend], is into the float view of P1, P2 and a zero.
+    """
+    cell, mirror, imag, factor = _generator_coords(d)
+    pairs, width = 2 * d - 1 - index, d - index
+    size = pairs * d * width
+    placed = np.full((2, 2 * d - 1, d, d), 2 * size)
+    placed[0, :pairs, :width, :] = size + np.arange(size).reshape(pairs, width, d)
+    placed[1, index:, :, index:] = np.arange(size).reshape(pairs, d, width)
+    at_cell, at_mirror = (2 * placed.reshape(2, -1)[:, cells] + ~imag for cells in (cell, mirror))
+    where = np.stack((np.where(imag, at_mirror, at_cell), np.where(imag, at_cell[::-1], at_mirror)))
+    for m in (where, half := factor / 2):
+        m.setflags(write=False)
+    return where, half
+
+
 def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
-    """Gap-``index`` measure f of the first marginal of U X U^dagger, and its gradient before symmetrising.
+    """Gap-``index`` measure f of the first marginal of U X U^dagger, and its gradient's generator coordinates.
 
     ``units`` are padded block unitaries (``_padded_units``), whose leading
     axes are stack axes; ``blocks`` are ``_stripe_blocks``. Row and column n of
@@ -126,25 +149,27 @@ def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
     at (n + j, n), or conj(z_n) where |z_n| is 0 or subnormal (1 / |z_n|
     overflows). Under U_b <- exp(i eps K) U_b, f rises by eps tr(G_b K) to
     first order, with G_b = herm(i A_{b-j} W^T) - herm(i W^T A_b), Hermitian.
-    The stack returned is S_b = i A_{b-j} W^T - i W^T A_b, of which G_b is the
-    Hermitian part (S_b + S_b^dagger) / 2; it is not taken here, since its
-    reader (``optimizer._to_coords``) forms it at only the entries it needs.
     W^T has only w_n at (n, n + j), so A W^T moves column n of A to column
     n + j scaled by w_n, and W^T A moves row n + j to row n scaled by w_n;
-    W is never built. Products of padded blocks vanish outside each block,
-    and so do S and G. z_n adds its terms in order, which ``sum`` over the
-    pair axis does not at d = 4, so each point is the same bits in any stack.
+    W is never built, nor is G: its (..., P) ``_generator_coords`` are read
+    from the two products (``_gradient_layout``). z_n adds its terms strictly
+    in order, which ``sum`` over the pair axis does not at d = 4, so each
+    point is the same bits in any stack.
     """
     d, pairs = units.shape[-1], len(blocks)
     a = units[..., index : index + pairs, :, :] @ blocks @ units[..., :pairs, :, :].conj().swapaxes(-1, -2)
-    stripe = np.diagonal(a, -index, -2, -1)
-    z = sum((stripe[..., c, :] for c in range(pairs)), np.zeros((*a.shape[:-3], max(d - index, 0)), complex))
+    stripe = a.diagonal(-index, -2, -1)
+    # with no pair (index > 2d - 2, as for a joint state of d = 1) there is no level n either
+    z = np.add.accumulate(stripe, -2)[..., -1, :] if pairs else stripe.sum(-2)
     size = np.abs(z)
     w = z.conj() / np.where(size < _TINY, 1.0, size)
-    grad = np.zeros(units.shape, dtype=complex)
-    grad[..., index : index + pairs, :, index:] = 1j * (a[..., : d - index] * w[..., None, None, :])
-    grad[..., :pairs, : d - index, :] -= 1j * (w[..., None, :, None] * a[..., index:, :])
-    return size.sum(-1), grad
+    lead = a.shape[:-3]
+    products = (a[..., : d - index] * w[..., None, None, :], w[..., None, :, None] * a[..., index:, :])
+    flat = np.concatenate([p.reshape(*lead, -1) for p in products] + [np.zeros((*lead, 1), complex)], -1)
+    where, half = _gradient_layout(d, index)
+    terms = np.take(flat.view(float), where, axis=-1)
+    terms = terms[..., 0, :] - terms[..., 1, :]
+    return size.sum(-1), (terms[..., 0, :] + terms[..., 1, :]) * half
 
 
 def mode_component(rho: DensityMatrix, op: NumberOperator, index: int) -> ModeOperator:

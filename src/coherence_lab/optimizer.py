@@ -17,7 +17,8 @@ guarded by a non-monotone Armijo test. An eigendecomposition builds only the
 starts, exp(i H_b). P is the sum of squared block sizes (6, 19 and 44 at
 d = 2, 3 and 4), so each restart holds P^2 floats of H (36, 361 and 1,936).
 The restarts run in lockstep, so one stacked Cayley step and one stacked
-value-and-gradient call per iteration serve all of them.
+value-and-gradient call per iteration serve all of them, on the P
+coordinates alone: no padded generator stack is built.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import UnsupportedParameterError
 from .modes import _check_local_index, _local_gap_measure, _stripe_measure, _two_copy_blocks
 # nothing here calls haar_unitary any more; the benchmark's tracer wraps it under this name
 from .sampling import haar_stack, haar_unitary
-from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator, _block_mask, _padded_units
+from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator, _block_mask, _generator_coords, _padded_units
 
 #: first step of every restart, and of every restart after an accepted step
 FIRST_STEP = 1.0
@@ -126,59 +127,6 @@ def _hermitian_layout(n: int) -> np.ndarray:
     return where
 
 
-@functools.cache
-def _generator_coords(d: int) -> tuple:
-    """Real coordinates of a padded Hermitian block stack in which a dot product is the Frobenius tr(G K).
-
-    Each block inside ``_block_mask`` gives, row by row over its upper
-    triangle, each diagonal entry, and sqrt 2 times the real and the imaginary
-    part of each entry right of the diagonal: P = sum of n_b^2 coordinates.
-    Returns, for reading: each upper-triangle entry's cell and mirror cell in
-    the flattened stack, where each coordinate sits in the float view of those
-    entries, and its factor; for writing back a Hermitian stack: the float-view
-    positions in the stack, the coordinate each takes and its factor.
-    """
-    b, r, c = np.argwhere(_block_mask(d) & np.triu(np.ones((d, d), dtype=bool))).T
-    cell, mirror, off = (b * d + r) * d + c, (b * d + c) * d + r, r != c
-    # each entry's real part, and its imaginary part right of the diagonal
-    read = np.flatnonzero(np.column_stack((np.ones_like(off), off)))
-    entry, part = np.divmod(read, 2)
-    factor = np.where(off[entry], math.sqrt(2.0), 1.0)
-    # right of the diagonal a coordinate is written to the mirror too, conjugated
-    twin = np.flatnonzero(off[entry])
-    write = np.concatenate((2 * cell[entry] + part, 2 * mirror[entry[twin]] + part[twin]))
-    source = np.concatenate((np.arange(read.size), twin))
-    write_factor = np.concatenate((1 / factor, np.where(part[twin], -1.0, 1.0) / factor[twin]))
-    maps = (cell, mirror, read, factor, write, source, write_factor)
-    for m in maps:
-        m.setflags(write=False)
-    return maps
-
-
-def _to_coords(stack: np.ndarray) -> np.ndarray:
-    """The (rows, P) coordinates of the Hermitian part of a (rows, 2d - 1, d, d) block stack S, C-ordered.
-
-    The Hermitian part (S + S^H) / 2 is formed only at the entries the
-    coordinates read, each as (S_rc + conj(S_cr)) / 2: the operation a
-    whole-stack symmetrisation makes there, so the bits are the same. A
-    row's dot products (``_dot``) round as they would for that row alone only
-    in C order, so ``take``, not a slice-and-index gather, which comes out
-    F-ordered.
-    """
-    cell, mirror, read, factor = _generator_coords(stack.shape[-1])[:4]
-    flat = stack.reshape(len(stack), -1)
-    entries = (np.take(flat, cell, axis=1) + np.take(flat, mirror, axis=1).conj()) / 2
-    return np.take(entries.view(float), read, axis=1) * factor
-
-
-def _from_coords(x: np.ndarray, d: int) -> np.ndarray:
-    """The (rows, 2d - 1, d, d) Hermitian block stack of (rows, P) coordinates, zero outside the blocks."""
-    write, source, factor = _generator_coords(d)[4:]
-    out = np.zeros((len(x), 2 * (2 * d - 1) * d * d))
-    out[:, write] = x[:, source] * factor
-    return out.view(complex).reshape(len(x), 2 * d - 1, d, d)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (rows, P) coordinate arrays."""
     return (a * b).sum(-1)
@@ -199,14 +147,36 @@ def _exp_ih(h: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _cayley(k: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """The Cayley step (I - iK/2)^-1 (I + iK/2) U for stacks of Hermitian K and unitary U.
+@functools.cache
+def _cayley_layout(d: int) -> tuple:
+    """The identity stack, and the float-view places of I - iK/2 each coordinate writes, which coordinate, and its factor.
 
-    Computed as 2 (I - iK/2)^-1 U - U, the same map by one batched LU solve and
-    no product. Where K is zero, in the padding of a block stack, the result
-    is exactly U. Each matrix of a stack comes out bit for bit as it would alone.
+    A coordinate over its factor is a part of its cell of K and, conjugated, of the mirror cell (on the diagonal,
+    the same); -iK/2 makes a real part k -k/2 on the imaginary part and an imaginary part k k/2 on the real part.
     """
-    solved = np.linalg.solve(np.eye(k.shape[-1]) - 0.5j * k, units)
+    cell, mirror, imag, factor = _generator_coords(d)
+    maps = (
+        np.broadcast_to(np.eye(d, dtype=complex), (2 * d - 1, d, d)).copy(),
+        np.concatenate((2 * cell + ~imag, 2 * mirror + ~imag)),
+        np.arange(2 * cell.size) % cell.size,
+        np.concatenate((np.where(imag, 0.5, -0.5), np.full(cell.size, -0.5))) / np.tile(factor, 2),
+    )
+    for m in maps:
+        m.setflags(write=False)
+    return maps
+
+
+def _cayley(x: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The Cayley step (I - iK/2)^-1 (I + iK/2) U for (rows, P) generator coordinates of K and padded unitaries U.
+
+    I - iK/2 is written from the coordinates into a copy of the identity stack, bit for bit I - 0.5j K
+    (+ 0.0 makes a zero part +0, as there); then 2 (I - iK/2)^-1 U - U, the same map by one batched LU
+    solve. In the padding K is zero and the result exactly U. Each row comes out as it would alone.
+    """
+    eye, write, source, scale = _cayley_layout(units.shape[-1])
+    m = np.repeat(eye[None], len(x), axis=0)
+    m.view(float).reshape(len(x), -1)[:, write] = x[:, source] * scale + 0.0
+    solved = np.linalg.solve(m, units)
     solved *= 2
     solved -= units
     return solved
@@ -298,37 +268,36 @@ def _pick(ok, new: np.ndarray, old: np.ndarray) -> np.ndarray:
 def _ascend(units: np.ndarray, blocks: np.ndarray, index: int, max_iters: int) -> tuple:
     """Lockstep quasi-Newton ascent from each row of ``units`` (restarts x padded blocks).
 
-    Values and gradients are ``_stripe_measure``'s on the gap-``index`` stripe
-    ``blocks``, the gradients' Hermitian parts G read on the ``_generator_coords``
-    coordinates (``_to_coords``). Every live restart tries the Cayley step of
-    alpha D from its point (``_cayley``) in one stacked call, with D = H G
-    (``_direction``) and H each restart's inverse-Hessian approximation, the
-    identity at the start. A trial is accepted when its value reaches the
-    lowest of the restart's last ``ARMIJO_MEMORY`` accepted values plus
-    ``ARMIJO_RISE`` alpha <G, D>; the pair s = alpha D, y = G_old - G_new then
-    updates H, and the next trial is at alpha = ``FIRST_STEP``. One in-place
-    ``_bfgs_update`` serves every row: a rejected trial, or a pair with
-    <s, y> <= 0, gets rho = 0, which leaves its H as it was, bit for bit.
-    Gradients at two points are compared as they are: the left-trivialised
-    gradient lives in the one Lie algebra of every point. A rejected trial
-    divides alpha by ``BACKTRACK``. The start and every trial count as one
-    evaluation; a restart stops once |G|^2 < ``STATIONARY`` or its budget is
-    spent. The ascent is not monotone, so each restart keeps its best point.
-    Each restart carries only what cannot be recomputed: its index, point, G,
-    H and whether H is fresh, best value and blocks, recent accepted values
-    (the last is its value), alpha, evaluations and rejected trials. |G|^2,
-    D and <G, D> are recomputed from G and H every iteration, bit for bit as
-    a stored copy, since a rejected trial changes neither. The working arrays
-    hold only the live restarts, in restart order: a restart that stops is
-    written out and dropped, so an iteration whose trials are all accepted
-    (nearly all of them) gathers and scatters nothing.
+    Values and gradients G are ``_stripe_measure``'s on the gap-``index``
+    stripe ``blocks``, G on the P ``_generator_coords`` coordinates, which are
+    all the loop reads and writes. Every live restart tries the Cayley step
+    of alpha D from its point (``_cayley``, built from the coordinates of
+    alpha D) in one stacked call, with D = H G (``_direction``) and H each
+    restart's inverse-Hessian approximation, the identity at the start. A
+    trial is accepted when its value reaches the lowest of the restart's last
+    ``ARMIJO_MEMORY`` accepted values plus ``ARMIJO_RISE`` alpha <G, D>; the
+    pair s = alpha D, y = G_old - G_new then updates H, and the next trial is
+    at alpha = ``FIRST_STEP``. One in-place ``_bfgs_update`` serves every row:
+    a rejected trial, or a pair with <s, y> <= 0, gets rho = 0, which leaves
+    its H as it was, bit for bit. Gradients at two points are compared as
+    they are: the left-trivialised gradient lives in the one Lie algebra of
+    every point. A rejected trial divides alpha by ``BACKTRACK``. The start
+    and every trial count as one evaluation, so every live restart has made
+    the same number, one count for all; a restart stops once |G|^2 <
+    ``STATIONARY`` or its budget is spent. The ascent is not monotone, so
+    each restart keeps its best point. Each restart carries only what cannot
+    be recomputed: its index, point, G, H and whether H is fresh, best value
+    and blocks, recent accepted values (the last is its value), alpha and
+    rejected trials. |G|^2, D and <G, D> are recomputed from G and H every
+    iteration, bit for bit as a stored copy, since a rejected trial changes
+    neither. The working arrays hold only the live restarts, in restart
+    order: a restart that stops is written out and dropped, so an iteration
+    whose trials are all accepted (nearly all of them) gathers and scatters
+    nothing.
     Returns per restart the best blocks (written over ``units``), accepted
     steps, rejected trials, stop reasons and final gradient norms.
     """
-    d = units.shape[-1]
     value, g = _stripe_measure(units, blocks, index)
-    # here and below the gradient stack is let go once its coordinates are read
-    g = _to_coords(g)
     n, p = g.shape
     ids = np.arange(n)
     # every working array but h and fresh is replaced, never written into,
@@ -338,24 +307,23 @@ def _ascend(units: np.ndarray, blocks: np.ndarray, index: int, max_iters: int) -
     h = np.broadcast_to(np.eye(p), (n, p, p)).copy()
     fresh = np.ones(n, dtype=bool)
     step = np.full(n, FIRST_STEP)
-    evals, backtracks = np.ones(n, dtype=int), np.zeros(n, dtype=int)
-    # per restart, once it stops: best blocks, evaluations, rejected trials, |G|^2
-    out = [units, evals.copy(), backtracks.copy(), np.zeros(n)]
+    evals, backtracks = 1, np.zeros(n, dtype=int)
+    # per restart, once it stops: best blocks, rejected trials, |G|^2 and evaluations
+    out = [units, backtracks.copy(), np.zeros(n), np.ones(n, dtype=int)]
     while True:
         norm2 = _dot(g, g)
         live = (norm2 >= STATIONARY) & (evals < max_iters)
         if not live.all():
-            for o, a in zip(out, (best_units, evals, backtracks, norm2)):
+            for o, a in zip(out, (best_units, backtracks, norm2, np.full(len(ids), evals))):
                 o[ids[~live]] = a[~live]
             if not live.any():
                 break
-            ids, units, g, best, best_units, recent, h, fresh, step, evals, backtracks = (
-                a[live] for a in (ids, units, g, best, best_units, recent, h, fresh, step, evals, backtracks))
+            ids, units, g, best, best_units, recent, h, fresh, step, backtracks = (
+                a[live] for a in (ids, units, g, best, best_units, recent, h, fresh, step, backtracks))
         direction, slope = _direction(h, g)
         x = step[:, None] * direction
-        trial = _cayley(_from_coords(x, d), units)
+        trial = _cayley(x, units)
         t_value, t_g = _stripe_measure(trial, blocks, index)
-        t_g = _to_coords(t_g)
         ok = t_value >= recent.min(1) + ARMIJO_RISE * step * slope
         took = None if ok.all() else ok
         y = g - t_g
@@ -369,11 +337,11 @@ def _ascend(units: np.ndarray, blocks: np.ndarray, index: int, max_iters: int) -
         better = value > best
         best = np.where(better, value, best)
         best_units = _pick(None if better.all() else better, units, best_units)
-        evals = evals + 1
-        backtracks = backtracks + ~ok
-    accepted = out[1] - 1 - out[2]
-    reasons = tuple("stationary" if n < STATIONARY else "eval budget" for n in out[3])
-    return out[0], accepted, out[2], reasons, np.sqrt(out[3])
+        evals += 1
+        if took is not None:
+            backtracks = backtracks + ~ok
+    reasons = tuple("stationary" if n < STATIONARY else "eval budget" for n in out[2])
+    return out[0], out[3] - 1 - out[1], out[1], reasons, np.sqrt(out[2])
 
 
 def maximize_delta_m(
@@ -390,6 +358,22 @@ def maximize_delta_m(
     return _search(_two_copy_blocks(rho.matrix, index), rho.dim, index, _local_gap_measure(rho.matrix, index), cfg)
 
 
+@functools.cache
+def _start_layout(d: int) -> tuple:
+    """The generator of two d-level systems, a restart's count of parameters, and per size n where those of its blocks sit.
+
+    They are drawn block after block, each in ``_hermitian_from_params``'s order; blocks n - 1 and
+    2d - 1 - n have size n, so one ``_exp_ih`` of a (restarts, 2, n^2) gather makes both (one at n = d).
+    """
+    gen = BipartiteGenerator(NumberOperator(d))
+    sizes = np.array([gen.block_dim(c) for c in range(gen.n_eigenvalues)])
+    offsets = np.cumsum(sizes**2) - sizes**2
+    where = tuple(offsets[sorted({n - 1, 2 * d - 1 - n}), None] + np.arange(n * n) for n in range(1, d + 1))
+    for w in where:
+        w.setflags(write=False)
+    return gen, int((sizes**2).sum()), where
+
+
 def _search(blocks: np.ndarray, d: int, index: int, baseline: float, cfg: UnitarySearchConfig) -> SearchOutcome:
     """Largest gap-``index`` measure of the first marginal of U joint U^dagger over covariant U, minus ``baseline``.
 
@@ -404,14 +388,12 @@ def _search(blocks: np.ndarray, d: int, index: int, baseline: float, cfg: Unitar
     ``blocks`` and ``baseline`` gives the same multiple of every gain, bit for
     bit. Callers check ``d`` against ``MAX_LOCAL_DIM``.
     """
-    gen = BipartiteGenerator(NumberOperator(d))
-    sizes = [gen.block_dim(c) for c in range(gen.n_eigenvalues)]
-    offsets = np.cumsum([0] + [n * n for n in sizes])
-
+    gen, total, where = _start_layout(d)
     rng = np.random.default_rng(cfg.seed)
-    x0 = np.zeros((cfg.restarts, int(offsets[-1])))
-    x0[1:] = rng.uniform(-math.pi, math.pi, (cfg.restarts - 1, int(offsets[-1])))
-    starts = [_exp_ih(_hermitian_from_params(n, x0[:, o : o + n * n])) for n, o in zip(sizes, offsets)]
+    x0 = np.zeros((cfg.restarts, total))
+    x0[1:] = rng.uniform(-math.pi, math.pi, (cfg.restarts - 1, total))
+    grouped = [_exp_ih(_hermitian_from_params(n, x0[:, w])) for n, w in enumerate(where, 1)]
+    starts = [grouped[min(c, 2 * d - 2 - c)][:, int(c >= d)] for c in range(2 * d - 1)]
     blocks = blocks.view(float)
     # ldexp, not a product with 2.0 ** -e, which overflows for subnormal blocks
     exponent = np.frexp(np.abs(blocks).max(initial=0.0))[1]

@@ -43,8 +43,9 @@ MAX_STEPS = 1_000_000
 CONVERGENCE_EPS = 1e-3
 #: ``vector_field`` computes its rows in chunks of about this many grid points
 FIELD_CHUNK = 2048
-#: most grid points of one ``vector_field``: as CSV, 93 B a row, about 0.93 GB and a minute
-MAX_FIELD_POINTS = 10_000_000
+#: most CSV rows one command may write: ``vector_field``'s grid points (93 B a row, about
+#: 0.93 GB and a minute), and ``concat``'s starts times ``MAX_STEPS`` + 1 (106 B a row)
+MAX_ROWS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -278,13 +279,13 @@ def vector_field(radial: int, angular: int) -> Iterator[tuple]:
     row-major grid order. They are made in chunks of ``FIELD_CHUNK`` points,
     with the step computed on arrays, so memory does not grow with either
     grid axis. The floats equal those of ``recurrence_step`` on each point.
-    A grid of more than ``MAX_FIELD_POINTS`` points is refused.
+    A grid of more than ``MAX_ROWS`` points is refused.
     """
     if radial < 1 or angular < 1:
         raise UnsupportedParameterError("grid resolution must be at least 1 in each direction")
-    if radial * angular > MAX_FIELD_POINTS:
+    if radial * angular > MAX_ROWS:
         raise UnsupportedParameterError(
-            f"grid of {radial}x{angular} points exceeds the cap of {MAX_FIELD_POINTS:,} points"
+            f"grid of {radial}x{angular} points exceeds the cap of {MAX_ROWS:,} points"
         )
     return _field_rows(radial, angular)
 

@@ -146,6 +146,27 @@ def _block_mask(d: int) -> np.ndarray:
     return mask
 
 
+@functools.cache
+def _generator_coords(d: int) -> tuple:
+    """Real coordinates of a padded Hermitian block stack in which a dot product is the Frobenius tr(G K).
+
+    Each block inside ``_block_mask`` gives, row by row over its upper
+    triangle, each diagonal entry, and sqrt 2 times the real and then the
+    imaginary part of each entry right of the diagonal: P = sum of n_b^2
+    coordinates. Returns, per coordinate, read-only arrays of length P: its
+    entry's cell and mirror cell in the flattened (2d - 1, d, d) stack, whether
+    it is the imaginary part, and its factor, 1 or sqrt 2.
+    """
+    b, r, c = np.argwhere(_block_mask(d) & np.triu(np.ones((d, d), dtype=bool))).T
+    # each entry's real part, and its imaginary part right of the diagonal
+    entry, imag = np.divmod(np.flatnonzero(np.column_stack((r <= c, r != c))), 2)
+    b, r, c = b[entry], r[entry], c[entry]
+    maps = ((b * d + r) * d + c, (b * d + c) * d + r, imag.astype(bool), np.where(r != c, math.sqrt(2.0), 1.0))
+    for m in maps:
+        m.setflags(write=False)
+    return maps
+
+
 def _padded_units(units, d: int) -> np.ndarray:
     """Block unitary arrays (..., n_b, n_b) as one (..., 2d - 1, d, d) stack, identity outside each block."""
     lead = units[0].shape[:-2]

@@ -2,9 +2,12 @@
 
 Everything here is implemented from first principles with plain numpy loops
 or textbook algorithms, deliberately avoiding the package's own code paths.
-The one exception is ``sequential_search``: it drives the search oracle's own
-kernels one restart at a time, as a reference for the lockstep loop's
-bookkeeping rather than for its kernels.
+Two exceptions. The padded-stack kernels (``stripe_measure_padded``,
+``to_coords``, ``from_coords``, ``cayley_padded``) are the search oracle's
+earlier kernels, kept as bit-for-bit references for the coordinate kernels
+that replaced them; the coordinate readers use the package's coordinate
+layout. ``sequential_search`` drives the search one restart at a time on
+those kernels, as a reference for the lockstep loop.
 """
 
 import math
@@ -237,11 +240,70 @@ def block_spectra_kron(rho, index: int) -> tuple:
     return bound1 - baseline, bound2 - baseline, baseline
 
 
+def stripe_measure_padded(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
+    """The stripe measure and its gradient before symmetrising, as the padded stack S_b = i A_{b-j} W^T - i W^T A_b.
+
+    The form of ``modes._stripe_measure`` before it returned coordinates, kept
+    as its reference: ``to_coords`` of S must equal its coordinates bit for bit.
+    z_n adds its terms in order from a complex zero.
+    """
+    d, pairs = units.shape[-1], len(blocks)
+    a = units[..., index : index + pairs, :, :] @ blocks @ units[..., :pairs, :, :].conj().swapaxes(-1, -2)
+    stripe = np.diagonal(a, -index, -2, -1)
+    z = sum((stripe[..., c, :] for c in range(pairs)), np.zeros((*a.shape[:-3], max(d - index, 0)), complex))
+    size = np.abs(z)
+    w = z.conj() / np.where(size < np.finfo(float).tiny, 1.0, size)
+    grad = np.zeros(units.shape, dtype=complex)
+    grad[..., index : index + pairs, :, index:] = 1j * (a[..., : d - index] * w[..., None, None, :])
+    grad[..., :pairs, : d - index, :] -= 1j * (w[..., None, :, None] * a[..., index:, :])
+    return size.sum(-1), grad
+
+
+def to_coords(stack: np.ndarray) -> np.ndarray:
+    """The (rows, P) ``_generator_coords`` coordinates of the Hermitian part (S + S^H) / 2 of a padded block stack S.
+
+    The Hermitian part is formed only at the entries read, each as
+    (S_rc + conj(S_cr)) / 2, halved before the factor is applied.
+    """
+    from coherence_lab.states import _generator_coords
+
+    cell, mirror, imag, factor = _generator_coords(stack.shape[-1])
+    flat = stack.reshape(len(stack), -1)
+    entries = (np.take(flat, cell, axis=1) + np.take(flat, mirror, axis=1).conj()) / 2
+    return np.take(entries.view(float), 2 * np.arange(cell.size) + imag, axis=1) * factor
+
+
+def from_coords(x: np.ndarray, d: int) -> np.ndarray:
+    """The (rows, 2d - 1, d, d) Hermitian block stack of (rows, P) coordinates, zero outside the blocks.
+
+    Each coordinate times 1 / factor goes to its cell, and, right of the
+    diagonal, to the mirror cell too, conjugated.
+    """
+    from coherence_lab.states import _generator_coords
+
+    cell, mirror, imag, factor = _generator_coords(d)
+    twin = cell != mirror
+    out = np.zeros((len(x), 2 * (2 * d - 1) * d * d))
+    out[:, 2 * cell + imag] = x * (1 / factor)
+    out[:, (2 * mirror + imag)[twin]] = x[:, twin] * (np.where(imag, -1.0, 1.0) / factor)[twin]
+    return out.view(complex).reshape(len(x), 2 * d - 1, d, d)
+
+
+def cayley_padded(k: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The Cayley step 2 (I - iK/2)^-1 U - U for stacks of Hermitian K and unitary U, K given as a matrix stack."""
+    solved = np.linalg.solve(np.eye(k.shape[-1]) - 0.5j * k, units)
+    solved *= 2
+    solved -= units
+    return solved
+
+
 def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
     """One restart of the quasi-Newton ascent from padded blocks ``unit``, kept on a stack of one point.
 
-    Each trial is the Cayley step of alpha D from the current point. The
-    step rule is written out with scalars: after each accepted trial the
+    It runs on the padded-stack kernels kept here: the objective returns the
+    padded gradient, which ``to_coords`` reads, and each trial is the Cayley
+    step (``cayley_padded``) of ``from_coords`` of alpha D from the current
+    point. The step rule is written out with scalars: after each accepted trial the
     pair s = alpha D, y = G_old - G_new updates H when <s, y> > 0 (the first
     such pair scales H from the identity), the direction H G falls back to G
     when it is not uphill, and the next step is the first step again; after
@@ -258,16 +320,13 @@ def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
         FIRST_STEP,
         STATIONARY,
         _bfgs_update,
-        _cayley,
         _dot,
-        _from_coords,
-        _to_coords,
     )
 
     d = unit.shape[-1]
     unit = unit[None]
     value, grad = objective(unit)
-    grad = _to_coords(grad)
+    grad = to_coords(grad)
     norm2 = _dot(grad, grad)[0]
     best, best_unit = value[0], unit
     recent = deque([value[0]] * ARMIJO_MEMORY, maxlen=ARMIJO_MEMORY)
@@ -276,9 +335,9 @@ def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
     step = FIRST_STEP
     evals, accepted, backtracks = 1, 0, 0
     while norm2 >= STATIONARY and evals < max_iters:
-        trial = _cayley(_from_coords(np.array([step])[:, None] * direction, d), unit)
+        trial = cayley_padded(from_coords(np.array([step])[:, None] * direction, d), unit)
         t_value, t_grad = objective(trial)
-        t_grad = _to_coords(t_grad)
+        t_grad = to_coords(t_grad)
         evals += 1
         if t_value[0] >= min(recent) + ARMIJO_RISE * step * slope:
             s, y = np.array([step])[:, None] * direction, grad - t_grad
@@ -307,11 +366,13 @@ def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
 def sequential_search(rho, op, index: int, config) -> tuple:
     """``maximize_delta_m`` run one restart after another, each on a stack of one point.
 
-    Returns the ``SearchOutcome`` and each restart's evaluation count.
+    Each block of each start is its own ``_exp_ih`` call, and the ascent
+    runs on the padded-stack kernels (``_sequential_ascent``). Returns the
+    ``SearchOutcome`` and each restart's evaluation count.
     """
     import functools
 
-    from coherence_lab.modes import _local_gap_measure, _stripe_blocks, _stripe_measure
+    from coherence_lab.modes import _local_gap_measure, _stripe_blocks
     from coherence_lab.optimizer import SearchOutcome, _exp_ih, _hermitian_from_params
     from coherence_lab.states import AllowedUnitary, BipartiteGenerator, _block_mask, _padded_units
 
@@ -322,7 +383,7 @@ def sequential_search(rho, op, index: int, config) -> tuple:
     blocks = _stripe_blocks(np.kron(rho.matrix, rho.matrix), d, index).view(float)
     exponent = int(np.frexp(np.abs(blocks).max(initial=0.0))[1])
     blocks = np.ldexp(blocks, -exponent).view(complex)
-    objective = functools.partial(_stripe_measure, blocks=blocks, index=index)
+    objective = functools.partial(stripe_measure_padded, blocks=blocks, index=index)
     baseline = _local_gap_measure(rho.matrix, index)
     rng = np.random.default_rng(config.seed)
     best = None

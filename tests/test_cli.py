@@ -211,6 +211,23 @@ class TestConcat:
             assert "concat_nx0.1_nz0.7.csv" in err
             assert all(f"(nx={value}, nz=0.7)" in err for value in nx.split(","))
 
+    def test_starts_above_the_row_cap_name_it_on_one_line(self, tmp_path, capsys, monkeypatch):
+        # 10 starts may write 10 x (MAX_STEPS + 1) rows, just above MAX_ROWS
+        monkeypatch.setattr(cli, "run_concatenation", lambda *args, **kwargs: pytest.fail("a trajectory ran"))
+        out = tmp_path / "out"
+        assert main(["concat", "--nx", "0.1,0.2,0.3,0.4,0.5", "--nz", "0.1,0.2", "--out", str(out)]) == 2
+        assert os.listdir(out) == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "nx and nz" in err and f"{qubit_protocol.MAX_ROWS:,}" in err and "Traceback" not in err
+
+    def test_starts_at_the_row_cap_run(self, tmp_path):
+        # 9 starts may write 9 x (MAX_STEPS + 1) rows, within MAX_ROWS
+        assert 9 * (qubit_protocol.MAX_STEPS + 1) <= qubit_protocol.MAX_ROWS < 10 * (qubit_protocol.MAX_STEPS + 1)
+        out = tmp_path / "out"
+        assert main(["concat", "--nx", "0.1,0.2,0.3", "--nz", "0.1,0.2,0.3", "--out", str(out)]) == 0
+        assert len([f for f in os.listdir(out) if f.endswith(".csv")]) == 9
+
     def test_huge_finite_start_is_rejected_by_norm(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["concat", "--nx", "1e200", "--nz", "0", "--out", str(out)]) == 1
@@ -652,6 +669,8 @@ def test_flag_the_command_does_not_take_exits_2(tmp_path, capsys, argv):
         # the grid is checked before the field's rows are made
         ["field", "--grid", "0x5"],
         ["field", "--grid", "100000"],
+        # the count of starts is checked before any start is validated or run
+        ["concat", "--nx", "0.1,0.2,0.3,0.4,0.5", "--nz", "0.1,0.2"],
         ["nogo"],
         # a restart count above the cap, before anything is allocated for it
         ["concentrate", "--state", "ISO", "--restarts", "1000000000000"],
@@ -675,12 +694,12 @@ def test_restart_count_above_the_cap_names_it_on_one_line(tmp_path, capsys, argv
 
 
 def test_grid_above_the_cap_names_it_on_one_line(tmp_path, capsys):
-    side = math.isqrt(qubit_protocol.MAX_FIELD_POINTS) + 1
+    side = math.isqrt(qubit_protocol.MAX_ROWS) + 1
     out = tmp_path / "out"
     assert main(["field", "--grid", str(side), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "grid" in err and f"{qubit_protocol.MAX_FIELD_POINTS:,}" in err and "Traceback" not in err
+    assert "grid" in err and f"{qubit_protocol.MAX_ROWS:,}" in err and "Traceback" not in err
     assert os.listdir(out) == []
 
 

@@ -7,6 +7,7 @@ from coherence_lab.errors import StateValidationError, UnsupportedParameterError
 from coherence_lab.modes import (
     MODE_PRESENCE_THRESHOLD,
     ModeOperator,
+    _gradient_layout,
     _pair_blocks_layout,
     _quota_mask,
     _stripe_blocks,
@@ -20,13 +21,14 @@ from coherence_lab.modes import (
     mode_measure,
     vin_projector,
 )
-from coherence_lab.optimizer import _exp_ih, _haar_draw_layout, random_allowed_unitary
+from coherence_lab.optimizer import _cayley_layout, _exp_ih, _haar_draw_layout, random_allowed_unitary
 from coherence_lab.sampling import random_bloch, random_density_matrix
 from coherence_lab.states import (
     BipartiteGenerator,
     DensityMatrix,
     NumberOperator,
     _block_mask,
+    _generator_coords,
     _padded_units,
     bloch_to_density,
     isotropic_state,
@@ -272,7 +274,10 @@ class TestStripeLayout:
         assert _quota_mask(3, 1) is quotas
         assert _two_copy_layout(3, 1) is _two_copy_layout(3, 1)
         assert _haar_draw_layout(3)[1] is _haar_draw_layout(3)[1]
-        for cached in (index, gaps, quotas, _block_mask(3), _two_copy_layout(3, 1), _haar_draw_layout(3)[1]):
+        assert _gradient_layout(3, 1) is _gradient_layout(3, 1)
+        assert _cayley_layout(3) is _cayley_layout(3)
+        cached = (index, gaps, quotas, _block_mask(3), _two_copy_layout(3, 1), _haar_draw_layout(3)[1])
+        for cached in (*cached, *_generator_coords(3), *_gradient_layout(3, 1), *_cayley_layout(3)):
             with pytest.raises(ValueError):
                 cached[0] = 0
 
@@ -345,25 +350,24 @@ class TestStripeMeasure:
         mask = _block_mask(d)
         for j in range(1, d):
             (u,), joint, padded, blocks = self._setup(d, j, rng, (1,))
-            value, raw = _stripe_measure(padded[0], blocks, j)
+            value, grad = _stripe_measure(padded[0], blocks, j)
             reduced = oracles.partial_trace_b_loops(u.matrix @ joint @ u.matrix.conj().T, d, d)
             assert value == pytest.approx(np.abs(np.diagonal(reduced, -j)).sum(), abs=1e-14)
-            # the gradient is the Hermitian part of the returned stack
-            grad = (raw + raw.conj().swapaxes(-1, -2)) / 2
-            assert np.all(grad[~mask] == 0)
-            np.testing.assert_allclose(grad, grad.conj().swapaxes(-1, -2), atol=1e-15)
+            assert grad.shape == (len(_generator_coords(d)[0]),)
             for _ in range(3):
-                k = rng.normal(size=padded[0].shape) + 1j * rng.normal(size=padded[0].shape)
-                k = np.where(mask, k + k.conj().swapaxes(-1, -2), 0.0)
-                k /= np.linalg.norm(k)
+                # a unit Hermitian K, zero outside the blocks, from its coordinates
+                x = rng.normal(size=(1, grad.size))
+                x /= np.linalg.norm(x)
+                k = oracles.from_coords(x, d)[0]
 
                 def along(t):
                     return _stripe_measure(np.where(mask, _exp_ih(t * k), np.eye(d)) @ padded[0], blocks, j)[0]
 
-                # five-point central difference along U_b <- exp(i t K_b) U_b
+                # five-point central difference along U_b <- exp(i t K_b) U_b;
+                # a dot product of coordinates is the Frobenius product tr(G K)
                 h = 1e-3
                 slope = (8 * (along(h) - along(-h)) - (along(2 * h) - along(-2 * h))) / (12 * h)
-                predicted = (grad.conj() * k).real.sum()
+                predicted = grad @ x[0]
                 assert abs(slope - predicted) <= 1e-8 * abs(predicted)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -372,7 +376,7 @@ class TestStripeMeasure:
         for j in range(1, d):
             _, _, padded, blocks = self._setup(d, j, rng, (2, 3))
             values, grads = _stripe_measure(padded, blocks, j)
-            assert values.shape == (2, 3) and grads.shape == padded.shape
+            assert values.shape == (2, 3) and grads.shape == (2, 3, len(_generator_coords(d)[0]))
             for idx in np.ndindex(2, 3):
                 # bit for bit, both for a lone point and for a stack of one
                 for alone, pick in ((padded[idx], ()), (padded[idx][None], 0)):

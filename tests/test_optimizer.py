@@ -21,10 +21,8 @@ from coherence_lab.optimizer import (
     _cayley,
     _dot,
     _exp_ih,
-    _from_coords,
     _hermitian_from_params,
     _search,
-    _to_coords,
     maximize_delta_m,
     parameterize_block,
     random_allowed_unitary,
@@ -183,13 +181,14 @@ class TestQuasiNewton:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_coordinates_carry_the_frobenius_product(self, d):
+        # the layout every coordinate kernel shares, through the reference readers
         rng = np.random.default_rng(60 + d)
         g, k = self._hermitian_stack(rng, d, 5), self._hermitian_stack(rng, d, 5)
-        x = _to_coords(g)
+        x = oracles.to_coords(g)
         assert x.shape == (5, sum(n * n for n in range(1, d + 1)) + sum(n * n for n in range(1, d)))
         frobenius = np.einsum("rbij,rbji->r", g, k).real
-        np.testing.assert_allclose(_dot(x, _to_coords(k)), frobenius, rtol=1e-13)
-        back = _from_coords(x, d)
+        np.testing.assert_allclose(_dot(x, oracles.to_coords(k)), frobenius, rtol=1e-13)
+        back = oracles.from_coords(x, d)
         np.testing.assert_allclose(back, g, rtol=0, atol=1e-14)
         # exactly Hermitian, and exactly zero outside the blocks
         assert np.array_equal(back, back.conj().swapaxes(-1, -2))
@@ -199,29 +198,34 @@ class TestQuasiNewton:
     def test_row_dot_products_do_not_depend_on_the_stack(self, d):
         # a restart's norm and slope must round as they would for it alone
         rng = np.random.default_rng(80 + d)
-        for rows in range(2, 9):
-            stack = self._hermitian_stack(rng, d, rows)
-            x = _to_coords(stack)
-            stacked = _dot(x, x)
-            for r in range(rows):
-                alone = _to_coords(stack[r : r + 1])
-                assert _dot(alone, alone)[0] == stacked[r]
+        rho = random_density_matrix(d, d, rng).matrix
+        for j in range(1, d):
+            blocks = _stripe_blocks(np.kron(rho, rho), d, j)
+            for rows in range(2, 9):
+                x = _stripe_measure(_exp_ih(self._hermitian_stack(rng, d, rows)), blocks, j)[1]
+                assert x.flags.c_contiguous
+                stacked = _dot(x, x)
+                for r in range(rows):
+                    assert _dot(x[r : r + 1], x[r : r + 1])[0] == stacked[r]
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_coordinates_read_the_hermitian_part_bitwise(self, d):
-        # the gradient stack comes unsymmetrised; its coordinates must be those
-        # of its Hermitian part (S + S^H) / 2, bit for bit
+        # the kernel's coordinates must be those to_coords reads from the padded
+        # gradient stack S and from its Hermitian part (S + S^H) / 2, bit for bit;
+        # at d = 1 the gap-1 stripe has no pair (nogo on a joint state of d = 1)
         rng = np.random.default_rng(110 + d)
         rho = random_density_matrix(d, d, rng).matrix
-        blocks = _stripe_blocks(np.kron(rho, rho), d, 1)
-        for rows in (1, 3, 7):
-            shape = (rows, 2 * d - 1, d, d)
-            arbitrary = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            # exp(i H) of a padded Hermitian stack is the identity in the padding
-            raw = _stripe_measure(_exp_ih(self._hermitian_stack(rng, d, rows)), blocks, 1)[1]
-            for s in (arbitrary, raw):
+        for j in range(1, max(d, 2)):
+            blocks = _stripe_blocks(np.kron(rho, rho), d, j)
+            for rows in range(1, 9):
+                # exp(i H) of a padded Hermitian stack is the identity in the padding
+                units = _exp_ih(self._hermitian_stack(rng, d, rows))
+                units[0] = np.eye(d)
+                value, x = _stripe_measure(units, blocks, j)
+                ref_value, s = oracles.stripe_measure_padded(units, blocks, j)
+                assert value.tobytes() == ref_value.tobytes()
                 hermitian = (s + s.conj().swapaxes(-1, -2)) / 2
-                assert _to_coords(s).tobytes() == _to_coords(hermitian).tobytes()
+                assert x.tobytes() == oracles.to_coords(s).tobytes() == oracles.to_coords(hermitian).tobytes()
 
     def test_update_matches_the_textbook_product_form(self):
         rng = np.random.default_rng(70)
@@ -274,33 +278,54 @@ class TestQuasiNewton:
 
 
 class TestCayley:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_stacked_step_matches_row_by_row_bitwise(self, n):
-        rng = np.random.default_rng(90 + n)
-        k = _hermitian_from_params(n, rng.uniform(-3, 3, (2, 6, n * n)))
-        k[0, 0] = 0.0
-        units = _exp_ih(_hermitian_from_params(n, rng.uniform(-3, 3, (2, 6, n * n))))
-        stacked = _cayley(k, units)
-        assert stacked.shape == (2, 6, n, n)
-        for idx in np.ndindex(2, 6):
-            assert stacked[idx].tobytes() == _cayley(k[idx], units[idx]).tobytes()
+    @staticmethod
+    def _points(rng, d, rows):
+        """Random coordinates with a zero row and a zero coordinate, and padded unitaries (identity in the padding)."""
+        p = sum(n * n for n in range(1, d + 1)) + sum(n * n for n in range(1, d))
+        x = rng.normal(size=(rows, p))
+        x[0] = 0.0
+        x[-1, rows % p] = 0.0
+        units = np.where(_block_mask(d), _exp_ih(oracles.from_coords(rng.normal(size=(rows, p)), d)), np.eye(d))
+        return x, units
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stacked_step_matches_row_by_row_bitwise(self, d):
+        rng = np.random.default_rng(90 + d)
+        for rows in range(1, 9):
+            x, units = self._points(rng, d, rows)
+            stacked = _cayley(x, units)
+            assert stacked.shape == units.shape
+            for r in range(rows):
+                assert stacked[r].tobytes() == _cayley(x[r : r + 1], units[r : r + 1])[0].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_step_from_coordinates_is_the_padded_step_bitwise(self, d):
+        # I - iK/2 written from the coordinates must be the bits of I - 0.5j K,
+        # K = from_coords(x), zero parts included, or the LU solve may differ
+        rng = np.random.default_rng(100 + d)
+        for rows in range(1, 9):
+            x, units = self._points(rng, d, rows)
+            step = _cayley(x, units)
+            assert step.tobytes() == oracles.cayley_padded(oracles.from_coords(x, d), units).tobytes()
+            # a zero step leaves its point exactly as it was
+            assert step[0].tobytes() == units[0].tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_step_is_a_second_order_retraction_with_exact_padding(self, d):
         rng = np.random.default_rng(95 + d)
-        p = sum(n * n for n in range(1, d + 1)) + sum(n * n for n in range(1, d))
         mask, eye = _block_mask(d), np.eye(d)
-        k = _from_coords(rng.normal(size=(5, p)), d)
-        units = np.where(mask, _exp_ih(_from_coords(rng.normal(size=(5, p)), d)), eye)
-        step = _cayley(k, units)
+        x, units = self._points(rng, d, 5)
+        step = _cayley(x, units)
         outside = ~np.broadcast_to(mask, step.shape)
         assert np.array_equal(step[outside], np.broadcast_to(eye, step.shape)[outside])
         np.testing.assert_allclose(step @ step.conj().swapaxes(-1, -2), np.broadcast_to(eye, step.shape), atol=1e-14)
         # the same map as the product form (I - iK/2)^-1 (I + iK/2) U
+        k = oracles.from_coords(x, d)
         product = np.linalg.solve(eye - 0.5j * k, (eye + 0.5j * k) @ units)
         np.testing.assert_allclose(step, product, rtol=0, atol=1e-14)
-        # it agrees with exp(i t K) U to second order in t: halving t divides the gap by 8
-        gaps = [np.abs(_cayley(t * k, units) - np.where(mask, _exp_ih(t * k), eye) @ units).max() for t in (1e-2, 5e-3)]
+        # it agrees with exp(i t K) U to second order in t (row 0 does not move):
+        # halving t divides the gap by 8
+        gaps = [np.abs(_cayley(t * x, units) - np.where(mask, _exp_ih(t * k), eye) @ units).max() for t in (1e-2, 5e-3)]
         assert 7 < gaps[0] / gaps[1] < 9
 
 
@@ -386,7 +411,7 @@ class TestTelemetry:
         # a lockstep iteration is one stacked Cayley step
         calls = []
         original = optimizer._cayley
-        monkeypatch.setattr(optimizer, "_cayley", lambda k, units: calls.append(k.shape) or original(k, units))
+        monkeypatch.setattr(optimizer, "_cayley", lambda x, units: calls.append(x.shape) or original(x, units))
         rng = np.random.default_rng(606)
         converged = 0
         for k in range(30):
@@ -457,15 +482,15 @@ class TestLockstep:
         starts, steps = [], []
         exp_ih, cayley = optimizer._exp_ih, optimizer._cayley
         monkeypatch.setattr(optimizer, "_exp_ih", lambda h: starts.append(h.shape) or exp_ih(h))
-        monkeypatch.setattr(optimizer, "_cayley", lambda k, units: steps.append(k.shape) or cayley(k, units))
+        monkeypatch.setattr(optimizer, "_cayley", lambda x, units: steps.append(x.shape) or cayley(x, units))
         rho = bloch_to_density(random_bloch(np.random.default_rng(41)))
         cfg = UnitarySearchConfig(restarts=8, max_iters=2000, seed=1)
         outcome = maximize_delta_m(rho, NumberOperator(2), 1, cfg)
         monkeypatch.undo()
-        # one exponential per block builds the starts; each Cayley step turns
-        # every live restart's three padded blocks at once
-        assert starts == [(8, 1, 1), (8, 2, 2), (8, 1, 1)]
-        assert all(len(shape) == 4 and shape[1:] == (3, 2, 2) for shape in steps)
+        # one exponential per block size builds the starts, both 1 x 1 blocks
+        # at once; each Cayley step takes every live restart's P = 6 coordinates
+        assert starts == [(8, 2, 1, 1), (8, 1, 2, 2)]
+        assert all(len(shape) == 2 and shape[1] == 6 for shape in steps)
         live = [shape[0] for shape in steps]
         assert live[0] == 8 and live == sorted(live, reverse=True)
         assert sum(live) == outcome.evals - 8

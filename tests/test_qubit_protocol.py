@@ -412,10 +412,10 @@ class TestVectorField:
 
     def test_grid_cap(self):
         # rows are made lazily, so a grid at the cap is accepted without making any
-        vector_field(qubit_protocol.MAX_FIELD_POINTS, 1)
-        vector_field(1, qubit_protocol.MAX_FIELD_POINTS)
+        vector_field(qubit_protocol.MAX_ROWS, 1)
+        vector_field(1, qubit_protocol.MAX_ROWS)
         with pytest.raises(UnsupportedParameterError, match="grid of 10000001x1 points exceeds the cap of 10,000,000"):
-            vector_field(qubit_protocol.MAX_FIELD_POINTS + 1, 1)
+            vector_field(qubit_protocol.MAX_ROWS + 1, 1)
 
 
 class TestModeMeasureConsistency:
