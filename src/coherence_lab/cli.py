@@ -228,6 +228,10 @@ def cmd_bound_compare(p: dict) -> Iterator[tuple]:
     restarts = p["restarts"]
     if not 0 <= restarts <= MAX_RESTARTS:
         raise UnsupportedParameterError(f"bound-compare requires --restarts 0 to {MAX_RESTARTS}, got {restarts}")
+    # one row per sample, rank and j; with a search, the work of each row grows with its restarts
+    if (count := p["samples"] * len(ranks) * (dim - 1)) * max(restarts, 1) > MAX_ROWS:
+        raise UnsupportedParameterError(f"samples {p['samples']} give {count:,} rows x {max(restarts, 1)} restarts, "
+                                        f"above the cap of {MAX_ROWS:,}")
     op = NumberOperator(dim)
     wins: dict = {}
 
@@ -267,7 +271,7 @@ def cmd_nogo(p: dict) -> Iterator[tuple]:
     verdict = _nogo_verdict(present, d)
     before = _local_gap_measure(linalg.partial_trace_b(rho.matrix, d, d), 1)
     # the verdict covers every local dimension; the search runs up to its cap
-    outcome = None if d > MAX_LOCAL_DIM else _search(_stripe_blocks(rho.matrix, d, 1), d, 1, before, UnitarySearchConfig())
+    outcome = None if d > MAX_LOCAL_DIM else _search(_stripe_blocks(rho.matrix, d, 1), before, UnitarySearchConfig())
     report = {
         "verdict": verdict,
         "modes_present": sorted(present),

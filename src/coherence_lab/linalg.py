@@ -27,13 +27,12 @@ def partial_trace_b(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values in decreasing order; roundoff negatives are clamped to zero."""
+    """Singular values in decreasing order."""
     m = as_matrix(m)
     try:
-        vals = np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular value computation did not converge: {exc}") from exc
-    return np.maximum(vals, 0.0)
 
 
 def ky_fan_norm(m: np.ndarray, k: int) -> float:

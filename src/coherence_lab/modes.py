@@ -138,11 +138,12 @@ def _gradient_layout(d: int, index: int) -> tuple:
     return where, half
 
 
-def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
-    """Gap-``index`` measure f of the first marginal of U X U^dagger, and its gradient's generator coordinates.
+def _stripe_measure(units: np.ndarray, blocks: np.ndarray) -> tuple:
+    """Gap-j measure f of the first marginal of U X U^dagger, and its gradient's generator coordinates.
 
     ``units`` are padded block unitaries (``_padded_units``), whose leading
-    axes are stack axes; ``blocks`` are ``_stripe_blocks``. Row and column n of
+    axes are stack axes; ``blocks`` are the gap-j ``_stripe_blocks``, 2d - 1 - j
+    pairs, so j is how many fewer than the blocks of ``units``, also with no pair (d = 1). Row and column n of
     every padded block hold a ket of first-system level n, so with
     A_c = U_{c+j} X_c U_c^dagger the marginal entry (n + j, n) is
     z_n = sum_c A_c[n + j, n], and f = sum_n |z_n|. W holds w_n = conj(z_n) / |z_n|
@@ -156,17 +157,18 @@ def _stripe_measure(units: np.ndarray, blocks: np.ndarray, index: int) -> tuple:
     in order, which ``sum`` over the pair axis does not at d = 4, so each
     point is the same bits in any stack.
     """
-    d, pairs = units.shape[-1], len(blocks)
-    a = units[..., index : index + pairs, :, :] @ blocks @ units[..., :pairs, :, :].conj().swapaxes(-1, -2)
-    stripe = a.diagonal(-index, -2, -1)
-    # with no pair (index > 2d - 2, as for a joint state of d = 1) there is no level n either
+    d, pairs = units.shape[-1], blocks.shape[-3]
+    j = units.shape[-3] - pairs
+    a = units[..., j : j + pairs, :, :] @ blocks @ units[..., :pairs, :, :].conj().swapaxes(-1, -2)
+    stripe = a.diagonal(-j, -2, -1)
+    # with no pair (j > 2d - 2, as for a joint state of d = 1) there is no level n either
     z = np.add.accumulate(stripe, -2)[..., -1, :] if pairs else stripe.sum(-2)
     size = np.abs(z)
     w = z.conj() / np.where(size < _TINY, 1.0, size)
     lead = a.shape[:-3]
-    products = (a[..., : d - index] * w[..., None, None, :], w[..., None, :, None] * a[..., index:, :])
+    products = (a[..., : d - j] * w[..., None, None, :], w[..., None, :, None] * a[..., j:, :])
     flat = np.concatenate([p.reshape(*lead, -1) for p in products] + [np.zeros((*lead, 1), complex)], -1)
-    where, half = _gradient_layout(d, index)
+    where, half = _gradient_layout(d, j)
     terms = np.take(flat.view(float), where, axis=-1)
     terms = terms[..., 0, :] - terms[..., 1, :]
     return size.sum(-1), (terms[..., 0, :] + terms[..., 1, :]) * half

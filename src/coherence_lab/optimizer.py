@@ -265,12 +265,12 @@ def _pick(ok, new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return new if ok is None else np.where(ok.reshape(-1, *(1,) * (new.ndim - 1)), new, old)
 
 
-def _ascend(units: np.ndarray, blocks: np.ndarray, index: int, max_iters: int) -> tuple:
+def _ascend(units: np.ndarray, blocks: np.ndarray, max_iters: int) -> tuple:
     """Lockstep quasi-Newton ascent from each row of ``units`` (restarts x padded blocks).
 
-    Values and gradients G are ``_stripe_measure``'s on the gap-``index``
-    stripe ``blocks``, G on the P ``_generator_coords`` coordinates, which are
-    all the loop reads and writes. Every live restart tries the Cayley step
+    Values and gradients G are ``_stripe_measure``'s on the stripe ``blocks``
+    (its gap read from the shapes), G on the P ``_generator_coords`` coordinates,
+    all that the loop reads and writes. Every live restart tries the Cayley step
     of alpha D from its point (``_cayley``, built from the coordinates of
     alpha D) in one stacked call, with D = H G (``_direction``) and H each
     restart's inverse-Hessian approximation, the identity at the start. A
@@ -297,7 +297,7 @@ def _ascend(units: np.ndarray, blocks: np.ndarray, index: int, max_iters: int) -
     Returns per restart the best blocks (written over ``units``), accepted
     steps, rejected trials, stop reasons and final gradient norms.
     """
-    value, g = _stripe_measure(units, blocks, index)
+    value, g = _stripe_measure(units, blocks)
     n, p = g.shape
     ids = np.arange(n)
     # every working array but h and fresh is replaced, never written into,
@@ -323,7 +323,7 @@ def _ascend(units: np.ndarray, blocks: np.ndarray, index: int, max_iters: int) -
         direction, slope = _direction(h, g)
         x = step[:, None] * direction
         trial = _cayley(x, units)
-        t_value, t_g = _stripe_measure(trial, blocks, index)
+        t_value, t_g = _stripe_measure(trial, blocks)
         ok = t_value >= recent.min(1) + ARMIJO_RISE * step * slope
         took = None if ok.all() else ok
         y = g - t_g
@@ -355,31 +355,15 @@ def maximize_delta_m(
     if rho.dim > MAX_LOCAL_DIM:
         raise UnsupportedParameterError(f"search supports local dimension up to {MAX_LOCAL_DIM}, got {rho.dim}")
     cfg = config or UnitarySearchConfig()
-    return _search(_two_copy_blocks(rho.matrix, index), rho.dim, index, _local_gap_measure(rho.matrix, index), cfg)
+    return _search(_two_copy_blocks(rho.matrix, index), _local_gap_measure(rho.matrix, index), cfg)
 
 
-@functools.cache
-def _start_layout(d: int) -> tuple:
-    """The generator of two d-level systems, a restart's count of parameters, and per size n where those of its blocks sit.
+def _search(blocks: np.ndarray, baseline: float, cfg: UnitarySearchConfig) -> SearchOutcome:
+    """Largest gap-j measure of the first marginal of U joint U^dagger over covariant U, minus ``baseline``.
 
-    They are drawn block after block, each in ``_hermitian_from_params``'s order; blocks n - 1 and
-    2d - 1 - n have size n, so one ``_exp_ih`` of a (restarts, 2, n^2) gather makes both (one at n = d).
-    """
-    gen = BipartiteGenerator(NumberOperator(d))
-    sizes = np.array([gen.block_dim(c) for c in range(gen.n_eigenvalues)])
-    offsets = np.cumsum(sizes**2) - sizes**2
-    where = tuple(offsets[sorted({n - 1, 2 * d - 1 - n}), None] + np.arange(n * n) for n in range(1, d + 1))
-    for w in where:
-        w.setflags(write=False)
-    return gen, int((sizes**2).sum()), where
-
-
-def _search(blocks: np.ndarray, d: int, index: int, baseline: float, cfg: UnitarySearchConfig) -> SearchOutcome:
-    """Largest gap-``index`` measure of the first marginal of U joint U^dagger over covariant U, minus ``baseline``.
-
-    ``blocks`` are the ``_stripe_blocks`` of ``joint``, any state of two d-level
-    systems. Restart r > 0 starts from exp(i H_b) with each generator's
-    parameters uniform in [-pi, pi]; the identity seeds the first restart, so
+    ``blocks`` are the gap-j ``_stripe_blocks`` of ``joint``, any state of two
+    d-level systems, d their last axis. Restart r > 0 starts from exp(i H_b), one ``_exp_ih`` per
+    block over the restarts, parameters uniform in [-pi, pi]; the identity seeds the first restart, so
     when ``baseline`` is the input's own measure the result is never below zero
     beyond roundoff. The ascent runs on the blocks scaled by 2^-e, with e the binary
     exponent of their largest real or imaginary part, so its absolute
@@ -388,25 +372,24 @@ def _search(blocks: np.ndarray, d: int, index: int, baseline: float, cfg: Unitar
     ``blocks`` and ``baseline`` gives the same multiple of every gain, bit for
     bit. Callers check ``d`` against ``MAX_LOCAL_DIM``.
     """
-    gen, total, where = _start_layout(d)
-    rng = np.random.default_rng(cfg.seed)
-    x0 = np.zeros((cfg.restarts, total))
-    x0[1:] = rng.uniform(-math.pi, math.pi, (cfg.restarts - 1, total))
-    grouped = [_exp_ih(_hermitian_from_params(n, x0[:, w])) for n, w in enumerate(where, 1)]
-    starts = [grouped[min(c, 2 * d - 2 - c)][:, int(c >= d)] for c in range(2 * d - 1)]
+    d = blocks.shape[-1]
+    sizes = _block_mask(d).any(-1).sum(-1)
+    x0 = np.zeros((cfg.restarts, int((sizes**2).sum())))
+    x0[1:] = np.random.default_rng(cfg.seed).uniform(-math.pi, math.pi, (cfg.restarts - 1, x0.shape[1]))
+    starts = [_exp_ih(_hermitian_from_params(n, x)) for n, x in zip(sizes, np.split(x0, np.cumsum(sizes**2)[:-1], 1))]
     blocks = blocks.view(float)
     # ldexp, not a product with 2.0 ** -e, which overflows for subnormal blocks
     exponent = np.frexp(np.abs(blocks).max(initial=0.0))[1]
     blocks = np.ldexp(blocks, -exponent).view(complex)
-    units, accepted, backtracks, reasons, norms = _ascend(_padded_units(starts, d), blocks, index, cfg.max_iters)
+    units, accepted, backtracks, reasons, norms = _ascend(_padded_units(starts, d), blocks, cfg.max_iters)
     # a product of many Cayley steps drifts off the unitary group by a few ulp,
     # which the best value would pick up; report each best point's polar factor
     w, _, vh = np.linalg.svd(units)
     units = np.where(_block_mask(d), w @ vh, np.eye(d))
-    gains = np.ldexp(_stripe_measure(units, blocks, index)[0], exponent) - baseline
+    gains = np.ldexp(_stripe_measure(units, blocks)[0], exponent) - baseline
     top = int(np.argmax(gains))
     return SearchOutcome(
-        best_unitary=AllowedUnitary._from_stack(gen, units[top]),
+        best_unitary=AllowedUnitary._from_stack(BipartiteGenerator(NumberOperator(d)), units[top]),
         history=tuple(gains.tolist()),
         accepted=int(accepted.sum()),
         backtracks=int(backtracks.sum()),

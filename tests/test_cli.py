@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -378,6 +379,27 @@ class TestBoundCompare:
             assert main(["bound-compare", "--dim", str(dim), "--out", str(tmp_path)]) == 2
             assert f"dimension 3 to {MAX_LOCAL_DIM}, got {dim}" in capsys.readouterr().err
 
+    def test_samples_above_the_row_cap_name_it_on_one_line(self, tmp_path, capsys, monkeypatch):
+        # 5,000,001 samples x 1 rank x 2 values of j is two rows above MAX_ROWS
+        monkeypatch.setattr(cli, "random_density_matrix", lambda *args: pytest.fail("a state was sampled"))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["bound-compare", "--dim", "3", "--ranks", "1", "--samples", "5000001", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert os.listdir(out) == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "samples" in err and f"{qubit_protocol.MAX_ROWS:,}" in err and "Traceback" not in err
+
+    def test_samples_at_the_row_cap_run(self, tmp_path, monkeypatch):
+        # 3 samples x 2 ranks x 2 values of j is 12 rows; a search multiplies them by its restarts
+        monkeypatch.setattr(cli, "MAX_ROWS", 12)
+        args = ["bound-compare", "--dim", "3", "--ranks", "1,2", "--samples", "3"]
+        assert main(args + ["--out", str(tmp_path / "at")]) == 0
+        assert len(_read_csv(tmp_path / "at" / "bound_compare.csv")[1]) == 12
+        assert main(args + ["--restarts", "2", "--out", str(tmp_path / "above")]) == 2
+        assert os.listdir(tmp_path / "above") == []
+
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "out"
         main(["bound-compare", "--dim", "3", "--ranks", "2", "--samples", "3", "--seed", "1", "--out", str(out)])
@@ -470,7 +492,7 @@ class TestNogo:
         d = math.isqrt(state.dim)
         assert bounds.nogo_check(state, BipartiteGenerator(NumberOperator(d))) == "no_go"
         before = np.abs(np.diagonal(oracles.partial_trace_b_loops(state.matrix, d, d), -j)).sum()
-        outcome = _search(_stripe_blocks(state.matrix, d, j), d, j, before, UnitarySearchConfig(seed=3))
+        outcome = _search(_stripe_blocks(state.matrix, d, j), before, UnitarySearchConfig(seed=3))
         assert outcome.best_delta_m <= 1e-9
 
     def test_isotropic_state_file_reports_no_go(self, tmp_path):
@@ -487,7 +509,7 @@ class TestNogo:
         out = tmp_path / "out"
         assert main(["nogo", "--state", state, "--out", str(out)]) == 0
         report = json.load(open(out / "nogo_report.json"))
-        outcome = _search(_stripe_blocks(rho.matrix, d, 1), d, 1, report["initial_local_m1"], UnitarySearchConfig())
+        outcome = _search(_stripe_blocks(rho.matrix, d, 1), report["initial_local_m1"], UnitarySearchConfig())
         assert report["max_local_m1_gain"] == outcome.best_delta_m
 
         def m1(joint):

@@ -58,6 +58,10 @@ class TestModeComponent:
         expected[1, 0] = 0.5
         np.testing.assert_array_equal(comp.op, expected)
 
+    def test_operator_needs_one_label_per_row(self):
+        with pytest.raises(StateValidationError, match=r"shape \(2, 2\) does not match 3 eigenvalue labels"):
+            ModeOperator(1, np.zeros((2, 2)), np.arange(3))
+
     def test_corner_coherence_lands_in_mode_two(self):
         rho = _qutrit_with_corner()
         assert [j for j in range(3) if mode_measure(rho, QUTRIT, j) > 1e-10] == [0, 2]
@@ -129,6 +133,11 @@ class TestModeMeasure:
     def test_out_of_range_index(self):
         with pytest.raises(UnsupportedParameterError, match="outside the local range"):
             mode_measure(DensityMatrix(np.eye(3) / 3), QUTRIT, -3)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="state dimension 2 does not match operator dimension 3") as exc:
+            mode_measure(DensityMatrix(np.eye(2) / 2), QUTRIT, 1)
+        assert exc.type is ValueError
 
 
 class TestBipartiteMode:
@@ -203,6 +212,11 @@ class TestBipartiteMode:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             bipartite_mode(DensityMatrix(np.eye(4) / 4), GEN3, 1)
+
+    @pytest.mark.parametrize("index", [-5, 5])
+    def test_gap_beyond_the_total_range(self, index):
+        with pytest.raises(UnsupportedParameterError, match=f"mode index {index} outside the range of the total"):
+            bipartite_mode(DensityMatrix(np.eye(9) / 9), GEN3, index)
 
 
 class TestLocalModeOfGlobal:
@@ -350,7 +364,7 @@ class TestStripeMeasure:
         mask = _block_mask(d)
         for j in range(1, d):
             (u,), joint, padded, blocks = self._setup(d, j, rng, (1,))
-            value, grad = _stripe_measure(padded[0], blocks, j)
+            value, grad = _stripe_measure(padded[0], blocks)
             reduced = oracles.partial_trace_b_loops(u.matrix @ joint @ u.matrix.conj().T, d, d)
             assert value == pytest.approx(np.abs(np.diagonal(reduced, -j)).sum(), abs=1e-14)
             assert grad.shape == (len(_generator_coords(d)[0]),)
@@ -361,7 +375,7 @@ class TestStripeMeasure:
                 k = oracles.from_coords(x, d)[0]
 
                 def along(t):
-                    return _stripe_measure(np.where(mask, _exp_ih(t * k), np.eye(d)) @ padded[0], blocks, j)[0]
+                    return _stripe_measure(np.where(mask, _exp_ih(t * k), np.eye(d)) @ padded[0], blocks)[0]
 
                 # five-point central difference along U_b <- exp(i t K_b) U_b;
                 # a dot product of coordinates is the Frobenius product tr(G K)
@@ -375,12 +389,12 @@ class TestStripeMeasure:
         rng = np.random.default_rng(70 + d)
         for j in range(1, d):
             _, _, padded, blocks = self._setup(d, j, rng, (2, 3))
-            values, grads = _stripe_measure(padded, blocks, j)
+            values, grads = _stripe_measure(padded, blocks)
             assert values.shape == (2, 3) and grads.shape == (2, 3, len(_generator_coords(d)[0]))
             for idx in np.ndindex(2, 3):
                 # bit for bit, both for a lone point and for a stack of one
                 for alone, pick in ((padded[idx], ()), (padded[idx][None], 0)):
-                    value, grad = _stripe_measure(alone, blocks, j)
+                    value, grad = _stripe_measure(alone, blocks)
                     assert values[idx] == value[pick]
                     assert grads[idx].tobytes() == grad[pick].tobytes()
 

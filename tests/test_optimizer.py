@@ -19,6 +19,7 @@ from coherence_lab.optimizer import (
     UnitarySearchConfig,
     _bfgs_update,
     _cayley,
+    _direction,
     _dot,
     _exp_ih,
     _hermitian_from_params,
@@ -202,7 +203,7 @@ class TestQuasiNewton:
         for j in range(1, d):
             blocks = _stripe_blocks(np.kron(rho, rho), d, j)
             for rows in range(2, 9):
-                x = _stripe_measure(_exp_ih(self._hermitian_stack(rng, d, rows)), blocks, j)[1]
+                x = _stripe_measure(_exp_ih(self._hermitian_stack(rng, d, rows)), blocks)[1]
                 assert x.flags.c_contiguous
                 stacked = _dot(x, x)
                 for r in range(rows):
@@ -221,7 +222,7 @@ class TestQuasiNewton:
                 # exp(i H) of a padded Hermitian stack is the identity in the padding
                 units = _exp_ih(self._hermitian_stack(rng, d, rows))
                 units[0] = np.eye(d)
-                value, x = _stripe_measure(units, blocks, j)
+                value, x = _stripe_measure(units, blocks)
                 ref_value, s = oracles.stripe_measure_padded(units, blocks, j)
                 assert value.tobytes() == ref_value.tobytes()
                 hermitian = (s + s.conj().swapaxes(-1, -2)) / 2
@@ -275,6 +276,19 @@ class TestQuasiNewton:
                 alone = start[r : r + 1].copy()
                 _bfgs_update(alone, s[r : r + 1], y[r : r + 1], sy[r : r + 1], fresh[r : r + 1])
                 assert got[r].tobytes() == alone[0].tobytes()
+
+    def test_direction_falls_back_to_the_gradient_where_not_uphill(self):
+        # H = I keeps D = H G; -I points downhill and 0 has no slope, so both step along G
+        rng = np.random.default_rng(90)
+        p = 6
+        g = rng.normal(size=(3, p))
+        h = np.stack((np.eye(p), -np.eye(p), np.zeros((p, p))))
+        dirs, slope = _direction(h, g)
+        uphill = (h[:1] @ g[:1, :, None])[..., 0]
+        assert dirs[0].tobytes() == uphill[0].tobytes()
+        assert slope[0] == _dot(g[:1], uphill)[0]
+        assert dirs[1:].tobytes() == g[1:].tobytes()
+        assert slope[1:].tobytes() == _dot(g[1:], g[1:]).tobytes()
 
 
 class TestCayley:
@@ -346,8 +360,8 @@ class TestScaleEquivariance:
         blocks = _stripe_blocks(np.kron(rho.matrix, rho.matrix), d, j)
         baseline = _local_gap_measure(rho.matrix, j)
         cfg = UnitarySearchConfig(restarts=2, max_iters=100, seed=state_seed)
-        want = _search(blocks, d, j, baseline, cfg)
-        got = _search(np.ldexp(blocks.view(float), k).view(complex), d, j, math.ldexp(baseline, k), cfg)
+        want = _search(blocks, baseline, cfg)
+        got = _search(np.ldexp(blocks.view(float), k).view(complex), math.ldexp(baseline, k), cfg)
         assert got.history == tuple(math.ldexp(h, k) for h in want.history)
         assert got.grad_norm == math.ldexp(want.grad_norm, k)
         assert (got.stop_reasons, got.accepted, got.backtracks) == (want.stop_reasons, want.accepted, want.backtracks)
@@ -487,9 +501,9 @@ class TestLockstep:
         cfg = UnitarySearchConfig(restarts=8, max_iters=2000, seed=1)
         outcome = maximize_delta_m(rho, NumberOperator(2), 1, cfg)
         monkeypatch.undo()
-        # one exponential per block size builds the starts, both 1 x 1 blocks
-        # at once; each Cayley step takes every live restart's P = 6 coordinates
-        assert starts == [(8, 2, 1, 1), (8, 1, 2, 2)]
+        # one exponential per block builds the starts, stacked over the
+        # restarts; each Cayley step takes every live restart's P = 6 coordinates
+        assert starts == [(8, 1, 1), (8, 2, 2), (8, 1, 1)]
         assert all(len(shape) == 2 and shape[1] == 6 for shape in steps)
         live = [shape[0] for shape in steps]
         assert live[0] == 8 and live == sorted(live, reverse=True)

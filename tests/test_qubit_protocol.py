@@ -312,6 +312,10 @@ class TestPurityCeiling:
             b = random_bloch(rng)
             assert purity_ceiling(bloch_to_density(b)) == pytest.approx(b.norm(), abs=1e-9)
 
+    def test_rejects_a_qutrit(self):
+        with pytest.raises(UnsupportedParameterError, match="expected a qubit state, got dimension 3"):
+            purity_ceiling(DensityMatrix(np.eye(3) / 3))
+
 
 class TestAmplification:
     def test_constructed_state_has_tiny_coherence(self):

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from coherence_lab import linalg
 from coherence_lab.errors import StateValidationError, UnsupportedParameterError
-from coherence_lab.sampling import haar_unitary, random_bloch
+from coherence_lab.sampling import haar_unitary, random_bloch, random_density_matrix
 from coherence_lab.states import (
     BLOCH_NORM_ATOL,
     AllowedUnitary,
@@ -39,6 +39,10 @@ class TestDensityMatrixValidation:
         with pytest.raises(StateValidationError, match="not positive semidefinite"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(StateValidationError, match=r"must be square, got shape \(2, 3\)"):
+            DensityMatrix(np.ones((2, 3)) / 2)
+
     def test_matrix_is_read_only(self):
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
@@ -49,6 +53,17 @@ class TestDensityMatrixValidation:
         u = haar_unitary(2, np.random.default_rng(0))
         evolved = rho.evolve(u)
         assert evolved.purity() == pytest.approx(rho.purity(), abs=1e-12)
+
+
+def test_number_operator_needs_a_level():
+    with pytest.raises(UnsupportedParameterError, match="dimension must be >= 1, got 0"):
+        NumberOperator(0)
+
+
+@pytest.mark.parametrize("rank", [0, 4])
+def test_random_density_matrix_rejects_rank_outside_the_dimension(rank):
+    with pytest.raises(UnsupportedParameterError, match=rf"rank must lie in \[1, 3\], got {rank}"):
+        random_density_matrix(3, rank, np.random.default_rng(0))
 
 
 class TestBloch:
