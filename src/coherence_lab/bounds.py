@@ -7,11 +7,13 @@ eigenspace-pair block, exploiting that the blocks evolve independently. The
 no-go check inspects which total-gap modes a joint state occupies: when only
 gaps outside the local range (and the symmetric gap 0) are present, no
 covariant operation can create local coherence, even though such states are
-necessarily correlated.
+necessarily correlated. One pass per state, memoised on the state object,
+serves the bounds of every gap.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +22,8 @@ from . import linalg
 from .modes import (
     _check_joint_dim,
     _check_local_index,
+    _gap_layout,
     _local_gap_measure,
-    _quota_mask,
-    _two_copy_blocks,
     bipartite_mode_set,
 )
 from .states import BipartiteGenerator, DensityMatrix, NumberOperator
@@ -60,24 +61,35 @@ class BoundReport:
 
 
 def _block_spectra(rho: DensityMatrix, op: NumberOperator, index: int) -> tuple:
-    """Both bounds and the baseline from the block spectra of the two-copy mode.
-
-    The eigenspace-pair blocks of the gap-``index`` mode of rho (x) rho sit on
-    disjoint rows and columns, so the mode's singular values are exactly the
-    union of the spectra of the blocks, gathered from rho's entries (``_two_copy_blocks``).
-    Bound 2 sums each block's top values up to its count of surviving positions
-    (``_quota_mask``); bound 1 is the top-k sum of the union, k the total count.
-    Padding adds only zero values, and no count exceeds its block's smaller
-    dimension, so the padding changes neither sum. Returns (bound1, bound2, baseline).
-    """
+    """(bound1, bound2, baseline) of mode ``index``: entry index - 1 of the state's one pass over every gap (``_gap_bounds``)."""
     _check_local_index(op, index, rho)
-    spectra = np.linalg.svd(_two_copy_blocks(rho.matrix, index), compute_uv=False)
-    mask = _quota_mask(rho.dim, index)
+    return _gap_bounds(rho)[index - 1]
+
+
+@functools.lru_cache(maxsize=1)
+def _gap_bounds(rho: DensityMatrix) -> tuple:
+    """Both bounds and the baseline of every gap j = 1..d - 1, from one gather, one stacked SVD and one masked sum.
+
+    The eigenspace-pair blocks of the gap-j mode of rho (x) rho sit on
+    disjoint rows and columns, so the mode's singular values are exactly the
+    union of the spectra of the blocks, gathered from rho's entries for every
+    gap at once (``_gap_layout``). Bound 2 sums each block's top values up to
+    its count of surviving positions (``_quota_mask``); bound 1 is the top-k
+    sum of the gap's union, k the total count. Padding adds only zero values,
+    and no count exceeds its block's smaller dimension, so the padding changes
+    neither sum. Memoised on the state object: ``DensityMatrix`` compares by
+    identity and its matrix is read-only, so a sweep over j makes one pass.
+    """
+    maps, mask, spans = _gap_layout(rho.dim)
+    spectra = np.linalg.svd(np.multiply(*np.append(rho.matrix.ravel(), 0.0)[maps]), compute_uv=False)
     # a block's masked zeros add after its own values, so each sum is exact; blocks add in order
-    quota_total = sum(np.where(mask, spectra, 0.0).sum(-1).tolist())
-    global_total = float(np.sort(spectra, axis=None)[::-1][: mask.sum()].sum())
-    baseline = _local_gap_measure(rho.matrix, index)
-    return global_total - baseline, quota_total - baseline, baseline
+    block_totals = np.where(mask, spectra, 0.0).sum(-1).tolist()
+    out = []
+    for j, span in enumerate(spans, 1):
+        global_total = float(np.sort(spectra[span], axis=None)[::-1][: mask[span].sum()].sum())
+        baseline = _local_gap_measure(rho.matrix, j)
+        out.append((global_total - baseline, sum(block_totals[span]) - baseline, baseline))
+    return tuple(out)
 
 
 def bound_kyfan_global(rho: DensityMatrix, op: NumberOperator, index: int) -> float:
@@ -93,8 +105,10 @@ def bound_kyfan_lrd(rho: DensityMatrix, op: NumberOperator, index: int) -> float
     """Ky-Fan bound summed per eigenspace-pair block of the two-copy mode.
 
     Each block gets the Ky-Fan order equal to its own count of surviving
-    positions; blocks with no surviving position contribute nothing. Orders
-    are clamped to the block's smaller dimension.
+    positions; blocks with no surviving position contribute nothing. No order
+    exceeds the block's smaller dimension: each counted column ket |n, c - n>
+    maps one to one to the row ket |n + j, c - n>, so the block has at least
+    as many rows as columns counted.
     """
     return _block_spectra(rho, op, index)[1]
 

@@ -55,6 +55,8 @@ EXIT_UNSUPPORTED = 2
 _TRAJECTORY_CHUNK = 4096
 #: evaluations per restart of each bound-compare search; below the library default, as one run makes hundreds
 _SAMPLE_SEARCH_ITERS = 500
+#: evaluations a bound-compare search may make over all rows and restarts: about 12 minutes at d = 4
+MAX_SEARCH_EVALS = 200_000_000
 
 
 def _fmt(value) -> str:
@@ -228,10 +230,12 @@ def cmd_bound_compare(p: dict) -> Iterator[tuple]:
     restarts = p["restarts"]
     if not 0 <= restarts <= MAX_RESTARTS:
         raise UnsupportedParameterError(f"bound-compare requires --restarts 0 to {MAX_RESTARTS}, got {restarts}")
-    # one row per sample, rank and j; with a search, the work of each row grows with its restarts
-    if (count := p["samples"] * len(ranks) * (dim - 1)) * max(restarts, 1) > MAX_ROWS:
-        raise UnsupportedParameterError(f"samples {p['samples']} give {count:,} rows x {max(restarts, 1)} restarts, "
-                                        f"above the cap of {MAX_ROWS:,}")
+    # one row per sample, rank and j; with a search, each row makes restarts x _SAMPLE_SEARCH_ITERS evaluations
+    if (count := p["samples"] * len(ranks) * (dim - 1)) > MAX_ROWS:
+        raise UnsupportedParameterError(f"samples {p['samples']} give {count:,} rows, above the cap of {MAX_ROWS:,}")
+    if (evals := count * restarts * _SAMPLE_SEARCH_ITERS) > MAX_SEARCH_EVALS:
+        raise UnsupportedParameterError(f"{count:,} rows x {restarts} restarts give {evals:,} search evaluations, "
+                                        f"above the cap of {MAX_SEARCH_EVALS:,}")
     op = NumberOperator(dim)
     wins: dict = {}
 

@@ -240,6 +240,17 @@ def _two_copy_layout(d: int, index: int) -> np.ndarray:
     return maps
 
 
+@functools.cache
+def _gap_layout(d: int) -> tuple:
+    """Every gap's ``_two_copy_layout`` and ``_quota_mask``, j = 1..d - 1, joined along the block axis (read-only), and each gap's span of blocks."""
+    masks = [_quota_mask(d, j) for j in range(1, d)]
+    edges = np.cumsum([0] + [len(m) for m in masks]).tolist()
+    maps, mask = np.concatenate([_two_copy_layout(d, j) for j in range(1, d)], axis=1), np.concatenate(masks)
+    for m in (maps, mask):
+        m.setflags(write=False)
+    return maps, mask, tuple(map(slice, edges, edges[1:]))
+
+
 def bipartite_mode_set(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> set:
     """Non-negative total-gap indices present in a two-system state.
 

@@ -10,6 +10,7 @@ from coherence_lab.bounds import (
     TIE_ATOL,
     BoundReport,
     _block_spectra,
+    _gap_bounds,
     bound_kyfan_global,
     bound_kyfan_lrd,
     bound_report,
@@ -159,12 +160,43 @@ class TestFirstPrinciplesReference:
 
 class TestKronFreeBounds:
     def test_block_spectra_equal_the_kron_path_exactly(self):
+        # the gaps of two states of one d are asked in a shuffled order, so the
+        # per-state pass is read both fresh and memoised
         rng = np.random.default_rng(2028)
-        for k in range(240):
-            d = 2 + k % 4
-            rho = random_density_matrix(d, 1 + (k // 4) % d, rng)
-            for j in range(1, d):
-                assert _block_spectra(rho, NumberOperator(d), j) == oracles.block_spectra_kron(rho, j)
+        states = [random_density_matrix(2 + k % 4, 1 + (k // 4) % (2 + k % 4), rng) for k in range(240)]
+        before = _gap_bounds.cache_info()
+        for first, second in ((states[k], states[k + 4]) for k in range(240) if k % 8 < 4):
+            asks = [(rho, j) for rho in (first, second) for j in range(1, rho.dim)]
+            for i in rng.permutation(len(asks)):
+                rho, j = asks[i]
+                assert _block_spectra(rho, NumberOperator(rho.dim), j) == oracles.block_spectra_kron(rho, j)
+        after = _gap_bounds.cache_info()
+        assert after.hits > before.hits and after.misses > before.misses
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_a_sweep_over_the_gaps_makes_one_svd(self, d, monkeypatch):
+        calls, svd = [], np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        rho = random_density_matrix(d, d, np.random.default_rng(d))
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        reports = [bound_report(rho, NumberOperator(d), j) for j in range(1, d)]
+        assert len(calls) == 1
+        assert [bound_kyfan_global(rho, NumberOperator(d), j) for j in range(1, d)] == [r.bound1 for r in reports]
+        assert len(calls) == 1
+
+    def test_a_memoised_state_still_checks_the_operator_and_the_index(self):
+        rho = random_density_matrix(3, 2, np.random.default_rng(30))
+        bound_report(rho, QUTRIT, 1)
+        for check in (bound_report, bound_kyfan_global, bound_kyfan_lrd):
+            with pytest.raises(ValueError, match="state dimension 3 does not match operator dimension 4"):
+                check(rho, NumberOperator(4), 1)
+            for j in (0, 3):
+                with pytest.raises(UnsupportedParameterError, match="outside the local range"):
+                    check(rho, QUTRIT, j)
 
     def test_bounds_and_search_never_form_the_two_copy_matrix(self, monkeypatch):
         rng = np.random.default_rng(2029)

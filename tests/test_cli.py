@@ -392,12 +392,34 @@ class TestBoundCompare:
         assert "samples" in err and f"{qubit_protocol.MAX_ROWS:,}" in err and "Traceback" not in err
 
     def test_samples_at_the_row_cap_run(self, tmp_path, monkeypatch):
-        # 3 samples x 2 ranks x 2 values of j is 12 rows; a search multiplies them by its restarts
+        # 3 samples x 2 ranks x 2 values of j is 12 rows
         monkeypatch.setattr(cli, "MAX_ROWS", 12)
-        args = ["bound-compare", "--dim", "3", "--ranks", "1,2", "--samples", "3"]
-        assert main(args + ["--out", str(tmp_path / "at")]) == 0
+        args = ["bound-compare", "--dim", "3", "--ranks", "1,2"]
+        assert main(args + ["--samples", "3", "--out", str(tmp_path / "at")]) == 0
         assert len(_read_csv(tmp_path / "at" / "bound_compare.csv")[1]) == 12
-        assert main(args + ["--restarts", "2", "--out", str(tmp_path / "above")]) == 2
+        assert main(args + ["--samples", "4", "--out", str(tmp_path / "above")]) == 2
+        assert os.listdir(tmp_path / "above") == []
+
+    def test_search_above_the_evaluation_cap_names_restarts_on_one_line(self, tmp_path, capsys, monkeypatch):
+        # 20,001 samples x 1 rank x 2 values of j x 10 restarts x 500 evaluations is 10,000 above MAX_SEARCH_EVALS
+        monkeypatch.setattr(cli, "random_density_matrix", lambda *args: pytest.fail("a state was sampled"))
+        out = tmp_path / "out"
+        args = ["bound-compare", "--dim", "3", "--ranks", "1", "--samples", "20001", "--restarts", "10"]
+        start = time.perf_counter()
+        assert main(args + ["--out", str(out)]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert os.listdir(out) == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "restarts" in err and f"{cli.MAX_SEARCH_EVALS:,}" in err and "Traceback" not in err
+
+    def test_search_at_the_evaluation_cap_runs(self, tmp_path, monkeypatch):
+        # 2 samples x 1 rank x 2 values of j is 4 rows; 2 restarts of each make 4,000 evaluations
+        monkeypatch.setattr(cli, "MAX_SEARCH_EVALS", 4 * 2 * cli._SAMPLE_SEARCH_ITERS)
+        args = ["bound-compare", "--dim", "3", "--ranks", "1", "--samples", "2"]
+        assert main(args + ["--restarts", "2", "--out", str(tmp_path / "at")]) == 0
+        assert all(row[5] for row in _read_csv(tmp_path / "at" / "bound_compare.csv")[1])
+        assert main(args + ["--restarts", "3", "--out", str(tmp_path / "above")]) == 2
         assert os.listdir(tmp_path / "above") == []
 
     def test_csv_schema(self, tmp_path):

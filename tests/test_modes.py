@@ -7,6 +7,7 @@ from coherence_lab.errors import StateValidationError, UnsupportedParameterError
 from coherence_lab.modes import (
     MODE_PRESENCE_THRESHOLD,
     ModeOperator,
+    _gap_layout,
     _gradient_layout,
     _pair_blocks_layout,
     _quota_mask,
@@ -290,8 +291,9 @@ class TestStripeLayout:
         assert _haar_draw_layout(3)[1] is _haar_draw_layout(3)[1]
         assert _gradient_layout(3, 1) is _gradient_layout(3, 1)
         assert _cayley_layout(3) is _cayley_layout(3)
+        assert _gap_layout(3) is _gap_layout(3)
         cached = (index, gaps, quotas, _block_mask(3), _two_copy_layout(3, 1), _haar_draw_layout(3)[1])
-        for cached in (*cached, *_generator_coords(3), *_gradient_layout(3, 1), *_cayley_layout(3)):
+        for cached in (*cached, *_generator_coords(3), *_gradient_layout(3, 1), *_cayley_layout(3), *_gap_layout(3)[:2]):
             with pytest.raises(ValueError):
                 cached[0] = 0
 
