@@ -74,7 +74,7 @@ def _gap_bounds(rho: DensityMatrix) -> tuple:
     disjoint rows and columns, so the mode's singular values are exactly the
     union of the spectra of the blocks, gathered from rho's entries for every
     gap at once (``_gap_layout``). Bound 2 sums each block's top values up to
-    its count of surviving positions (``_quota_mask``); bound 1 is the top-k
+    its count of surviving positions (the table's mask); bound 1 is the top-k
     sum of the gap's union, k the total count. Padding adds only zero values,
     and no count exceeds its block's smaller dimension, so the padding changes
     neither sum. Memoised on the state object: ``DensityMatrix`` compares by

@@ -421,6 +421,9 @@ def main(argv=None) -> int:
     except UnsupportedParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except (StateValidationError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -47,8 +47,7 @@ class ModeOperator:
             raise StateValidationError(
                 f"operator shape {op.shape} does not match {eigs.size} eigenvalue labels"
             )
-        gaps = eigs[:, None] - eigs[None, :]
-        off_support = op[gaps != self.index]
+        off_support = op[eigs[:, None] - eigs != self.index]
         if off_support.size and np.any(off_support != 0):
             worst = float(np.abs(off_support).max())
             raise StateValidationError(
@@ -91,28 +90,16 @@ def _check_joint_dim(joint, gen: BipartiteGenerator) -> None:
         raise ValueError(f"joint dimension {joint.dim} does not match generator dimension {gen.total_dim}")
 
 
-@functools.cache
-def _quota_mask(d: int, index: int) -> np.ndarray:
-    """Per stripe pair c, which top singular values count: one per position (|n + index, m>, |n, m>) the partial trace keeps.
-
-    They are the n in [0, d - 1 - index] with m = c - n in [0, d - 1]: the kets
-    that exist among the first d - index of row c of ``_generator_layout``'s table.
-    """
-    quotas = (_generator_layout(d)[0][: 2 * d - 1 - index, : max(d - index, 0)] < d * d).sum(1)
-    mask = np.arange(d) < quotas[:, None]
-    mask.setflags(write=False)
-    return mask
-
-
 def _stripe_blocks(joint: np.ndarray, d: int, index: int) -> np.ndarray:
     """The eigenspace-pair blocks X_{c+index,c} of a joint matrix, zero-padded to (pairs, d, d)."""
-    where, gaps = _pair_blocks_layout(d)
-    return np.append(joint.ravel(), 0.0)[where[gaps == index]]
+    where, _, spans = _pair_blocks_layout(d)
+    return np.append(joint.ravel(), 0.0)[where[spans[index]]]
 
 
 def _two_copy_blocks(matrix: np.ndarray, index: int) -> np.ndarray:
-    """``_stripe_blocks`` of matrix (x) matrix, bit for bit, as products of two entries of ``matrix``; no d^4 array is built."""
-    return np.multiply(*np.append(matrix.ravel(), 0.0)[_two_copy_layout(len(matrix), index)])
+    """``_stripe_blocks`` of matrix (x) matrix at a local gap, bit for bit, as products of two entries of ``matrix``; no d^4 array is built."""
+    (maps, _, spans), flat = _gap_layout(len(matrix)), np.append(matrix.ravel(), 0.0)
+    return flat[maps[0, spans[index - 1]]] * flat[maps[1, spans[index - 1]]]
 
 
 @functools.cache
@@ -182,9 +169,7 @@ def mode_component(rho: DensityMatrix, op: NumberOperator, index: int) -> ModeOp
 
 def _component(matrix: np.ndarray, eigenvalues: np.ndarray, index: int) -> ModeOperator:
     eigs = np.asarray(eigenvalues, dtype=int)
-    gaps = eigs[:, None] - eigs[None, :]
-    comp = np.where(gaps == index, matrix, 0.0)
-    return ModeOperator(index, comp, eigs)
+    return ModeOperator(index, np.where(eigs[:, None] - eigs == index, matrix, 0.0), eigs)
 
 
 def mode_measure(rho: DensityMatrix, op: NumberOperator, index: int) -> float:
@@ -209,13 +194,14 @@ def bipartite_mode(rho_ab: DensityMatrix, gen: BipartiteGenerator, index: int) -
 
 @functools.cache
 def _pair_blocks_layout(d: int) -> tuple:
-    """Where to gather every eigenspace-pair block X_{c+g,c} of a d^2 x d^2 matrix, and its gap g.
+    """Where to gather every eigenspace-pair block X_{c+g,c} of a d^2 x d^2 matrix, its gap g, and each gap's span of blocks.
 
     Block k of ``joint.ravel()`` appended with one zero is ``flat[index[k]]``,
     padded as in ``_block_mask``: entry (n', n) is the coefficient of
     (|n', c + g - n'>, |n, c - n>), or zero where either ket does not exist;
-    padding adds only zero singular values. Blocks run over g, then c;
-    ``_stripe_blocks``, ``_two_copy_layout`` and ``bipartite_mode_set`` read them.
+    padding adds only zero singular values. Blocks run over g, then c, so gap
+    g is the slice ``spans[g]``, and g = 2d - 1, which has no pair, an empty
+    one. ``_stripe_blocks``, ``_gap_layout`` and ``bipartite_mode_set`` read them.
     """
     gaps, lows = np.array([(g, c) for g in range(2 * d - 1) for c in range(2 * d - 1 - g)]).T
     kets = _generator_layout(d)[0]
@@ -223,32 +209,33 @@ def _pair_blocks_layout(d: int) -> tuple:
     index = np.where((rows < d * d) & (cols < d * d), rows * d * d + cols, d**4)
     index.setflags(write=False)
     gaps.setflags(write=False)
-    return index, gaps
-
-
-@functools.cache
-def _two_copy_layout(d: int, index: int) -> np.ndarray:
-    """Where both factors of each gap-``index`` block entry of rho (x) rho sit in rho.ravel() plus a zero, (2, pairs, d, d).
-
-    Entry (a d + b, a' d + b') of rho (x) rho is rho[a, a'] rho[b, b'], so each
-    flat index of ``_pair_blocks_layout`` splits by ``divmod``; padding reads the zero.
-    """
-    where = _pair_blocks_layout(d)[0][_pair_blocks_layout(d)[1] == index]
-    (a, a2), (b, b2) = np.divmod(np.divmod(where, d * d), d)
-    maps = np.where(where == d**4, d * d, np.stack((a * d + a2, b * d + b2)))
-    maps.setflags(write=False)
-    return maps
+    edges = np.cumsum([0, *range(2 * d - 1, -1, -1)]).tolist()
+    return index, gaps, tuple(map(slice, edges, edges[1:]))
 
 
 @functools.cache
 def _gap_layout(d: int) -> tuple:
-    """Every gap's ``_two_copy_layout`` and ``_quota_mask``, j = 1..d - 1, joined along the block axis (read-only), and each gap's span of blocks."""
-    masks = [_quota_mask(d, j) for j in range(1, d)]
-    edges = np.cumsum([0] + [len(m) for m in masks]).tolist()
-    maps, mask = np.concatenate([_two_copy_layout(d, j) for j in range(1, d)], axis=1), np.concatenate(masks)
+    """The two-copy blocks of the local gaps j = 1..d - 1, as read-only factor maps and quota mask, and each gap's span of blocks.
+
+    Entry (a d + b, a' d + b') of rho (x) rho is rho[a, a'] rho[b, b'], so each
+    flat index of ``_pair_blocks_layout`` splits by ``divmod`` into where both
+    factors sit in rho.ravel() plus a zero, (2, blocks, d, d); padding reads
+    the zero. Row k of the mask marks the top singular values block k counts:
+    one per position (|n + j, m>, |n, m>) the partial trace keeps, which sits
+    at (n + j, n) and exists where both kets do.
+    """
+    index, _, spans = _pair_blocks_layout(d)
+    start = spans[1].start
+    where = index[start : spans[d - 1].stop]
+    (a, a2), (b, b2) = np.divmod(np.divmod(where, d * d), d)
+    maps = np.where(where == d**4, d * d, np.stack((a * d + a2, b * d + b2)))
+    mask = np.zeros(where.shape[:2], dtype=bool)
+    spans = tuple(slice(span.start - start, span.stop - start) for span in spans[1:d])
+    for j, span in enumerate(spans, 1):
+        mask[span] = np.arange(d) < (np.diagonal(where[span], -j, 1, 2) < d**4).sum(1, keepdims=True)
     for m in (maps, mask):
         m.setflags(write=False)
-    return maps, mask, tuple(map(slice, edges, edges[1:]))
+    return maps, mask, spans
 
 
 def bipartite_mode_set(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> set:
@@ -259,7 +246,7 @@ def bipartite_mode_set(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> set:
     values; the d^2 x d^2 component is never built.
     """
     _check_joint_dim(rho_ab, gen)
-    index, gaps = _pair_blocks_layout(gen.dim)
+    index, gaps, _ = _pair_blocks_layout(gen.dim)
     spectra = np.linalg.svd(np.append(rho_ab.matrix.ravel(), 0.0)[index], compute_uv=False)
     norms = np.bincount(gaps, spectra.sum(-1))
     return {g for g, norm in enumerate(norms) if norm > MODE_PRESENCE_THRESHOLD}

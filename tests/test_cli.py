@@ -139,6 +139,17 @@ class TestConcentrate:
         state = _write_state(tmp_path / "bad.json", obj)
         assert main(["concentrate", "--state", state, "--out", str(tmp_path)]) == 1
 
+    def test_out_of_memory_exits_2_on_one_line_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "maximize_delta_m", exhausted)
+        out = tmp_path / "out"
+        assert main(["concentrate", "--state", _qubit_state_file(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: concentrate ran out of memory"]
+        assert os.listdir(out) == []
+
     def test_bloch_state_file_accepted(self, tmp_path):
         state = _write_state(tmp_path / "bloch.json", {"nx": 0.2, "ny": 0.0, "nz": 0.8})
         out = tmp_path / "out"

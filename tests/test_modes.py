@@ -10,11 +10,9 @@ from coherence_lab.modes import (
     _gap_layout,
     _gradient_layout,
     _pair_blocks_layout,
-    _quota_mask,
     _stripe_blocks,
     _stripe_measure,
     _two_copy_blocks,
-    _two_copy_layout,
     bipartite_mode,
     bipartite_mode_set,
     lrd_decompose,
@@ -22,7 +20,7 @@ from coherence_lab.modes import (
     mode_measure,
     vin_projector,
 )
-from coherence_lab.optimizer import _cayley_layout, _exp_ih, _haar_draw_layout, random_allowed_unitary
+from coherence_lab.optimizer import _cayley_layout, _exp_ih, _haar_draw_layout, _hermitian_layout, random_allowed_unitary
 from coherence_lab.sampling import random_bloch, random_density_matrix
 from coherence_lab.states import (
     BipartiteGenerator,
@@ -30,6 +28,7 @@ from coherence_lab.states import (
     NumberOperator,
     _block_mask,
     _generator_coords,
+    _matrix_scatter,
     _padded_units,
     bloch_to_density,
     isotropic_state,
@@ -265,8 +264,9 @@ class TestVinProjector:
     def test_block_counts_sum_to_total(self):
         for d in range(1, 6):
             gen = BipartiteGenerator(NumberOperator(d))
+            _, mask, spans = _gap_layout(d)
             for j in range(1, d):
-                quotas = _quota_mask(d, j).sum(1)
+                quotas = mask[spans[j - 1]].sum(1)
                 # blocks past the last surviving pair hold no positions
                 counts = [quotas[c] if c < len(quotas) else 0 for c in range(gen.n_eigenvalues)]
                 assert sum(counts) == vin_projector(gen, j)
@@ -283,16 +283,15 @@ class TestVinProjector:
 
 class TestStripeLayout:
     def test_layout_is_cached_and_read_only(self):
-        index, gaps = _pair_blocks_layout(3)
+        index, gaps, _ = _pair_blocks_layout(3)
         assert _pair_blocks_layout(3)[0] is index
-        quotas = _quota_mask(3, 1)
-        assert _quota_mask(3, 1) is quotas
-        assert _two_copy_layout(3, 1) is _two_copy_layout(3, 1)
         assert _haar_draw_layout(3)[1] is _haar_draw_layout(3)[1]
         assert _gradient_layout(3, 1) is _gradient_layout(3, 1)
         assert _cayley_layout(3) is _cayley_layout(3)
         assert _gap_layout(3) is _gap_layout(3)
-        cached = (index, gaps, quotas, _block_mask(3), _two_copy_layout(3, 1), _haar_draw_layout(3)[1])
+        assert _matrix_scatter(3) is _matrix_scatter(3)
+        assert _hermitian_layout(3) is _hermitian_layout(3)
+        cached = (index, gaps, _block_mask(3), _haar_draw_layout(3)[1], _matrix_scatter(3), _hermitian_layout(3))
         for cached in (*cached, *_generator_coords(3), *_gradient_layout(3, 1), *_cayley_layout(3), *_gap_layout(3)[:2]):
             with pytest.raises(ValueError):
                 cached[0] = 0
@@ -301,7 +300,8 @@ class TestStripeLayout:
         for d in range(1, 6):
             # distinct nonzero entries, so padding (zero) cannot pass for a coefficient
             joint = np.arange(1, d**4 + 1, dtype=float).reshape(d * d, d * d)
-            for g in range(2 * d - 1):
+            # g = 2d - 1 has no pair: the search on a d = 1 joint state (nogo) asks for gap 1
+            for g in range(2 * d):
                 blocks = _stripe_blocks(joint, d, g)
                 assert blocks.shape == (2 * d - 1 - g, d, d)
                 for c, block in enumerate(blocks):
@@ -323,7 +323,8 @@ class TestStripeLayout:
                     state = random_density_matrix(d, rank, rng).matrix
                     arbitrary = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                     for m in (state, arbitrary):
-                        for g in range(2 * d - 1):
+                        # the local gaps, the only ones the bounds and the search gather
+                        for g in range(1, d):
                             want = _stripe_blocks(np.kron(m, m), d, g)
                             got = _two_copy_blocks(m, g)
                             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -332,8 +333,10 @@ class TestStripeLayout:
         for d in range(1, 6):
             gen = BipartiteGenerator(NumberOperator(d))
             joint = np.arange(1, d**4 + 1, dtype=float).reshape(d * d, d * d)
-            for j in range(2 * d - 1):
-                quotas = _quota_mask(d, j).sum(1)
+            _, mask, spans = _gap_layout(d)
+            assert len(spans) == d - 1
+            for j, span in enumerate(spans, 1):
+                quotas = mask[span].sum(1)
                 assert len(quotas) == 2 * d - 1 - j
                 # (|n + j, m>, |n, m>) with m = c - n sits at (n + j, n) of pair c
                 stripe = np.diagonal(_stripe_blocks(joint, d, j), -j, 1, 2)
@@ -344,10 +347,7 @@ class TestStripeLayout:
                     assert list(stripe[c][stripe[c] != 0]) == [
                         joint[(n + j) * d + c - n, n * d + c - n] for n in range(d - j) if 0 <= c - n < d
                     ]
-                if 1 <= j < d:
-                    assert quotas.sum() == vin_projector(gen, j)
-                elif j >= d:
-                    assert quotas.sum() == 0
+                assert quotas.sum() == vin_projector(gen, j)
 
 
 class TestStripeMeasure:
