@@ -24,6 +24,7 @@ from .modes import (
     _check_local_index,
     _gap_layout,
     _local_gap_measure,
+    _padded_flat,
     bipartite_mode_set,
 )
 from .states import BipartiteGenerator, DensityMatrix, NumberOperator
@@ -81,7 +82,7 @@ def _gap_bounds(rho: DensityMatrix) -> tuple:
     identity and its matrix is read-only, so a sweep over j makes one pass.
     """
     maps, mask, spans = _gap_layout(rho.dim)
-    spectra = np.linalg.svd(np.multiply(*np.append(rho.matrix.ravel(), 0.0)[maps]), compute_uv=False)
+    spectra = np.linalg.svd(np.multiply(*_padded_flat(rho.matrix)[maps]), compute_uv=False)
     # a block's masked zeros add after its own values, so each sum is exact; blocks add in order
     block_totals = np.where(mask, spectra, 0.0).sum(-1).tolist()
     out = []

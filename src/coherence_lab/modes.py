@@ -90,15 +90,20 @@ def _check_joint_dim(joint, gen: BipartiteGenerator) -> None:
         raise ValueError(f"joint dimension {joint.dim} does not match generator dimension {gen.total_dim}")
 
 
+def _padded_flat(x: np.ndarray, lead: int = 0) -> np.ndarray:
+    """``x`` flattened past its first ``lead`` axes, then one zero: what every gather reads, its last index "no entry"."""
+    return np.concatenate((x.reshape(x.shape[:lead] + (-1,)), np.zeros(x.shape[:lead] + (1,), x.dtype)), -1)
+
+
 def _stripe_blocks(joint: np.ndarray, d: int, index: int) -> np.ndarray:
     """The eigenspace-pair blocks X_{c+index,c} of a joint matrix, zero-padded to (pairs, d, d)."""
     where, _, spans = _pair_blocks_layout(d)
-    return np.append(joint.ravel(), 0.0)[where[spans[index]]]
+    return _padded_flat(joint)[where[spans[index]]]
 
 
 def _two_copy_blocks(matrix: np.ndarray, index: int) -> np.ndarray:
     """``_stripe_blocks`` of matrix (x) matrix at a local gap, bit for bit, as products of two entries of ``matrix``; no d^4 array is built."""
-    (maps, _, spans), flat = _gap_layout(len(matrix)), np.append(matrix.ravel(), 0.0)
+    (maps, _, spans), flat = _gap_layout(len(matrix)), _padded_flat(matrix)
     return flat[maps[0, spans[index - 1]]] * flat[maps[1, spans[index - 1]]]
 
 
@@ -125,8 +130,57 @@ def _gradient_layout(d: int, index: int) -> tuple:
     return where, half
 
 
-def _stripe_measure(units: np.ndarray, blocks: np.ndarray) -> tuple:
-    """Gap-j measure f of the first marginal of U X U^dagger, and its gradient's generator coordinates.
+@functools.cache
+def _hessian_layout(d: int, index: int) -> tuple:
+    """P, and read-only maps: (slots, levels P + entries) places and weights, in the float view of F[n, c] = w_n A_c and
+    a zero, of v_nk = Im(w_n J_nk) and of H1's nonzero entries k <= l; their places in H (k P + l, and l P + k off the
+    diagonal); and the entry each place reads. H = H1 + sum_n v_n v_n^T / |z_n|, since to second order A_c moves to
+    A_c + i (K_{c+j} A_c - A_c K_c) + K_{c+j} A_c K_c - 1/2 K_{c+j}^2 A_c - 1/2 A_c K_c^2 and |z + dz| to |z| + Re(w dz)
+    + Im(w dz)^2 / (2 |z|). E_k, coordinate k's generator in block b, is one diagonal entry 1, or (r, c) and (c, r) of
+    modulus 2^-1/2 and phase 1, or i and -i for an imaginary part. J_nk = i [E_k A_{b-j} - A_b E_k] and H1 = Re sum_n
+    w_n [cross terms E_k A_c E_l, k in block c + j and l in c, and same-block terms -1/2 ((E_k E_l + E_l E_k) A_{b-j} +
+    A_b (E_k E_l + E_l E_k))], all at (n + j, n), are sums of terms found by index arithmetic; terms at one place merge.
+    """
+    cell, _, imag, _ = _generator_coords(d)
+    p, pairs, levels = cell.size, 2 * d - 1 - index, d - index
+    b, r, c = np.unravel_index(cell, (2 * d - 1, d, d))
+    # each generator's two entries, the second with phase 0 on the diagonal, and its modulus 0.5 ** half
+    rows, cols, phase = np.stack((r, c), -1), np.stack((c, r), -1), np.where(imag[:, None], [1j, -1j], np.stack((r == r, r != c), -1))
+    half, found = (r != c) / 2, []
+
+    def add(valid, entry, n, pair, row, col, coef):
+        valid, entry, place, coef = np.broadcast_arrays(valid, entry, ((n * pairs + pair) * d + row) * d + col, coef)
+        found.append((entry[valid], place[valid], coef[valid]))
+
+    n, k, e = np.arange(levels)[:, None, None], np.arange(p)[:, None], np.arange(2)
+    add((rows[k, e] == n + index) & (b[k] >= index), n * p + k, n, b[k] - index, cols[k, e], n, phase[k, e] * 0.5 ** half[k])
+    add((cols[k, e] == n) & (b[k] < pairs), n * p + k, n, b[k], n + index, rows[k, e], -phase[k, e] * 0.5 ** half[k])
+    k, l, ek, el = np.arange(p)[:, None, None, None], np.arange(p)[:, None, None], np.arange(2)[:, None], np.arange(2)
+    entry, coef = levels * p + np.minimum(k, l) * p + np.maximum(k, l), phase[k, ek] * phase[l, el] * 0.5 ** (half[k] + half[l])
+    add((b[k] == b[l] + index) & (b[l] < pairs) & (rows[k, ek] == cols[l, el] + index), entry, cols[l, el], b[l], cols[k, ek], rows[l, el], coef)
+    # each ordered product E_k E_l once for the entry {k, l}, twice for {k, k}
+    same, y, x, coef = (b[k] == b[l]) & (cols[k, ek] == rows[l, el]), rows[k, ek], cols[l, el], coef * np.where(k == l, -1.0, -0.5)
+    add(same & (y >= index) & (b[k] >= index), entry, y - index, b[k] - index, x, y - index, coef)
+    add(same & (x < levels) & (b[k] < pairs), entry, x, b[k], x + index, y, coef)
+    # Re(coef F) = Re(coef) Re F - Im(coef) Im F; terms at one place of one entry merge in order, and those that cancel drop out
+    (entry, place, coef), pad = map(np.concatenate, zip(*found)), 2 * levels * pairs * d * d
+    keys, merge = np.unique(np.concatenate((entry * pad + 2 * place, entry * pad + 2 * place + 1)), return_inverse=True)
+    weight = np.bincount(merge, np.concatenate((coef.real, -coef.imag)), keys.size)
+    (at, spot), weight = np.divmod(keys[weight != 0], pad), weight[weight != 0]
+    # every v entry has a column, an H1 entry one if a term is left; a term's slot is its rank in its column
+    slot = np.arange(at.size) - np.searchsorted(at, at)
+    columns = np.concatenate((np.arange(levels * p), at[(slot == 0) & (at >= levels * p)]))
+    where, weights = np.full((slot.max(initial=0) + 1, columns.size), pad), np.zeros((slot.max(initial=0) + 1, columns.size))
+    where[slot, np.searchsorted(columns, at)], weights[slot, np.searchsorted(columns, at)] = spot, weight
+    k, l = np.divmod(columns[levels * p :] - levels * p, p)
+    maps = where, weights, np.concatenate((k * p + l, (l * p + k)[k != l])), np.concatenate((np.arange(k.size), np.flatnonzero(k != l)))
+    for m in maps:
+        m.setflags(write=False)
+    return p, *maps
+
+
+def _stripe_measure(units: np.ndarray, blocks: np.ndarray, hessian: bool = False) -> tuple:
+    """Gap-j measure f of the first marginal of U X U^dagger, its gradient's generator coordinates, and with ``hessian`` its Hessian.
 
     ``units`` are padded block unitaries (``_padded_units``), whose leading
     axes are stack axes; ``blocks`` are the gap-j ``_stripe_blocks``, 2d - 1 - j
@@ -142,7 +196,7 @@ def _stripe_measure(units: np.ndarray, blocks: np.ndarray) -> tuple:
     W is never built, nor is G: its (..., P) ``_generator_coords`` are read
     from the two products (``_gradient_layout``). z_n adds its terms strictly
     in order, which ``sum`` over the pair axis does not at d = 4, so each
-    point is the same bits in any stack.
+    point is the same bits in any stack. ``hessian`` adds the (..., P, P) Hessian of f(exp(i K(x)) U) at x = 0.
     """
     d, pairs = units.shape[-1], blocks.shape[-3]
     j = units.shape[-3] - pairs
@@ -153,12 +207,27 @@ def _stripe_measure(units: np.ndarray, blocks: np.ndarray) -> tuple:
     size = np.abs(z)
     w = z.conj() / np.where(size < _TINY, 1.0, size)
     lead = a.shape[:-3]
+    if hessian:
+        # the Hessian first (``_hessian_layout``), its gathers freed before its P x P product, so few temporaries live at once
+        p, where, weight, places, expand = _hessian_layout(d, j)
+        flat = _padded_flat(w[..., :, None, None, None] * a[..., None, :, :, :], len(lead)).view(float)
+        sums = flat.take(where[0], -1) * weight[0]
+        for place, factor in zip(where[1:], weight[1:]):
+            sums += flat.take(place, -1) * factor
+        v = sums[..., : (d - j) * p].reshape(*lead, d - j, p) / np.sqrt(np.where(size < _TINY, np.inf, size))[..., None]
+        total = sums[..., (d - j) * p :].take(expand, -1)
+        del flat, sums
+        # sum_n v_n v_n^T / |z_n| is exactly symmetric, and H1 adds the same bits at (k, l) and (l, k)
+        h = v.swapaxes(-1, -2) @ v
+        total += h.reshape(*lead, -1).take(places, -1)
+        h.reshape(*lead, -1)[..., places] = total
     products = (a[..., : d - j] * w[..., None, None, :], w[..., None, :, None] * a[..., j:, :])
     flat = np.concatenate([p.reshape(*lead, -1) for p in products] + [np.zeros((*lead, 1), complex)], -1)
     where, half = _gradient_layout(d, j)
     terms = np.take(flat.view(float), where, axis=-1)
     terms = terms[..., 0, :] - terms[..., 1, :]
-    return size.sum(-1), (terms[..., 0, :] + terms[..., 1, :]) * half
+    value, grad = size.sum(-1), (terms[..., 0, :] + terms[..., 1, :]) * half
+    return (value, grad, h) if hessian else (value, grad)
 
 
 def mode_component(rho: DensityMatrix, op: NumberOperator, index: int) -> ModeOperator:
@@ -247,7 +316,7 @@ def bipartite_mode_set(rho_ab: DensityMatrix, gen: BipartiteGenerator) -> set:
     """
     _check_joint_dim(rho_ab, gen)
     index, gaps, _ = _pair_blocks_layout(gen.dim)
-    spectra = np.linalg.svd(np.append(rho_ab.matrix.ravel(), 0.0)[index], compute_uv=False)
+    spectra = np.linalg.svd(_padded_flat(rho_ab.matrix)[index], compute_uv=False)
     norms = np.bincount(gaps, spectra.sum(-1))
     return {g for g, norm in enumerate(norms) if norm > MODE_PRESENCE_THRESHOLD}
 

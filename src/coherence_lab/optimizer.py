@@ -1,24 +1,23 @@
-"""Riemannian quasi-Newton ascent of the local coherence gain over block-diagonal unitaries.
+"""Riemannian regularised Newton ascent of the local coherence gain over block-diagonal unitaries.
 
 This is the ground-truth oracle at small dimension. The gain is the local
 mode measure of one system after conjugating a joint state of two systems by
 a unitary with one free block per degenerate eigenspace, read from the gap-j
 stripe of that marginal (``modes._stripe_measure``), which also gives its
-gradient per block in closed form. Any joint state will do (``nogo`` checks a
-correlated one); two copies of a state are the case rho (x) rho. Each restart
-climbs along the product of block unitary groups by the Cayley step
-U_b <- (I - i alpha D_b / 2)^-1 (I + i alpha D_b / 2) U_b, a second-order
-retraction (Wen & Yin, Math. Program. 142, 2013) that costs one batched LU
-solve, where D = H G is the gradient times a dense BFGS inverse-Hessian
-approximation H on the P real coordinates of the block generators (Nocedal &
-Wright, Numerical Optimization, sec. 6.1; Huang, Absil & Gallivan, SIAM J.
-Optim. 28, 2018, whose analysis holds for any retraction), and steps are
-guarded by a non-monotone Armijo test. An eigendecomposition builds only the
-starts, exp(i H_b). P is the sum of squared block sizes (6, 19 and 44 at
-d = 2, 3 and 4), so each restart holds P^2 floats of H (36, 361 and 1,936).
-The restarts run in lockstep, so one stacked Cayley step and one stacked
-value-and-gradient call per iteration serve all of them, on the P
-coordinates alone: no padded generator stack is built.
+gradient and Hessian per block in closed form. Any joint state will do
+(``nogo`` checks a correlated one); two copies of a state are the case
+rho (x) rho. Each restart climbs along the product of block unitary groups by
+the Cayley step U_b <- (I - i alpha D_b / 2)^-1 (I + i alpha D_b / 2) U_b, a
+second-order retraction (Wen & Yin, Math. Program. 142, 2013) that costs one
+batched LU solve, with D = (|G| I - H)^-1 G: Newton on the P real coordinates
+of the block generators (Absil, Mahony & Sepulchre, Optimization Algorithms on
+Matrix Manifolds, 2008), regularised by the shift |G| (Ueda & Yamashita, Appl.
+Math. Optim. 62, 2010), and guarded by a non-monotone Armijo test. An
+eigendecomposition builds only the starts, exp(i H_b). P is the sum of
+squared block sizes (6, 19 and 44 at d = 2, 3 and 4); H, P^2 floats a restart,
+lives for one iteration. The restarts run in lockstep, so one stacked Cayley
+step and one stacked value, gradient and direction call per iteration serve
+all of them, on the P coordinates alone: no padded generator stack is built.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedParameterError
-from .modes import _check_local_index, _local_gap_measure, _stripe_measure, _two_copy_blocks
+from .modes import _check_local_index, _local_gap_measure, _padded_flat, _stripe_measure, _two_copy_blocks
 # nothing here calls haar_unitary any more; the benchmark's tracer wraps it under this name
 from .sampling import haar_stack, haar_unitary
 from .states import AllowedUnitary, BipartiteGenerator, DensityMatrix, NumberOperator, _block_mask, _generator_coords, _padded_units
@@ -50,7 +49,7 @@ STATIONARY = 1e-16
 #: largest supported local dimension; the parameter count grows as the sum of
 #: squared degeneracies (44 real parameters at dimension 4)
 MAX_LOCAL_DIM = 4
-#: most restarts of one search; they run at once, each holding about 45 kB at dimension 4
+#: most restarts of one search; they run at once, each holding at most about 42 kB at dimension 4
 MAX_RESTARTS = 10_000
 
 
@@ -223,41 +222,27 @@ def random_allowed_unitary(gen: BipartiteGenerator, rng) -> AllowedUnitary:
     ``haar_stack`` maps its zero R diagonal to phase 1, so the padding comes out as the identity.
     """
     total, index = _haar_draw_layout(gen.dim)
-    units = haar_stack(*np.append(np.random.default_rng(rng).standard_normal(total), 0.0)[index])
+    units = haar_stack(*_padded_flat(np.random.default_rng(rng).standard_normal(total))[index])
     return AllowedUnitary._from_stack(gen, units)
 
 
-def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, fresh: np.ndarray) -> None:
-    """Update each h[k] in place by the BFGS inverse update with the pair (s[k], y[k]) where sy[k] = <s, y> > 0.
+def _newton(units: np.ndarray, blocks: np.ndarray) -> tuple:
+    """Value, G and the regularised Newton direction D = (|G| I - H)^-1 G of each row, H the exact Hessian (a temporary).
 
-    Where ``fresh`` (h is still the identity) h is first set to <s, y> / <y, y>
-    times the identity (Nocedal & Wright eq. 6.20). The update (eq. 6.17) is
-    written as h + u s^T + s u^T, u = (c / 2) s - rho h y, with rho = 1 / <s, y>
-    and c = rho + rho^2 <y, h y>, so only one P x P temporary per row is made.
-    A finite row without a pair (sy[k] <= 0) gets rho = 1 / inf = 0, so
-    u = 0 and h[k] += +-0 leaves it as it was, bit for bit: h never holds
-    -0.0, since it starts as the identity's +0.0 and x + (-x) rounds to +0.0.
+    One batched LU solve serves every row; the shift keeps |G| I - H, made in place, nonsingular along directions the
+    objective cannot see (Ueda & Yamashita, Appl. Math. Optim. 62, 2010). A row with |G|^2 < ``STATIONARY`` stops before
+    it moves and solves I D = G; D falls back to G where <G, D> <= 0. Each row comes out as it would alone.
     """
-    pair = sy > 0
-    rho = 1.0 / np.where(pair, sy, np.inf)
-    first = fresh & pair
-    if first.any():
-        h *= np.where(first, sy / np.where(first, _dot(y, y), 1.0), 1.0)[:, None, None]
-    hy = (h @ y[..., None])[..., 0]
-    u = ((rho + rho * rho * _dot(y, hy)) / 2)[:, None] * s - rho[:, None] * hy
-    outer = u[:, :, None] * s[:, None, :]
-    h += outer
-    h += outer.swapaxes(-1, -2)
-
-
-def _direction(h: np.ndarray, g: np.ndarray) -> tuple:
-    """D = h g for each row, and <G, D>; D falls back to G where <G, D> <= 0."""
-    dirs = (h @ g[..., None])[..., 0]
-    slope = _dot(g, dirs)
-    uphill = slope > 0
-    if uphill.all():
-        return dirs, slope
-    return np.where(uphill[:, None], dirs, g), np.where(uphill, slope, _dot(g, g))
+    value, g, h = _stripe_measure(units, blocks, hessian=True)
+    norm2 = _dot(g, g)
+    np.negative(h, out=h)
+    h.reshape(len(h), -1)[:, :: h.shape[-1] + 1] += np.sqrt(norm2)[:, None]
+    flat = ~(norm2 >= STATIONARY)
+    if flat.any():
+        h[flat] = np.eye(h.shape[-1])
+    direction = np.linalg.solve(h, g[..., None])[..., 0]
+    uphill = _dot(g, direction) > 0
+    return value, g, direction if uphill.all() else np.where(uphill[:, None], direction, g)
 
 
 def _pick(ok, new: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -266,46 +251,27 @@ def _pick(ok, new: np.ndarray, old: np.ndarray) -> np.ndarray:
 
 
 def _ascend(units: np.ndarray, blocks: np.ndarray, max_iters: int) -> tuple:
-    """Lockstep quasi-Newton ascent from each row of ``units`` (restarts x padded blocks).
+    """Lockstep regularised Newton ascent from each row of ``units`` (restarts x padded blocks).
 
-    Values and gradients G are ``_stripe_measure``'s on the stripe ``blocks``
-    (its gap read from the shapes), G on the P ``_generator_coords`` coordinates,
-    all that the loop reads and writes. Every live restart tries the Cayley step
-    of alpha D from its point (``_cayley``, built from the coordinates of
-    alpha D) in one stacked call, with D = H G (``_direction``) and H each
-    restart's inverse-Hessian approximation, the identity at the start. A
-    trial is accepted when its value reaches the lowest of the restart's last
-    ``ARMIJO_MEMORY`` accepted values plus ``ARMIJO_RISE`` alpha <G, D>; the
-    pair s = alpha D, y = G_old - G_new then updates H, and the next trial is
-    at alpha = ``FIRST_STEP``. One in-place ``_bfgs_update`` serves every row:
-    a rejected trial, or a pair with <s, y> <= 0, gets rho = 0, which leaves
-    its H as it was, bit for bit. Gradients at two points are compared as
-    they are: the left-trivialised gradient lives in the one Lie algebra of
-    every point. A rejected trial divides alpha by ``BACKTRACK``. The start
-    and every trial count as one evaluation, so every live restart has made
-    the same number, one count for all; a restart stops once |G|^2 <
-    ``STATIONARY`` or its budget is spent. The ascent is not monotone, so
-    each restart keeps its best point. Each restart carries only what cannot
-    be recomputed: its index, point, G, H and whether H is fresh, best value
-    and blocks, recent accepted values (the last is its value), alpha and
-    rejected trials. |G|^2, D and <G, D> are recomputed from G and H every
-    iteration, bit for bit as a stored copy, since a rejected trial changes
-    neither. The working arrays hold only the live restarts, in restart
-    order: a restart that stops is written out and dropped, so an iteration
-    whose trials are all accepted (nearly all of them) gathers and scatters
-    nothing.
-    Returns per restart the best blocks (written over ``units``), accepted
-    steps, rejected trials, stop reasons and final gradient norms.
+    Every live restart tries the Cayley step (``_cayley``) of alpha D from its point in one stacked call, with value, G
+    and D ``_newton``'s on the stripe ``blocks`` (its gap read from the shapes) and on the P ``_generator_coords``
+    coordinates. A trial is accepted when its value reaches the lowest of the restart's last ``ARMIJO_MEMORY`` accepted
+    values plus ``ARMIJO_RISE`` alpha <G, D>; its G and D then replace the restart's, and alpha is ``FIRST_STEP`` again.
+    A rejected trial divides alpha by ``BACKTRACK``. The start and every trial count as one evaluation, one count for
+    all live restarts; a restart stops once |G|^2 < ``STATIONARY`` or its budget is spent. The ascent is not monotone,
+    so each restart keeps its best point. Each restart carries only its index, point, G, D, best value and blocks,
+    recent accepted values (the last is its value), alpha and rejected trials; |G|^2 and <G, D> are recomputed every
+    iteration. The working arrays hold only the live restarts, in restart order: a restart that stops is written out
+    and dropped, so an iteration whose trials are all accepted (nearly all of them) gathers and scatters nothing.
+    Returns per restart the best blocks (written over ``units``), accepted steps, rejected trials, stop reasons and
+    final gradient norms.
     """
-    value, g = _stripe_measure(units, blocks)
-    n, p = g.shape
+    value, g, direction = _newton(units, blocks)
+    n = len(g)
     ids = np.arange(n)
-    # every working array but h and fresh is replaced, never written into,
-    # so the best blocks may be the current ones
+    # every working array is replaced, never written into, so the best blocks may be the current ones
     best, best_units = value, units
     recent = np.repeat(value[:, None], ARMIJO_MEMORY, axis=1)
-    h = np.broadcast_to(np.eye(p), (n, p, p)).copy()
-    fresh = np.ones(n, dtype=bool)
     step = np.full(n, FIRST_STEP)
     evals, backtracks = 1, np.zeros(n, dtype=int)
     # per restart, once it stops: best blocks, rejected trials, |G|^2 and evaluations
@@ -318,19 +284,13 @@ def _ascend(units: np.ndarray, blocks: np.ndarray, max_iters: int) -> tuple:
                 o[ids[~live]] = a[~live]
             if not live.any():
                 break
-            ids, units, g, best, best_units, recent, h, fresh, step, backtracks = (
-                a[live] for a in (ids, units, g, best, best_units, recent, h, fresh, step, backtracks))
-        direction, slope = _direction(h, g)
-        x = step[:, None] * direction
-        trial = _cayley(x, units)
-        t_value, t_g = _stripe_measure(trial, blocks)
-        ok = t_value >= recent.min(1) + ARMIJO_RISE * step * slope
+            ids, units, g, direction, best, best_units, recent, step, backtracks = (
+                a[live] for a in (ids, units, g, direction, best, best_units, recent, step, backtracks))
+        trial = _cayley(step[:, None] * direction, units)
+        t_value, t_g, t_direction = _newton(trial, blocks)
+        ok = t_value >= recent.min(1) + ARMIJO_RISE * step * _dot(g, direction)
         took = None if ok.all() else ok
-        y = g - t_g
-        sy = np.where(ok, _dot(x, y), 0.0)
-        _bfgs_update(h, x, y, sy, fresh)
-        fresh &= sy <= 0
-        units, g = _pick(took, trial, units), _pick(took, t_g, g)
+        units, g, direction = _pick(took, trial, units), _pick(took, t_g, g), _pick(took, t_direction, direction)
         step = np.where(ok, FIRST_STEP, step / BACKTRACK)
         recent = _pick(took, np.concatenate((recent[:, 1:], t_value[:, None]), 1), recent)
         value = recent[:, -1]

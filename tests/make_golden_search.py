@@ -27,7 +27,9 @@ run the exact tier makes, so regenerating the exact tier cannot hide a moved
 best value.
 
 When to rerun it: only when a change moves the oracle's or the CLI's bits,
-and then every moved entry is listed in CHANGES.md. A change that claims bit-identity leaves
+and then every moved entry is listed in CHANGES.md. A run prints how many
+searches and CLI runs moved against the files it replaces, and the largest
+change of a best value, the figures CHANGES.md gives. A change that claims bit-identity leaves
 the files as they are and must pass the tests unchanged. A best value that moves
 by more than ``CONTRACT_ATOL`` fails the contract tier until ``--contract``
 rewrites it, and each such move needs its own justification.
@@ -126,11 +128,20 @@ def digests(argv) -> dict:
             os.chdir(cwd)
 
 
+def moves(old: dict, new: dict) -> tuple:
+    """How many of the searches in both exact-tier files differ, and the largest change of a best value among them."""
+    common = old.keys() & new.keys()
+    return sum(old[name] != new[name] for name in common), max((abs(best(new[name]) - best(old[name])) for name in common), default=0.0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--contract", action="store_true", help="also rewrite the contract tier's best values")
     args = parser.parse_args(argv)
     golden = {**versions(), "searches": {name: record(rho, j, cfg) for name, rho, j, cfg in searches()}}
+    if PATH.exists():
+        moved, largest = moves(json.loads(PATH.read_text())["searches"], golden["searches"])
+        print(f"{moved} of {len(golden['searches'])} searches moved; largest best-value change {largest:.3e}")
     PATH.write_text(json.dumps(golden, indent=0) + "\n")
     print(f"wrote {len(golden['searches'])} searches to {PATH}")
     if args.contract:
@@ -138,6 +149,9 @@ def main(argv=None) -> int:
         CONTRACT_PATH.write_text(json.dumps({**versions(), "best": bests}, indent=1) + "\n")
         print(f"wrote {len(bests)} best values to {CONTRACT_PATH}")
     runs = {" ".join(argv): digests(argv) for argv in BYTE_RUNS}
+    if BYTES_PATH.exists():
+        stored = json.loads(BYTES_PATH.read_text())["runs"]
+        print(f"{sum(stored.get(name) != files for name, files in runs.items())} of {len(runs)} CLI runs moved")
     BYTES_PATH.write_text(json.dumps({**versions(), "runs": runs}, indent=1) + "\n")
     print(f"wrote {len(runs)} CLI runs to {BYTES_PATH}")
     return 0

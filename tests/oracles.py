@@ -297,60 +297,61 @@ def cayley_padded(k: np.ndarray, units: np.ndarray) -> np.ndarray:
     return solved
 
 
-def _sequential_ascent(objective, unit: np.ndarray, max_iters: int) -> tuple:
-    """One restart of the quasi-Newton ascent from padded blocks ``unit``, kept on a stack of one point.
+def _sequential_ascent(blocks: np.ndarray, index: int, unit: np.ndarray, max_iters: int) -> tuple:
+    """One restart of the regularised Newton ascent from padded blocks ``unit``, kept on a stack of one point.
 
-    It runs on the padded-stack kernels kept here: the objective returns the
-    padded gradient, which ``to_coords`` reads, and each trial is the Cayley
-    step (``cayley_padded``) of ``from_coords`` of alpha D from the current
-    point. The step rule is written out with scalars: after each accepted trial the
-    pair s = alpha D, y = G_old - G_new updates H when <s, y> > 0 (the first
-    such pair scales H from the identity), the direction H G falls back to G
-    when it is not uphill, and the next step is the first step again; after
-    each rejected trial the step is divided by the backtracking factor; the
-    Armijo test compares against the last accepted values held in a bounded
-    deque.
+    Values and gradients come from the padded-stack kernel kept here
+    (``stripe_measure_padded``, read by ``to_coords``), and each trial is the
+    Cayley step (``cayley_padded``) of ``from_coords`` of alpha D from the
+    current point. The Hessian H is the package's kernel on a stack of one.
+    The step rule is written out with scalars: at the start and after each
+    accepted trial, D solves (|G| I - H) D = G and falls back to G when it
+    is not uphill, and the next step is the first step again; after each
+    rejected trial the step is divided by the backtracking factor and D is
+    kept; the Armijo test compares against the last accepted values held in
+    a bounded deque.
     """
     from collections import deque
 
+    from coherence_lab.modes import _stripe_measure
     from coherence_lab.optimizer import (
         ARMIJO_MEMORY,
         ARMIJO_RISE,
         BACKTRACK,
         FIRST_STEP,
         STATIONARY,
-        _bfgs_update,
         _dot,
     )
 
+    def measure(point):
+        value, grad = stripe_measure_padded(point, blocks, index)
+        return value, to_coords(grad)
+
+    def newton(point, grad, norm2):
+        hessian = _stripe_measure(point, blocks, hessian=True)[2][0]
+        direction = np.linalg.solve(math.sqrt(norm2) * np.eye(len(hessian)) - hessian, grad[0])[None]
+        slope = _dot(grad, direction)[0]
+        return (direction, slope) if slope > 0 else (grad, norm2)
+
     d = unit.shape[-1]
     unit = unit[None]
-    value, grad = objective(unit)
-    grad = to_coords(grad)
+    value, grad = measure(unit)
     norm2 = _dot(grad, grad)[0]
     best, best_unit = value[0], unit
     recent = deque([value[0]] * ARMIJO_MEMORY, maxlen=ARMIJO_MEMORY)
-    h, fresh = np.eye(grad.shape[1])[None], True
-    direction, slope = grad, norm2
+    if norm2 >= STATIONARY:
+        direction, slope = newton(unit, grad, norm2)
     step = FIRST_STEP
     evals, accepted, backtracks = 1, 0, 0
     while norm2 >= STATIONARY and evals < max_iters:
         trial = cayley_padded(from_coords(np.array([step])[:, None] * direction, d), unit)
-        t_value, t_grad = objective(trial)
-        t_grad = to_coords(t_grad)
+        t_value, t_grad = measure(trial)
         evals += 1
         if t_value[0] >= min(recent) + ARMIJO_RISE * step * slope:
-            s, y = np.array([step])[:, None] * direction, grad - t_grad
-            sy = _dot(s, y)
-            if sy[0] > 0:
-                _bfgs_update(h, s, y, sy, np.array([fresh]))
-                fresh = False
             unit, value, grad = trial, t_value, t_grad
             norm2 = _dot(grad, grad)[0]
-            direction = (h @ grad[..., None])[..., 0]
-            slope = _dot(grad, direction)[0]
-            if not slope > 0:
-                direction, slope = grad, norm2
+            if norm2 >= STATIONARY:
+                direction, slope = newton(unit, grad, norm2)
             step = FIRST_STEP
             recent.append(value[0])
             accepted += 1
@@ -370,8 +371,6 @@ def sequential_search(rho, op, index: int, config) -> tuple:
     runs on the padded-stack kernels (``_sequential_ascent``). Returns the
     ``SearchOutcome`` and each restart's evaluation count.
     """
-    import functools
-
     from coherence_lab.modes import _local_gap_measure, _stripe_blocks
     from coherence_lab.optimizer import SearchOutcome, _exp_ih, _hermitian_from_params
     from coherence_lab.states import AllowedUnitary, BipartiteGenerator, _block_mask, _padded_units
@@ -383,7 +382,6 @@ def sequential_search(rho, op, index: int, config) -> tuple:
     blocks = _stripe_blocks(np.kron(rho.matrix, rho.matrix), d, index).view(float)
     exponent = int(np.frexp(np.abs(blocks).max(initial=0.0))[1])
     blocks = np.ldexp(blocks, -exponent).view(complex)
-    objective = functools.partial(stripe_measure_padded, blocks=blocks, index=index)
     baseline = _local_gap_measure(rho.matrix, index)
     rng = np.random.default_rng(config.seed)
     best = None
@@ -396,11 +394,11 @@ def sequential_search(rho, op, index: int, config) -> tuple:
             starts.append(_exp_ih(_hermitian_from_params(n, x0[first : first + n * n])))
             first += n * n
         unit, n_evals, n_accepted, n_backtracks, reason, norm = _sequential_ascent(
-            objective, _padded_units(starts, d), config.max_iters
+            blocks, index, _padded_units(starts, d), config.max_iters
         )
         w, _, vh = np.linalg.svd(unit)
         unit = np.where(_block_mask(d), w @ vh, np.eye(d))
-        gain = float(np.ldexp(objective(unit[None])[0][0], exponent) - baseline)
+        gain = float(np.ldexp(stripe_measure_padded(unit[None], blocks, index)[0][0], exponent) - baseline)
         history.append(gain)
         reasons.append(reason)
         evals.append(n_evals)
@@ -423,3 +421,37 @@ def sequential_search(rho, op, index: int, config) -> tuple:
     assert outcome.converged is (reason == "stationary")
     assert outcome.evals == sum(evals)
     return outcome, evals
+
+
+def stripe_hessian_dense(units: np.ndarray, blocks: np.ndarray, index: int) -> np.ndarray:
+    """The (rows, P, P) Hessian of f(exp(i K(x)) U) at x = 0 in the generator coordinates, by dense einsums.
+
+    Each coordinate's generator E_k is ``from_coords`` of a unit vector. A_c
+    moves to A_c + i (K_{c+j} A_c - A_c K_c) + K_{c+j} A_c K_c - 1/2 K_{c+j}^2
+    A_c - 1/2 A_c K_c^2 + O(K^3), so z_n has first derivatives dz_nk and
+    second derivatives d2z_nkl read at (n + j, n) and summed over the pairs,
+    and |z| has the Hessian Re(w d2z) + Im(w dz_k) Im(w dz_l) / |z|, with
+    w = conj(z) / |z|; the second term is left out where |z| is 0 or
+    subnormal, and w there is conj(z), as in the package's kernel.
+    """
+    d, pairs = units.shape[-1], len(blocks)
+    p = sum(n * n for n in range(1, d + 1)) + sum(n * n for n in range(1, d))
+    e = from_coords(np.eye(p), d)
+    upper, lower = e[:, index : index + pairs], e[:, :pairs]
+    a = units[:, index : index + pairs] @ blocks @ units[:, :pairs].conj().swapaxes(-1, -2)
+    z = np.diagonal(a, -index, -2, -1).sum(1)
+    size = np.abs(z)
+    tiny = size < np.finfo(float).tiny
+    w = z.conj() / np.where(tiny, 1.0, size)
+    first = 1j * (np.einsum("kcxy,rcyz->rkcxz", upper, a) - np.einsum("rcxy,kcyz->rkcxz", a, lower))
+    dz = np.diagonal(first, -index, -2, -1).sum(2)
+    cross = np.einsum("kcxy,rcyz,lczt->rklcxt", upper, a, lower)
+    square = np.einsum("kbxy,lbyz->klbxz", e, e)
+    square = square + square.swapaxes(0, 1)
+    second = (cross + cross.swapaxes(1, 2)
+              - 0.5 * np.einsum("klcxy,rcyz->rklcxz", square[:, :, index : index + pairs], a)
+              - 0.5 * np.einsum("rcxy,klcyz->rklcxz", a, square[:, :, :pairs]))
+    d2z = np.diagonal(second, -index, -2, -1).sum(3)
+    slope = (w[:, None, :] * dz).imag
+    return (np.einsum("rn,rkln->rkl", w, d2z).real
+            + np.einsum("rkn,rln,rn->rkl", slope, slope, np.where(tiny, 0.0, 1.0 / np.where(tiny, 1.0, size))))

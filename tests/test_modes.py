@@ -9,6 +9,7 @@ from coherence_lab.modes import (
     ModeOperator,
     _gap_layout,
     _gradient_layout,
+    _hessian_layout,
     _pair_blocks_layout,
     _stripe_blocks,
     _stripe_measure,
@@ -399,6 +400,77 @@ class TestStripeMeasure:
                     value, grad = _stripe_measure(alone, blocks)
                     assert values[idx] == value[pick]
                     assert grads[idx].tobytes() == grad[pick].tobytes()
+
+
+class TestStripeHessian:
+    @staticmethod
+    def _points(d, j, rng, rows):
+        """Gap-j stripe blocks of a random two-copy state and ``rows`` random padded block unitaries."""
+        rho = random_density_matrix(d, d, rng).matrix
+        m = rng.normal(size=(rows, 2 * d - 1, d, d)) + 1j * rng.normal(size=(rows, 2 * d - 1, d, d))
+        units = np.where(_block_mask(d), _exp_ih(np.where(_block_mask(d), m + m.conj().swapaxes(-1, -2), 0.0)), np.eye(d))
+        return _stripe_blocks(np.kron(rho, rho), d, j), units
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_the_dense_reference(self, d):
+        # every j, and at d = 1 the gap-1 stripe, which has no pair
+        rng = np.random.default_rng(120 + d)
+        for j in range(1, max(d, 2)):
+            blocks, units = self._points(d, j, rng, 4)
+            value, grad, hessian = _stripe_measure(units, blocks, hessian=True)
+            want = oracles.stripe_hessian_dense(units, blocks, j)
+            assert hessian.shape == want.shape == (4, grad.shape[-1], grad.shape[-1])
+            np.testing.assert_allclose(hessian, want, rtol=0, atol=1e-13 * np.abs(want).max(initial=0.0))
+            # asking for the Hessian leaves the value and gradient as they were
+            plain = _stripe_measure(units, blocks)
+            assert value.tobytes() == plain[0].tobytes() and grad.tobytes() == plain[1].tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_central_differences_of_the_gradient(self, d):
+        # the gradient at exp(i t E_l) U is read in that point's own frame, so its
+        # derivative along E_l is the Hessian plus an antisymmetric part
+        rng = np.random.default_rng(130 + d)
+        mask, eye, h = _block_mask(d), np.eye(d), 1e-5
+        for j in range(1, d):
+            blocks, units = self._points(d, j, rng, 1)
+            hessian = _stripe_measure(units, blocks, hessian=True)[2][0]
+            p = len(hessian)
+            k = oracles.from_coords(np.eye(p), d)
+            jacobian = np.stack([
+                (_stripe_measure(np.where(mask, _exp_ih(h * k[l]), eye) @ units[0], blocks)[1]
+                 - _stripe_measure(np.where(mask, _exp_ih(-h * k[l]), eye) @ units[0], blocks)[1]) / (2 * h)
+                for l in range(p)], 1)
+            np.testing.assert_allclose((jacobian + jacobian.T) / 2, hessian, rtol=0, atol=1e-7 * np.abs(hessian).max())
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_is_symmetric_and_stacked_rows_keep_their_bits(self, d):
+        rng = np.random.default_rng(140 + d)
+        for j in range(1, d):
+            blocks, units = self._points(d, j, rng, 6)
+            hessian = _stripe_measure(units.reshape(2, 3, *units.shape[1:]), blocks, hessian=True)[2]
+            assert np.array_equal(hessian, hessian.swapaxes(-1, -2))
+            for idx in np.ndindex(2, 3):
+                row = units[3 * idx[0] + idx[1]]
+                for alone, pick in ((row, ()), (row[None], 0)):
+                    assert hessian[idx].tobytes() == _stripe_measure(alone, blocks, hessian=True)[2][pick].tobytes()
+
+    def test_is_exactly_zero_without_a_pair(self):
+        # nogo on a joint state of d = 1: one 1 x 1 block, no stripe pair, no level
+        blocks = _stripe_blocks(np.ones((1, 1), complex), 1, 1)
+        units = np.ones((3, 1, 1, 1), complex)
+        value, grad, hessian = _stripe_measure(units, blocks, hessian=True)
+        assert hessian.shape == (3, 1, 1)
+        assert not value.any() and not grad.any() and not hessian.any()
+
+    @pytest.mark.parametrize("d, j, terms", [(2, 1, 36), (3, 1, 348), (3, 2, 136), (4, 1, 1464), (4, 3, 344)])
+    def test_layout_is_sparse_and_read_only(self, d, j, terms):
+        # H1 reads each place once per term; at (4, 1) 788 of the 1,936 entries
+        # are nonzero, and every term reads F at one place
+        p, where, weight, places, expand = _hessian_layout(d, j)
+        levels = d - j
+        assert (weight[:, levels * p :] != 0).sum(0)[expand].sum() == terms
+        assert len(set(places.tolist())) == places.size
+        assert not any(m.flags.writeable for m in (where, weight, places, expand))
 
 
 class TestLrdDecomposition:
