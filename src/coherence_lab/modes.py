@@ -108,55 +108,38 @@ def _two_copy_blocks(matrix: np.ndarray, index: int) -> np.ndarray:
 
 
 @functools.cache
-def _gradient_layout(d: int, index: int) -> tuple:
-    """Where each gradient coordinate reads ``_stripe_measure``'s products P1, P2, as a read-only (2, 2, P) index, and factor / 2.
-
-    With S = i (P1 - P2) placed as the kernel says and R = P2 - P1, a real
-    part is (Im R at its cell + Im R at the mirror) factor / 2 and an
-    imaginary part (Re R at the mirror - Re R at the cell) factor / 2, the
-    terms (S_rc + conj(S_cr)) / 2 adds, so the bits are the same. The index,
-    [term][minuend, subtrahend], is into the float view of P1, P2 and a zero.
-    """
-    cell, mirror, imag, factor = _generator_coords(d)
-    pairs, width = 2 * d - 1 - index, d - index
-    size = pairs * d * width
-    placed = np.full((2, 2 * d - 1, d, d), 2 * size)
-    placed[0, :pairs, :width, :] = size + np.arange(size).reshape(pairs, width, d)
-    placed[1, index:, :, index:] = np.arange(size).reshape(pairs, d, width)
-    at_cell, at_mirror = (2 * placed.reshape(2, -1)[:, cells] + ~imag for cells in (cell, mirror))
-    where = np.stack((np.where(imag, at_mirror, at_cell), np.where(imag, at_cell[::-1], at_mirror)))
-    for m in (where, half := factor / 2):
-        m.setflags(write=False)
-    return where, half
-
-
-@functools.cache
 def _hessian_layout(d: int, index: int) -> tuple:
-    """P, and read-only maps: (slots, levels P + entries) places and weights, in the float view of F[n, c] = w_n A_c and
-    a zero, of v_nk = Im(w_n J_nk) and of H1's nonzero entries k <= l; their places in H (k P + l, and l P + k off the
-    diagonal); and the entry each place reads. H = H1 + sum_n v_n v_n^T / |z_n|, since to second order A_c moves to
-    A_c + i (K_{c+j} A_c - A_c K_c) + K_{c+j} A_c K_c - 1/2 K_{c+j}^2 A_c - 1/2 A_c K_c^2 and |z + dz| to |z| + Re(w dz)
-    + Im(w dz)^2 / (2 |z|). E_k, coordinate k's generator in block b, is one diagonal entry 1, or (r, c) and (c, r) of
-    modulus 2^-1/2 and phase 1, or i and -i for an imaginary part. J_nk = i [E_k A_{b-j} - A_b E_k] and H1 = Re sum_n
-    w_n [cross terms E_k A_c E_l, k in block c + j and l in c, and same-block terms -1/2 ((E_k E_l + E_l E_k) A_{b-j} +
-    A_b (E_k E_l + E_l E_k))], all at (n + j, n), are sums of terms found by index arithmetic; terms at one place merge.
+    """P, and read-only maps: (slots, (levels + 1) P + entries) places and weights, in the float view of F[n, c] = w_n A_c
+    and a zero, of v_nk = Im(w_n J_nk), of G_k = Re sum_n w_n J_nk and of H1's nonzero entries k <= l; their places in H
+    (k P + l, and l P + k off the diagonal); and the entry each place reads. H = H1 + sum_n v_n v_n^T / |z_n|, since to
+    second order A_c moves to A_c + i (K_{c+j} A_c - A_c K_c) + K_{c+j} A_c K_c - 1/2 K_{c+j}^2 A_c - 1/2 A_c K_c^2 and
+    |z + dz| to |z| + Re(w dz) + Im(w dz)^2 / (2 |z|). E_k, coordinate k's generator in block b, is one diagonal entry 1,
+    or (r, c) and (c, r) of modulus 2^-1/2 and phase 1, or i and -i for an imaginary part. J_nk = i [E_k A_{b-j} - A_b
+    E_k] and H1 = Re sum_n w_n [cross terms E_k A_c E_l, k in block c + j and l in c, and same-block terms -1/2 ((E_k E_l
+    + E_l E_k) A_{b-j} + A_b (E_k E_l + E_l E_k))], all at (n + j, n), are sums of terms found by index arithmetic; the
+    first-order terms serve v and, turned by i, G (at most 4 to a column); terms at one place merge.
     """
     cell, _, imag, _ = _generator_coords(d)
     p, pairs, levels = cell.size, 2 * d - 1 - index, d - index
     b, r, c = np.unravel_index(cell, (2 * d - 1, d, d))
     # each generator's two entries, the second with phase 0 on the diagonal, and its modulus 0.5 ** half
     rows, cols, phase = np.stack((r, c), -1), np.stack((c, r), -1), np.where(imag[:, None], [1j, -1j], np.stack((r == r, r != c), -1))
-    half, found = (r != c) / 2, []
+    half, found, first = (r != c) / 2, [], (levels + 1) * p
 
     def add(valid, entry, n, pair, row, col, coef):
         valid, entry, place, coef = np.broadcast_arrays(valid, entry, ((n * pairs + pair) * d + row) * d + col, coef)
         found.append((entry[valid], place[valid], coef[valid]))
 
     n, k, e = np.arange(levels)[:, None, None], np.arange(p)[:, None], np.arange(2)
-    add((rows[k, e] == n + index) & (b[k] >= index), n * p + k, n, b[k] - index, cols[k, e], n, phase[k, e] * 0.5 ** half[k])
-    add((cols[k, e] == n) & (b[k] < pairs), n * p + k, n, b[k], n + index, rows[k, e], -phase[k, e] * 0.5 ** half[k])
+    # E_k A_{b-j} and A_b E_k at (n + j, n): Im(w J) = Re(-i w J) is v's term, Re(w J) G's
+    for valid, pair, row, col, coef in (
+        ((rows[k, e] == n + index) & (b[k] >= index), b[k] - index, cols[k, e], n, phase[k, e] * 0.5 ** half[k]),
+        ((cols[k, e] == n) & (b[k] < pairs), b[k], n + index, rows[k, e], -phase[k, e] * 0.5 ** half[k]),
+    ):
+        add(valid, n * p + k, n, pair, row, col, coef)
+        add(valid, levels * p + k, n, pair, row, col, 1j * coef)
     k, l, ek, el = np.arange(p)[:, None, None, None], np.arange(p)[:, None, None], np.arange(2)[:, None], np.arange(2)
-    entry, coef = levels * p + np.minimum(k, l) * p + np.maximum(k, l), phase[k, ek] * phase[l, el] * 0.5 ** (half[k] + half[l])
+    entry, coef = first + np.minimum(k, l) * p + np.maximum(k, l), phase[k, ek] * phase[l, el] * 0.5 ** (half[k] + half[l])
     add((b[k] == b[l] + index) & (b[l] < pairs) & (rows[k, ek] == cols[l, el] + index), entry, cols[l, el], b[l], cols[k, ek], rows[l, el], coef)
     # each ordered product E_k E_l once for the entry {k, l}, twice for {k, k}
     same, y, x, coef = (b[k] == b[l]) & (cols[k, ek] == rows[l, el]), rows[k, ek], cols[l, el], coef * np.where(k == l, -1.0, -0.5)
@@ -167,36 +150,34 @@ def _hessian_layout(d: int, index: int) -> tuple:
     keys, merge = np.unique(np.concatenate((entry * pad + 2 * place, entry * pad + 2 * place + 1)), return_inverse=True)
     weight = np.bincount(merge, np.concatenate((coef.real, -coef.imag)), keys.size)
     (at, spot), weight = np.divmod(keys[weight != 0], pad), weight[weight != 0]
-    # every v entry has a column, an H1 entry one if a term is left; a term's slot is its rank in its column
+    # every v and G entry has a column, an H1 entry one if a term is left; a term's slot is its rank in its column
     slot = np.arange(at.size) - np.searchsorted(at, at)
-    columns = np.concatenate((np.arange(levels * p), at[(slot == 0) & (at >= levels * p)]))
+    columns = np.concatenate((np.arange(first), at[(slot == 0) & (at >= first)]))
     where, weights = np.full((slot.max(initial=0) + 1, columns.size), pad), np.zeros((slot.max(initial=0) + 1, columns.size))
     where[slot, np.searchsorted(columns, at)], weights[slot, np.searchsorted(columns, at)] = spot, weight
-    k, l = np.divmod(columns[levels * p :] - levels * p, p)
+    k, l = np.divmod(columns[first:] - first, p)
     maps = where, weights, np.concatenate((k * p + l, (l * p + k)[k != l])), np.concatenate((np.arange(k.size), np.flatnonzero(k != l)))
     for m in maps:
         m.setflags(write=False)
     return p, *maps
 
 
-def _stripe_measure(units: np.ndarray, blocks: np.ndarray, hessian: bool = False) -> tuple:
-    """Gap-j measure f of the first marginal of U X U^dagger, its gradient's generator coordinates, and with ``hessian`` its Hessian.
+def _stripe_measure(units: np.ndarray, blocks: np.ndarray) -> tuple:
+    """Gap-j measure f of the first marginal of U X U^dagger, its gradient's generator coordinates G, and its Hessian H.
 
     ``units`` are padded block unitaries (``_padded_units``), whose leading
     axes are stack axes; ``blocks`` are the gap-j ``_stripe_blocks``, 2d - 1 - j
     pairs, so j is how many fewer than the blocks of ``units``, also with no pair (d = 1). Row and column n of
     every padded block hold a ket of first-system level n, so with
     A_c = U_{c+j} X_c U_c^dagger the marginal entry (n + j, n) is
-    z_n = sum_c A_c[n + j, n], and f = sum_n |z_n|. W holds w_n = conj(z_n) / |z_n|
-    at (n + j, n), or conj(z_n) where |z_n| is 0 or subnormal (1 / |z_n|
-    overflows). Under U_b <- exp(i eps K) U_b, f rises by eps tr(G_b K) to
-    first order, with G_b = herm(i A_{b-j} W^T) - herm(i W^T A_b), Hermitian.
-    W^T has only w_n at (n, n + j), so A W^T moves column n of A to column
-    n + j scaled by w_n, and W^T A moves row n + j to row n scaled by w_n;
-    W is never built, nor is G: its (..., P) ``_generator_coords`` are read
-    from the two products (``_gradient_layout``). z_n adds its terms strictly
-    in order, which ``sum`` over the pair axis does not at d = 4, so each
-    point is the same bits in any stack. ``hessian`` adds the (..., P, P) Hessian of f(exp(i K(x)) U) at x = 0.
+    z_n = sum_c A_c[n + j, n], and f = sum_n |z_n|. w_n = conj(z_n) / |z_n|,
+    or conj(z_n) where |z_n| is 0 or subnormal (1 / |z_n| overflows). Under
+    U_b <- exp(i K(x)) U_b, G is the (..., P) ``_generator_coords`` gradient and
+    H the (..., P, P) Hessian of f at x = 0; both come from one gather of
+    F = w_n A_c (``_hessian_layout``): G_k = Re sum_n w_n J_nk from the
+    first-order terms that also give H's v_nk = Im(w_n J_nk). z_n adds its
+    terms strictly in order, which ``sum`` over the pair axis does not at
+    d = 4, so each point is the same bits in any stack.
     """
     d, pairs = units.shape[-1], blocks.shape[-3]
     j = units.shape[-3] - pairs
@@ -206,28 +187,21 @@ def _stripe_measure(units: np.ndarray, blocks: np.ndarray, hessian: bool = False
     z = np.add.accumulate(stripe, -2)[..., -1, :] if pairs else stripe.sum(-2)
     size = np.abs(z)
     w = z.conj() / np.where(size < _TINY, 1.0, size)
-    lead = a.shape[:-3]
-    if hessian:
-        # the Hessian first (``_hessian_layout``), its gathers freed before its P x P product, so few temporaries live at once
-        p, where, weight, places, expand = _hessian_layout(d, j)
-        flat = _padded_flat(w[..., :, None, None, None] * a[..., None, :, :, :], len(lead)).view(float)
-        sums = flat.take(where[0], -1) * weight[0]
-        for place, factor in zip(where[1:], weight[1:]):
-            sums += flat.take(place, -1) * factor
-        v = sums[..., : (d - j) * p].reshape(*lead, d - j, p) / np.sqrt(np.where(size < _TINY, np.inf, size))[..., None]
-        total = sums[..., (d - j) * p :].take(expand, -1)
-        del flat, sums
-        # sum_n v_n v_n^T / |z_n| is exactly symmetric, and H1 adds the same bits at (k, l) and (l, k)
-        h = v.swapaxes(-1, -2) @ v
-        total += h.reshape(*lead, -1).take(places, -1)
-        h.reshape(*lead, -1)[..., places] = total
-    products = (a[..., : d - j] * w[..., None, None, :], w[..., None, :, None] * a[..., j:, :])
-    flat = np.concatenate([p.reshape(*lead, -1) for p in products] + [np.zeros((*lead, 1), complex)], -1)
-    where, half = _gradient_layout(d, j)
-    terms = np.take(flat.view(float), where, axis=-1)
-    terms = terms[..., 0, :] - terms[..., 1, :]
-    value, grad = size.sum(-1), (terms[..., 0, :] + terms[..., 1, :]) * half
-    return (value, grad, h) if hessian else (value, grad)
+    lead, p, where, weight, places, expand = a.shape[:-3], *_hessian_layout(d, j)
+    flat = _padded_flat(w[..., :, None, None, None] * a[..., None, :, :, :], len(lead)).view(float)
+    sums = flat.take(where[0], -1) * weight[0]
+    for place, factor in zip(where[1:], weight[1:]):
+        sums += flat.take(place, -1) * factor
+    first = (d - j + 1) * p
+    v = sums[..., : first - p].reshape(*lead, d - j, p) / np.sqrt(np.where(size < _TINY, np.inf, size))[..., None]
+    # copies, so the gathers are freed before the P x P product and few temporaries live at once
+    grad, total = sums[..., first - p : first].copy(), sums[..., first:].take(expand, -1)
+    del flat, sums
+    # sum_n v_n v_n^T / |z_n| is exactly symmetric, and H1 adds the same bits at (k, l) and (l, k)
+    h = v.swapaxes(-1, -2) @ v
+    total += h.reshape(*lead, -1).take(places, -1)
+    h.reshape(*lead, -1)[..., places] = total
+    return size.sum(-1), grad, h
 
 
 def mode_component(rho: DensityMatrix, op: NumberOperator, index: int) -> ModeOperator:

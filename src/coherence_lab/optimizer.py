@@ -233,7 +233,7 @@ def _newton(units: np.ndarray, blocks: np.ndarray) -> tuple:
     objective cannot see (Ueda & Yamashita, Appl. Math. Optim. 62, 2010). A row with |G|^2 < ``STATIONARY`` stops before
     it moves and solves I D = G; D falls back to G where <G, D> <= 0. Each row comes out as it would alone.
     """
-    value, g, h = _stripe_measure(units, blocks, hessian=True)
+    value, g, h = _stripe_measure(units, blocks)
     norm2 = _dot(g, g)
     np.negative(h, out=h)
     h.reshape(len(h), -1)[:, :: h.shape[-1] + 1] += np.sqrt(norm2)[:, None]

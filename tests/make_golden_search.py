@@ -28,8 +28,9 @@ best value.
 
 When to rerun it: only when a change moves the oracle's or the CLI's bits,
 and then every moved entry is listed in CHANGES.md. A run prints how many
-searches and CLI runs moved against the files it replaces, and the largest
-change of a best value, the figures CHANGES.md gives. A change that claims bit-identity leaves
+searches and CLI runs moved against the files it replaces, the largest
+change of a best value, the total evaluations on both sides and how many
+searches' stop reasons changed, the figures CHANGES.md gives. A change that claims bit-identity leaves
 the files as they are and must pass the tests unchanged. A best value that moves
 by more than ``CONTRACT_ATOL`` fails the contract tier until ``--contract``
 rewrites it, and each such move needs its own justification.
@@ -128,10 +129,20 @@ def digests(argv) -> dict:
             os.chdir(cwd)
 
 
-def moves(old: dict, new: dict) -> tuple:
-    """How many of the searches in both exact-tier files differ, and the largest change of a best value among them."""
-    common = old.keys() & new.keys()
-    return sum(old[name] != new[name] for name in common), max((abs(best(new[name]) - best(old[name])) for name in common), default=0.0)
+def evals(stored: dict) -> int:
+    """A search's objective evaluations from its stored fields: each start, accepted step and rejected trial."""
+    return len(stored["stop_reasons"]) + stored["accepted"] + stored["backtracks"]
+
+
+def moves(old: dict, new: dict) -> str:
+    """How the searches in both exact-tier files differ: how many moved, the largest best-value change, evaluations, stops."""
+    common = sorted(old.keys() & new.keys())
+    moved = sum(old[name] != new[name] for name in common)
+    largest = max((abs(best(new[name]) - best(old[name])) for name in common), default=0.0)
+    before, after = (sum(evals(side[name]) for name in common) for side in (old, new))
+    stops = sum(old[name]["stop_reasons"] != new[name]["stop_reasons"] for name in common)
+    return (f"{moved} of {len(new)} searches moved; largest best-value change {largest:.3e}; "
+            f"evaluations {before} -> {after} ({after - before:+d}); {stops} searches' stop reasons changed")
 
 
 def main(argv=None) -> int:
@@ -140,8 +151,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     golden = {**versions(), "searches": {name: record(rho, j, cfg) for name, rho, j, cfg in searches()}}
     if PATH.exists():
-        moved, largest = moves(json.loads(PATH.read_text())["searches"], golden["searches"])
-        print(f"{moved} of {len(golden['searches'])} searches moved; largest best-value change {largest:.3e}")
+        print(moves(json.loads(PATH.read_text())["searches"], golden["searches"]))
     PATH.write_text(json.dumps(golden, indent=0) + "\n")
     print(f"wrote {len(golden['searches'])} searches to {PATH}")
     if args.contract:

@@ -4,10 +4,12 @@ Everything here is implemented from first principles with plain numpy loops
 or textbook algorithms, deliberately avoiding the package's own code paths.
 Two exceptions. The padded-stack kernels (``stripe_measure_padded``,
 ``to_coords``, ``from_coords``, ``cayley_padded``) are the search oracle's
-earlier kernels, kept as bit-for-bit references for the coordinate kernels
-that replaced them; the coordinate readers use the package's coordinate
-layout. ``sequential_search`` drives the search one restart at a time on
-those kernels, as a reference for the lockstep loop.
+earlier kernels, kept as references for the coordinate kernels that
+replaced them; the coordinate readers use the package's coordinate
+layout. ``sequential_search`` drives the search one restart at a time, its
+steps on those kernels and its value, gradient and Hessian from the
+package's kernel on a stack of one point, as a reference for the lockstep
+loop.
 """
 
 import math
@@ -244,7 +246,8 @@ def stripe_measure_padded(units: np.ndarray, blocks: np.ndarray, index: int) -> 
     """The stripe measure and its gradient before symmetrising, as the padded stack S_b = i A_{b-j} W^T - i W^T A_b.
 
     The form of ``modes._stripe_measure`` before it returned coordinates, kept
-    as its reference: ``to_coords`` of S must equal its coordinates bit for bit.
+    as its reference: its value must equal the kernel's bit for bit, and
+    ``to_coords`` of S the kernel's G to within 2 ulps of each row's largest |G|.
     z_n adds its terms in order from a complex zero.
     """
     d, pairs = units.shape[-1], len(blocks)
@@ -300,16 +303,14 @@ def cayley_padded(k: np.ndarray, units: np.ndarray) -> np.ndarray:
 def _sequential_ascent(blocks: np.ndarray, index: int, unit: np.ndarray, max_iters: int) -> tuple:
     """One restart of the regularised Newton ascent from padded blocks ``unit``, kept on a stack of one point.
 
-    Values and gradients come from the padded-stack kernel kept here
-    (``stripe_measure_padded``, read by ``to_coords``), and each trial is the
-    Cayley step (``cayley_padded``) of ``from_coords`` of alpha D from the
-    current point. The Hessian H is the package's kernel on a stack of one.
-    The step rule is written out with scalars: at the start and after each
-    accepted trial, D solves (|G| I - H) D = G and falls back to G when it
-    is not uphill, and the next step is the first step again; after each
-    rejected trial the step is divided by the backtracking factor and D is
-    kept; the Armijo test compares against the last accepted values held in
-    a bounded deque.
+    Values, gradients G and Hessians H come from the package's kernel on a
+    stack of one, and each trial is the Cayley step (``cayley_padded``) of
+    ``from_coords`` of alpha D from the current point. The step rule is
+    written out with scalars: at the start and after each accepted trial, D
+    solves (|G| I - H) D = G and falls back to G when it is not uphill, and
+    the next step is the first step again; after each rejected trial the
+    step is divided by the backtracking factor and D is kept; the Armijo
+    test compares against the last accepted values held in a bounded deque.
     """
     from collections import deque
 
@@ -323,35 +324,30 @@ def _sequential_ascent(blocks: np.ndarray, index: int, unit: np.ndarray, max_ite
         _dot,
     )
 
-    def measure(point):
-        value, grad = stripe_measure_padded(point, blocks, index)
-        return value, to_coords(grad)
-
-    def newton(point, grad, norm2):
-        hessian = _stripe_measure(point, blocks, hessian=True)[2][0]
-        direction = np.linalg.solve(math.sqrt(norm2) * np.eye(len(hessian)) - hessian, grad[0])[None]
+    def newton(grad, hessian, norm2):
+        direction = np.linalg.solve(math.sqrt(norm2) * np.eye(grad.shape[1]) - hessian[0], grad[0])[None]
         slope = _dot(grad, direction)[0]
         return (direction, slope) if slope > 0 else (grad, norm2)
 
     d = unit.shape[-1]
     unit = unit[None]
-    value, grad = measure(unit)
+    value, grad, hessian = _stripe_measure(unit, blocks)
     norm2 = _dot(grad, grad)[0]
     best, best_unit = value[0], unit
     recent = deque([value[0]] * ARMIJO_MEMORY, maxlen=ARMIJO_MEMORY)
     if norm2 >= STATIONARY:
-        direction, slope = newton(unit, grad, norm2)
+        direction, slope = newton(grad, hessian, norm2)
     step = FIRST_STEP
     evals, accepted, backtracks = 1, 0, 0
     while norm2 >= STATIONARY and evals < max_iters:
         trial = cayley_padded(from_coords(np.array([step])[:, None] * direction, d), unit)
-        t_value, t_grad = measure(trial)
+        t_value, t_grad, t_hessian = _stripe_measure(trial, blocks)
         evals += 1
         if t_value[0] >= min(recent) + ARMIJO_RISE * step * slope:
-            unit, value, grad = trial, t_value, t_grad
+            unit, value, grad, hessian = trial, t_value, t_grad, t_hessian
             norm2 = _dot(grad, grad)[0]
             if norm2 >= STATIONARY:
-                direction, slope = newton(unit, grad, norm2)
+                direction, slope = newton(grad, hessian, norm2)
             step = FIRST_STEP
             recent.append(value[0])
             accepted += 1
